@@ -11,7 +11,7 @@ from .core import (DeductionSystem, Diagnostic, DirectedRule, Proposition,
 from .dsl import ParseError, ValidationError, parse_system, render_system
 from .encoder import (COMPACT, EncodeConfig, MAX_COVERAGE, MIN_GUESSES, PLAIN,
                       Path, PathTable, ConfigError, count_reduction,
-                      default_nu, encode, enumerate_paths)
+                      default_nu, decode, encode, enumerate_paths)
 from .milp import (MilpInstance, Solution, SolveLimits, evaluate, propagate,
                    solve)
 from .oracle import (BruteForceMin, ClosureResult, TraceMismatch,
@@ -29,7 +29,7 @@ __all__ = [
     "ParseError", "ValidationError", "parse_system", "render_system",
     "COMPACT", "EncodeConfig", "MAX_COVERAGE", "MIN_GUESSES", "PLAIN",
     "Path", "PathTable", "ConfigError", "count_reduction", "default_nu",
-    "encode", "enumerate_paths",
+    "decode", "encode", "enumerate_paths",
     "MilpInstance", "Solution", "SolveLimits", "evaluate", "propagate",
     "solve",
     "BruteForceMin", "ClosureResult", "TraceMismatch", "UnknownProposition",

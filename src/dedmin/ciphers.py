@@ -86,13 +86,10 @@ def build_snow2_raw(T: int) -> DeductionSystem:
             return 15 + T + i
         return 15 + 2 * T + i
 
-    families = [
-        [("s", 16), ("s", 11), ("s", 2), ("s", 0)],
-        [("s", 15), ("R1", 1), ("R1", 0), ("s", 0)],  # placeholder, see below
-        [("R1", 1), ("s", 5), ("R2", 0)],
-        [("R2", 1), ("R1", 0)],
-    ]
-    rules = _instantiate(limit, [families[0]], index_of)
+    lfsr = [("s", 16), ("s", 11), ("s", 2), ("s", 0)]
+    fsm = [[("R1", 1), ("s", 5), ("R2", 0)],   # FSM update
+           [("R2", 1), ("R1", 0)]]             # register identity
+    rules = _instantiate(limit, [lfsr], index_of)
     # keystream words: z_t relates s_{t+15}, R1_t, R2_t, s_t
     for t in range(T - 1):
         rules.append(SymmetricRule.of([
@@ -102,7 +99,7 @@ def build_snow2_raw(T: int) -> DeductionSystem:
     rules.append(SymmetricRule.of([
         index_of("s", T + 14), index_of("R1", T - 1),
         index_of("R1", T - 2), index_of("s", T - 1)]))
-    rules.extend(_instantiate(limit, [families[2], families[3]], index_of))
+    rules.extend(_instantiate(limit, fsm, index_of))
     return DeductionSystem.from_names(names, rules, name=f"snow2_raw_T{T}")
 
 

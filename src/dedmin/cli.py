@@ -216,18 +216,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace(args) -> int:
     system = preprocess.expand_rules(_load_system(args))
-    payload = json.loads(_read_input(args.solution))
-    assignment = payload.get("assignment", payload)
-    if not isinstance(assignment, dict):
+    try:
+        payload = json.loads(_read_input(args.solution))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{args.solution}: not JSON: {exc}") from None
+    if isinstance(payload, dict):
+        payload = payload.get("assignment", payload)
+    if not isinstance(payload, dict):
         raise CliError("solution JSON must contain an assignment object")
-    copies = [int(m.group(1)) for name in assignment
-              for m in [re.fullmatch(r"x\d+_c(\d+)", name)] if m]
+    values = {}
+    for name, value in payload.items():
+        try:
+            values[name] = int(value)
+        except (TypeError, ValueError):
+            raise CliError(f"{name}: value {value!r} is not an integer") from None
+    copies = [v.copy for v in map(encoder.variable_from_name, values)
+              if v.kind == milp.STATE]
     if not copies:
         raise CliError("no state variables found in the solution")
-    nu = max(copies)
-    solution = milp.Solution(milp.FEASIBLE, {k: int(v) for k, v in assignment.items()},
-                             None)
-    cfg = encoder.EncodeConfig(nu=max(nu, 1), budget_k=system.n)
+    solution = milp.Solution(milp.FEASIBLE, values, None)
+    cfg = encoder.EncodeConfig(nu=max(max(copies), 1), budget_k=system.n)
     result = oracle.extract_trace(system, solution, cfg)
     _write_output(args, oracle.render_trace(system, result))
     return EXIT_OK
@@ -311,7 +319,6 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -386,15 +393,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) != 1:
-        sys.stderr.write("note: multi-threaded search is not implemented; "
-                         "running single-threaded\n")
     try:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"dedmin: {exc}\n")
         return exc.code
-    except (encoder.ConfigError, lpio.LpParseError) as exc:
+    except (encoder.ConfigError, lpio.LpParseError, oracle.TraceMismatch) as exc:
         sys.stderr.write(f"dedmin: {exc}\n")
         return EXIT_USAGE
     except BrokenPipeError:  # downstream closed the pipe; not our error

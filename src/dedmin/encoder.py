@@ -33,17 +33,19 @@ the same optima.
 
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
-initial layer subject to full final coverage.
+initial layer subject to full final coverage.  :func:`decode` inverts
+:func:`encode` exactly, and this module owns the variable naming contract.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import DeductionSystem, require_valid
+from .core import DeductionSystem, DirectedRule, require_valid
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
-                   MINIMIZE, MilpInstance, PATH, STATE, Variable)
+                   MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
 from .preprocess import is_expanded
 
 PLAIN = "plain"
@@ -66,6 +68,22 @@ def state_var_name(prop: int, copy: int) -> str:
 
 def path_var_name(prop: int, path: int, copy: int) -> str:
     return f"l{prop}_p{path}_c{copy}"
+
+
+_STATE_RE = re.compile(r"^x(\d+)_c(\d+)$")
+_PATH_RE = re.compile(r"^l(\d+)_p(\d+)_c(\d+)$")
+
+
+def variable_from_name(name: str) -> Variable:
+    """Rebuild structured metadata from the documented naming contract."""
+    m = _STATE_RE.match(name)
+    if m:
+        return Variable(name, STATE, int(m.group(1)), int(m.group(2)))
+    m = _PATH_RE.match(name)
+    if m:
+        return Variable(name, PATH, int(m.group(1)), int(m.group(3)),
+                        int(m.group(2)))
+    return Variable(name, OTHER)
 
 
 @dataclass(frozen=True)
@@ -277,6 +295,66 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
         sense = MINIMIZE
 
     return MilpInstance(b.variables, b.constraints, objective, sense)
+
+
+def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | None:
+    """The system and configuration :func:`encode` turns into ``instance``.
+
+    Reads ``n``, ``nu``, the sense and the budget from the variables and
+    the last row, and each proposition's paths from the rows of the first
+    unrolling step.  Returns None unless encoding the result reproduces
+    the instance's variables, rows and objective exactly.  Encodings keep
+    no proposition names, so the rebuilt ones are ``p0``, ``p1``, ...
+    """
+    variables = instance.variables
+    n = 0
+    while n < len(variables) and \
+            variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
+        n += 1
+    if n == 0 or not instance.constraints or not variables[-1].copy:
+        return None
+    paths: dict[tuple, tuple[int, ...]] = {}  # (prop, path number) -> premises
+    compact = False
+    for c in instance.constraints:
+        if not c.terms:
+            return None
+        lead, coef = variables[c.terms[0][0]], c.terms[0][1]
+        if lead.kind == PATH and lead.copy == 0:
+            if coef == 1:  # the path variable, then its premises
+                paths[lead.prop, lead.path] = tuple(v for v, _ in c.terms[1:])
+        elif lead.kind == STATE and lead.copy == 1:
+            if coef > 0 and c.rhs < 0:
+                # compact link: the folded path's premises weigh -1, and
+                # it has the first path number no path row used
+                slot = 2
+                while (lead.prop, slot) in paths:
+                    slot += 1
+                paths[lead.prop, slot] = tuple(v for v, a in c.terms[1:]
+                                               if a == -1)
+                compact = True
+        else:
+            break
+    rules = []
+    for v in range(n):
+        j = 2  # path 1 is the carry-over
+        while (v, j) in paths:
+            rules.append(DirectedRule(paths[v, j], v))
+            j += 1
+    maximize = instance.sense == MAXIMIZE
+    cfg = EncodeConfig(variables[-1].copy,
+                       instance.constraints[-1].rhs if maximize else 0,
+                       COMPACT if compact else PLAIN,
+                       MAX_COVERAGE if maximize else MIN_GUESSES)
+    try:
+        system = DeductionSystem.from_names(
+            [f"p{i}" for i in range(n)], directed_rules=rules)
+        again = encode(system, cfg)
+    except ValueError:
+        return None
+    if (again.variables, again.constraints, again.objective) != \
+            (variables, instance.constraints, instance.objective):
+        return None
+    return system, cfg
 
 
 @dataclass(frozen=True)

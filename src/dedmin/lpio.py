@@ -18,13 +18,11 @@ from __future__ import annotations
 import json
 import re
 
+from .encoder import variable_from_name
 from .milp import (Constraint, FEASIBLE, MAXIMIZE, MINIMIZE, MilpInstance,
-                   OTHER, PATH, STATE, Solution, SolveStats, Variable,
-                   evaluate)
+                   Solution, SolveStats, evaluate)
 
 _MAX_LINE = 240
-_STATE_RE = re.compile(r"^x(\d+)_c(\d+)$")
-_PATH_RE = re.compile(r"^l(\d+)_p(\d+)_c(\d+)$")
 
 
 class LpParseError(ValueError):
@@ -47,18 +45,6 @@ class InfeasibleImport(ValueError):
         first = self.violations[0].text if self.violations else ""
         super().__init__(
             f"{len(self.violations)} constraints violated (first: {first})")
-
-
-def variable_from_name(name: str) -> Variable:
-    """Rebuild structured metadata from the documented naming contract."""
-    m = _STATE_RE.match(name)
-    if m:
-        return Variable(name, STATE, int(m.group(1)), int(m.group(2)))
-    m = _PATH_RE.match(name)
-    if m:
-        return Variable(name, PATH, int(m.group(1)), int(m.group(3)),
-                        int(m.group(2)))
-    return Variable(name, OTHER)
 
 
 def _terms_tokens(instance: MilpInstance, terms) -> list[str]:

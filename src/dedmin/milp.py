@@ -10,10 +10,11 @@ solver is branch-and-bound over chronological backtracking:
   constraints, value 1 first;
 * incumbent pruning with the trivial objective bound (fixed contribution
   plus the best case for everything unfixed);
-* an optional root heuristic that mines the and/or structure the
-  constraints encode and runs a seeded local search for a good feasible
-  start; the incumbent it proposes is always re-checked against the raw
-  constraints before being trusted.
+* an optional root heuristic for instances that
+  :func:`~dedmin.encoder.decode` rebuilds exactly: a seeded local search
+  over guess sets, each scored by closure sweeps of the decoded rules; the
+  incumbent it proposes is always re-checked against the raw constraints
+  before being trusted.
 
 All arithmetic is exact integer arithmetic; a reported optimum is the true
 optimum of the instance, and ``infeasible`` is only reported after the
@@ -207,7 +208,6 @@ class SolveLimits:
     node_budget: int | None = None
     seed: int = 0
     heuristic: bool = True
-    heuristic_evals: int | None = None
 
 
 @dataclass(frozen=True)
@@ -402,184 +402,40 @@ def propagate(instance: MilpInstance,
 
 
 # --------------------------------------------------------------------------
-# root heuristic: mine the and/or structure and local-search over inputs
-
-class _MinedStructure:
-    """Per-variable definitions recovered from the constraint rows.
-
-    ``defs[v] = (singles, batches)`` meaning ``v = OR(singles) OR
-    (AND(batch) for some batch)``.  Inputs (variables with no definition
-    that everything else depends on) are free; evaluating the definitions
-    in dependency order yields the unique completion of an input
-    assignment, which is exactly what propagation would compute.
-    """
-
-    def __init__(self, order, defs, inputs):
-        self.order = order          # list of (var, singles, batches) in eval order
-        self.defs = defs
-        self.inputs = inputs        # list of input variable ids
-
-
-def _order_key(variable: Variable) -> int | None:
-    if variable.copy is None:
-        return None
-    if variable.kind == STATE:
-        return 2 * variable.copy
-    if variable.kind == PATH:
-        return 2 * variable.copy + 1
-    return None
-
-
-def _mine_structure(instance: MilpInstance) -> _MinedStructure | None:
-    keys = [_order_key(v) for v in instance.variables]
-    defs: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-
-    for c in instance.constraints:
-        rows = []
-        if c.rel in (GREATER_EQUAL, EQUAL):
-            rows.append((c.terms, c.rhs))
-        if c.rel in (LESS_EQUAL, EQUAL):
-            rows.append((tuple((v, -a) for v, a in c.terms), -c.rhs))
-        for terms, rhs in rows:
-            negatives = [(v, a) for v, a in terms if a < 0]
-            positives = [(v, a) for v, a in terms if a > 0]
-            if len(negatives) != 1 or not positives:
-                continue
-            u, cu = negatives[0]
-            if keys[u] is None or any(keys[v] is None for v, _ in positives):
-                continue
-            if keys[u] <= max(keys[v] for v, _ in positives):
-                continue  # would define a variable from later layers
-            k = -cu
-            if k == 2 and rhs == -1 and all(a == 1 for _, a in positives):
-                singles: tuple[int, ...] = tuple(v for v, _ in positives)
-                batches: tuple[tuple[int, ...], ...] = ()
-            elif rhs == 0 and k == 1 and all(a == 1 for _, a in positives):
-                singles = tuple(v for v, _ in positives)
-                batches = ()
-            elif rhs == 0 and k >= 2 and all(a in (1, k) for _, a in positives):
-                singles = tuple(v for v, a in positives if a == k)
-                batch = tuple(v for v, a in positives if a == 1)
-                batches = (batch,) if batch else ()
-            else:
-                continue
-            if u in defs and defs[u] != (singles, batches):
-                return None  # ambiguous; stay on the generic path
-            defs[u] = (singles, batches)
-
-    inputs = [v for v in range(len(instance.variables))
-              if v not in defs and keys[v] is not None]
-    if any(keys[v] is None for v in range(len(instance.variables))):
-        return None
-    if not defs or not inputs:
-        return None
-    # every defined variable must only reference inputs or other defined vars
-    order = sorted(defs, key=lambda v: (keys[v], v))
-    known = set(inputs)
-    for v in order:
-        singles, batches = defs[v]
-        refs = set(singles)
-        for b in batches:
-            refs.update(b)
-        if not refs <= known:
-            return None
-        known.add(v)
-    ordered = [(v,) + defs[v] for v in order]
-    return _MinedStructure(ordered, defs, inputs)
-
-
-class _ClosureEval:
-    """Fast evaluation of input assignments over a mined structure."""
-
-    def __init__(self, instance: MilpInstance, mined: _MinedStructure):
-        self.nvars = len(instance.variables)
-        self.order = mined.order
-        self.inputs = mined.inputs
-        self.obj = list(instance.objective)
-        self.required = self._required_ones(instance)
-
-    @staticmethod
-    def _required_ones(instance: MilpInstance) -> list[int]:
-        required = []
-        for c in instance.constraints:
-            if c.rel == EQUAL and c.rhs == 1 and len(c.terms) == 1 \
-                    and c.terms[0][1] == 1:
-                required.append(c.terms[0][0])
-        return required
-
-    def run(self, one_inputs: set[int]) -> tuple[int, int]:
-        """Objective and the number of unmet must-be-one rows."""
-        values = [0] * self.nvars
-        for v in one_inputs:
-            values[v] = 1
-        for v, singles, batches in self.order:
-            x = 0
-            for s in singles:
-                if values[s]:
-                    x = 1
-                    break
-            if not x:
-                for batch in batches:
-                    for u in batch:
-                        if not values[u]:
-                            break
-                    else:
-                        x = 1
-                        break
-            values[v] = x
-        objective = sum(a * values[v] for v, a in self.obj)
-        missing = sum(1 for v in self.required if not values[v])
-        return objective, missing
-
-
-def _find_budget(instance: MilpInstance, inputs: list[int]) -> int | None:
-    """Locate the axiom-budget row: all-ones <= k over exactly the inputs."""
-    input_set = set(inputs)
-    for c in instance.constraints:
-        if c.rel != LESS_EQUAL or c.rhs < 0:
-            continue
-        if all(a == 1 for _, a in c.terms) \
-                and {v for v, _ in c.terms} == input_set:
-            return c.rhs
-    return None
-
+# root heuristic: local search over guess sets, scored by closure sweeps
 
 class _HeuristicStop(Exception):
     """Internal: eval or time budget of the root heuristic ran out."""
 
 
-def _heuristic_incumbent(instance, engine, limits, stats, deadline):
+def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
+                         deadline, score):
     """Seeded local search for a strong feasible start; None when inapplicable.
 
-    Works on the mined closure structure, so candidate evaluation is cheap;
-    the winning candidate is completed through the real propagation engine
-    and therefore satisfies the instance exactly.  Both senses reduce to
-    fixed-size subset climbs over the input layer: maximize climbs the
-    objective at the given axiom budget, minimize repeatedly asks whether
-    one guess fewer still covers everything the instance requires.
+    ``system`` and ``cfg`` are what :func:`~dedmin.encoder.decode` rebuilt
+    the instance from.  State copy ``c`` of a proposition is then known
+    exactly when ``c`` closure sweeps from the guess layer know it, so a
+    guess set is scored by at most ``nu`` sweeps of the decoded rules.  The
+    winning candidate is completed through the real propagation engine and
+    therefore satisfies the instance exactly.  Both senses reduce to
+    fixed-size subset climbs over the guess layer: maximize climbs the
+    objective at the axiom budget, minimize repeatedly asks whether one
+    guess fewer still covers everything.
     """
-    mined = _mine_structure(instance)
-    if mined is None:
-        return None
-    evaluator = _ClosureEval(instance, mined)
-    inputs = mined.inputs
+    from .oracle import mask_of, option_masks, sweeps
+
+    n = system.n
+    masks = option_masks(system)
+    inputs = list(range(n))  # variable v is the guess-layer state of prop v
     maximize = instance.sense == MAXIMIZE
 
-    edges = sum(len(s) + sum(len(b) for b in bats)
-                for _, s, bats in mined.order) + len(mined.order)
-    eval_budget = limits.heuristic_evals
-    if eval_budget is None:
-        eval_budget = max(3000, min(60000, 200_000_000 // max(1, edges)))
-        # small input layers have few distinct subsets; don't oversample
-        eval_budget = min(eval_budget,
-                          40 * len(inputs) * max(4, len(inputs)))
+    # about 5e7 rule tests in all; one sweep tests every rule once
+    tests_per_eval = max(1, cfg.nu * len(masks))
+    eval_budget = max(3000, min(60000, 50_000_000 // tests_per_eval))
+    # small guess layers have few distinct subsets; don't oversample
+    eval_budget = min(eval_budget, 40 * n * max(4, n))
     rng = random.Random(limits.seed)
     stall_limit = 8
-
-    score = [0] * len(instance.variables)
-    for c in instance.constraints:
-        for v, _ in c.terms:
-            score[v] += 1
     by_score = sorted(inputs, key=lambda v: (-score[v], v))
 
     evals = 0
@@ -593,7 +449,8 @@ def _heuristic_incumbent(instance, engine, limits, stats, deadline):
         if (evals & 63) == 0 and time.monotonic() > deadline:
             raise _HeuristicStop
         evals += 1
-        return evaluator.run(selection)
+        covered = sweeps(masks, mask_of(selection), cfg.nu)[-1].bit_count()
+        return (covered, 0) if maximize else (len(selection), n - covered)
 
     def consider(selection):
         nonlocal best_sel, best_obj
@@ -607,9 +464,10 @@ def _heuristic_incumbent(instance, engine, limits, stats, deadline):
 
     def metric(selection):
         # larger is better in both senses: coverage, minus any shortfall
-        # against rows that demand a variable to be 1
-        objective, missing = run(selection)
-        return objective - missing * (len(instance.variables) + 1), missing
+        # against full coverage; every feasible candidate is kept, so a
+        # search the budget cuts short still leaves its best
+        objective, missing = consider(selection)
+        return objective - missing * (n + 1), missing
 
     def climb(sel: set[int], ideal: int) -> tuple[set[int], int]:
         """First-improvement swap ascent of ``metric`` at fixed size."""
@@ -657,12 +515,9 @@ def _heuristic_incumbent(instance, engine, limits, stats, deadline):
 
     try:
         if maximize:
-            axiom_budget = _find_budget(instance, inputs)
-            if axiom_budget is None:
-                return None
-            k = min(axiom_budget, len(inputs))
-            ideal = sum(a for _, a in instance.objective if a > 0)
-            if k >= len(inputs):
+            k = cfg.budget_k  # at most n, which EncodeConfig.check ensures
+            ideal = n
+            if k >= n:
                 consider(set(inputs))
                 raise _HeuristicStop
             # greedy constructive start plus the raw occurrence ranking
@@ -676,14 +531,11 @@ def _heuristic_incumbent(instance, engine, limits, stats, deadline):
                     if gain_best is None or value > gain_best:
                         gain_best, pick = value, v
                 sel.add(pick)
-            found, value = search_size(k, ideal, [set(by_score[:k]), sel])
-            if found is not None and value > -(1 << 61):
-                consider(found)
+            found, _ = search_size(k, ideal, [set(by_score[:k]), sel])
+            consider(found)
         else:
             sel = set(inputs)
-            _, missing = consider(sel)
-            if missing:
-                return None  # even guessing everything fails; leave it to search
+            consider(sel)  # guessing everything covers everything
             # greedy drop pass, cheapest-looking variables first
             for v in sorted(inputs, key=lambda v: (score[v], v)):
                 if v in sel and len(sel) > 1:
@@ -712,20 +564,13 @@ def _complete_selection(instance, engine, inputs, selection):
     if selection is None:
         return None
     mark = engine.mark()
-    ok = True
-    for v in inputs:
-        if not engine.fix(v, 1 if v in selection else 0):
-            ok = False
-            break
-    if ok and engine.propagate() is not None:
-        ok = False
-    if ok and any(val < 0 for val in engine.val):
-        ok = False
-    if not ok:
-        engine.undo_to(mark)
-        return None
+    ok = (all(engine.fix(v, 1 if v in selection else 0) for v in inputs)
+          and engine.propagate() is None
+          and all(val >= 0 for val in engine.val))
     values = list(engine.val)
     engine.undo_to(mark)
+    if not ok:
+        return None
     assignment = {v.name: values[i] for i, v in enumerate(instance.variables)}
     report = evaluate(instance, assignment)
     if report.feasible:
@@ -736,11 +581,16 @@ def _complete_selection(instance, engine, inputs, selection):
 # --------------------------------------------------------------------------
 # branch and bound
 
-def _decision_order(instance: MilpInstance) -> list[int]:
+def _occurrences(instance: MilpInstance) -> list[int]:
+    """How many constraints each variable occurs in."""
     score = [0] * len(instance.variables)
     for c in instance.constraints:
         for v, _ in c.terms:
             score[v] += 1
+    return score
+
+
+def _decision_order(instance: MilpInstance, score: list[int]) -> list[int]:
     initial = [i for i, v in enumerate(instance.variables)
                if v.kind == STATE and v.copy == 0]
     first = set(initial)
@@ -757,19 +607,15 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
     and ``infeasible`` only with a completed proof.
     """
+    from .encoder import decode  # local import; encoder imports milp
+
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
     stats = SolveStats()
-
-    if not instance.variables:
-        stats.wall_time = time.monotonic() - start
-        status = OPTIMAL if not any(
-            not c.satisfied_by([]) for c in instance.constraints) else INFEASIBLE
-        if status == OPTIMAL:
-            return Solution(OPTIMAL, {}, 0, stats)
-        return Solution(INFEASIBLE, None, None, stats)
-
+    # decoded before the engine is built, so that the copy of the instance
+    # decode makes is freed before the engine's rows take their memory
+    decoded = decode(instance) if limits.heuristic else None
     engine = _Engine(instance)
     maximize = instance.sense == MAXIMIZE
     obj_terms = list(instance.objective)
@@ -799,29 +645,23 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
             return False
         return b <= best_obj if maximize else b >= best_obj
 
-    # root propagation: a conflict here is a completed infeasibility proof
-    for c in instance.constraints:
-        if not c.terms:
-            ok = ((c.rel == LESS_EQUAL and 0 <= c.rhs)
-                  or (c.rel == GREATER_EQUAL and 0 >= c.rhs)
-                  or (c.rel == EQUAL and c.rhs == 0))
-            if not ok:
-                stats.wall_time = time.monotonic() - start
-                return Solution(INFEASIBLE, None, None, stats)
+    # root propagation: a conflict here is a completed infeasibility proof,
+    # also for a row without terms, which the engine checks like any other
     if engine.propagate() is not None:
         stats.propagations = engine.fix_count
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE, None, None, stats)
-    root_mark = engine.mark()
 
-    if limits.heuristic:
+    score = _occurrences(instance)
+    if decoded is not None:
         # leave at least half the budget to the exact search
         deadline = start + limits.time_budget * 0.5
-        seeded = _heuristic_incumbent(instance, engine, limits, stats, deadline)
+        seeded = _heuristic_incumbent(instance, engine, *decoded, limits,
+                                      stats, deadline, score)
         if seeded is not None:
             best_obj, best_values = seeded
 
-    order = _decision_order(instance)
+    order = _decision_order(instance, score)
 
     def next_unfixed() -> int | None:
         val = engine.val

@@ -9,10 +9,10 @@ Everything here works by plain forward chaining over the rules:
 * :func:`extract_trace` - turn a solver assignment back into a deduction
   course and cross-check it against the closure semantics.
 
-Closure proceeds in sweeps: a sweep derives every proposition whose rule
-premises were known at the start of the sweep.  One sweep therefore models
-exactly one unrolling step on the solver side, so ``rounds`` is the number
-of unrolling steps that guess set actually needs.
+Closure proceeds in :func:`sweeps`: a sweep derives every proposition whose
+rule premises were known at the start of the sweep.  One sweep therefore
+models exactly one unrolling step on the solver side, so ``rounds`` is the
+number of unrolling steps that guess set actually needs.
 """
 
 from __future__ import annotations
@@ -70,26 +70,49 @@ def deduction_options(system: DeductionSystem) -> list[tuple[tuple[int, ...], in
     return options
 
 
-def _option_masks(options) -> list[tuple[int, int, int]]:
+def option_masks(system: DeductionSystem) -> list[tuple[int, int]]:
+    """``(premise bitmask, conclusion bit)`` per deduction option, in id order."""
     masks = []
-    for rid, (premises, conclusion) in enumerate(options):
+    for premises, conclusion in deduction_options(system):
         pmask = 0
         for p in premises:
             pmask |= 1 << p
-        masks.append((pmask, 1 << conclusion, rid))
+        masks.append((pmask, 1 << conclusion))
     return masks
 
 
-def closure_mask(masks: Sequence[tuple[int, int, int]], known: int) -> int:
-    """Fixpoint of the known-set bitmask; fast path shared by the searches."""
-    while True:
+def sweeps(masks: Sequence[tuple[int, int]], known: int,
+           limit: int | None = None) -> list[int]:
+    """Known-set bitmask before the first sweep and after each one.
+
+    A sweep derives every proposition whose premises were known at its
+    start.  Stops at the fixpoint, or after ``limit`` sweeps: entry ``c``
+    is then what state copy ``c`` of an encoding with ``nu >= c`` knows.
+    """
+    rounds = [known]
+    while limit is None or len(rounds) <= limit:
         new = 0
-        for pmask, cbit, _ in masks:
+        for pmask, cbit in masks:
             if known & cbit == 0 and known & pmask == pmask:
                 new |= cbit
         if not new:
-            return known
+            break
         known |= new
+        rounds.append(known)
+    return rounds
+
+
+def closure_mask(masks: Sequence[tuple[int, int]], known: int) -> int:
+    """Fixpoint of the known-set bitmask; fast path shared by the searches."""
+    return sweeps(masks, known)[-1]
+
+
+def mask_of(props: Iterable[int]) -> int:
+    """Bitmask with the bit of every proposition in ``props`` set."""
+    known = 0
+    for v in props:
+        known |= 1 << v
+    return known
 
 
 def _check_guess(system: DeductionSystem, guess: Iterable[int]) -> frozenset[int]:
@@ -112,25 +135,17 @@ def closure(system: DeductionSystem, guess: Iterable[int]) -> ClosureResult:
     require_valid(system)
     start = _check_guess(system, guess)
     options = deduction_options(system)
-
-    known = set(start)
+    masks = option_masks(system)
+    rounds = sweeps(masks, mask_of(start))
     trace: list[TraceStep] = []
-    rounds = 0
-    while True:
-        frontier = frozenset(known)
-        new: dict[int, TraceStep] = {}
-        for rid, (premises, conclusion) in enumerate(options):
-            if conclusion in known or conclusion in new:
-                continue
-            if all(p in frontier for p in premises):
-                new[conclusion] = TraceStep(premises, rid, conclusion)
-        if not new:
-            break
-        rounds += 1
-        for conclusion in sorted(new):
-            known.add(conclusion)
-        trace.extend(sorted(new.values(), key=lambda s: s.rule))
-    return ClosureResult(frozenset(known), tuple(trace), rounds)
+    for frontier, after in zip(rounds, rounds[1:]):
+        new = after & ~frontier
+        for rid, (pmask, cbit) in enumerate(masks):
+            if new & cbit and frontier & pmask == pmask:
+                new &= ~cbit
+                trace.append(TraceStep(options[rid][0], rid, options[rid][1]))
+    known = frozenset(v for v in range(system.n) if rounds[-1] >> v & 1)
+    return ClosureResult(known, tuple(trace), len(rounds) - 1)
 
 
 @dataclass(frozen=True)
@@ -159,27 +174,21 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
     if max_k is None:
         max_k = n
     max_k = min(max_k, n)
-    masks = _option_masks(deduction_options(system))
+    masks = option_masks(system)
     target = (1 << n) - 1
     if n == 0:
         return BruteForceMin(0, (), max_k)
     for size in range(max_k + 1):
         for subset in combinations(range(n), size):
-            known = 0
-            for v in subset:
-                known |= 1 << v
-            if closure_mask(masks, known) == target:
+            if closure_mask(masks, mask_of(subset)) == target:
                 return BruteForceMin(size, subset, max_k)
     return BruteForceMin(None, None, max_k)
 
 
 def covers_all(system: DeductionSystem, guess: Iterable[int]) -> bool:
     """True when the closure of ``guess`` reaches every proposition."""
-    masks = _option_masks(deduction_options(system))
-    known = 0
-    for v in _check_guess(system, guess):
-        known |= 1 << v
-    return closure_mask(masks, known) == (1 << system.n) - 1
+    known = mask_of(_check_guess(system, guess))
+    return closure_mask(option_masks(system), known) == (1 << system.n) - 1
 
 
 def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
@@ -201,22 +210,7 @@ def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
         if assignment.get(encoder.state_var_name(p.index, 0)) == 1
     ]
     result = closure(system, guess)
-
-    # Known set after each sweep, for per-step containment checks.
-    masks = _option_masks(deduction_options(system))
-    per_round = [0]
-    for v in guess:
-        per_round[0] |= 1 << v
-    while True:
-        frontier = per_round[-1]
-        new = 0
-        for pmask, cbit, _ in masks:
-            if frontier & cbit == 0 and frontier & pmask == pmask:
-                new |= cbit
-        if not new:
-            break
-        per_round.append(frontier | new)
-
+    per_round = sweeps(option_masks(system), mask_of(guess), cfg.nu)
     for copy in range(0, cfg.nu + 1):
         justified = per_round[min(copy, len(per_round) - 1)]
         for p in system.propositions:

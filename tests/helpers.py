@@ -85,15 +85,9 @@ def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
     """
     assert cfg.mode == encoder.PLAIN
     table = encoder.enumerate_paths(system)
-    per_round = [set(guess)]
-    options = oracle.deduction_options(system)
-    while True:
-        frontier = per_round[-1]
-        new = {c for premises, c in options
-               if c not in frontier and all(p in frontier for p in premises)}
-        if not new:
-            break
-        per_round.append(frontier | new)
+    per_round = [{p for p in range(system.n) if known >> p & 1}
+                 for known in oracle.sweeps(oracle.option_masks(system),
+                                            oracle.mask_of(guess))]
 
     def known_at(i: int) -> set[int]:
         return per_round[min(i, len(per_round) - 1)]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 TOY = DATA / "toy.rules"
 
@@ -136,3 +138,14 @@ def test_time_limit_exit_3():
     payload = json.loads(out.stdout)
     assert payload["status"] == "time_limit"
     assert payload["objective"] is not None  # incumbent still printed
+
+
+@pytest.mark.parametrize("text", ["not json at all", "[1, 2]",
+                                  '{"x0_c0": "abc"}'])
+def test_trace_rejects_malformed_solution(tmp_path, text):
+    sol = tmp_path / "sol.json"
+    sol.write_text(text)
+    out = run_cli("trace", str(TOY), "--solution", str(sol))
+    assert out.returncode == 1
+    assert out.stderr.startswith("dedmin: ")
+    assert len(out.stderr.splitlines()) == 1, out.stderr

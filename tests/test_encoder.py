@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedmin import ciphers, encoder, milp, preprocess
+from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
 from helpers import random_system
 
@@ -316,3 +316,48 @@ def test_objective_monotone_in_unrolling_depth(seed):
     assert all(a <= b for a, b in zip(values, values[1:]))
     stable = values[system.n - 1:]
     assert len(set(stable)) == 1
+
+
+# --- decode -----------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_decode_inverts_encode_through_lp_text(seed):
+    rng = random.Random(seed)
+    system = preprocess.expand_rules(random_system(rng))
+    folds = any(len(r.premises) >= 2 for r in system.directed_rules)
+    for mode, sense in product((encoder.PLAIN, encoder.COMPACT),
+                               (encoder.MAX_COVERAGE, encoder.MIN_GUESSES)):
+        budget = rng.randint(0, system.n) if sense == encoder.MAX_COVERAGE else 0
+        cfg = encoder.EncodeConfig(rng.randint(1, system.n + 1), budget, mode,
+                                   sense)
+        text = lpio.write_lp(encoder.encode(system, cfg))
+        decoded = encoder.decode(lpio.read_lp(text))
+        assert decoded is not None
+        got_system, got_cfg = decoded
+        # without a multi-premise rule nothing folds: both modes coincide
+        want_mode = mode if folds else encoder.PLAIN
+        assert got_cfg == encoder.EncodeConfig(cfg.nu, budget, want_mode, sense)
+        assert got_system.n == system.n
+        assert sorted(r.sort_key() for r in got_system.directed_rules) == \
+            sorted(r.sort_key() for r in system.directed_rules)
+
+
+def test_decode_rejects_what_encode_cannot_make(toy):
+    cfg = encoder.EncodeConfig(nu=4, budget_k=1)
+    instance = encoder.encode(toy, cfg)
+    full_cover = milp.Constraint(
+        tuple((instance.index_of(encoder.state_var_name(p, cfg.nu)), 1)
+              for p in range(toy.n)), milp.GREATER_EQUAL, toy.n)
+    refute = milp.MilpInstance(instance.variables,
+                               instance.constraints + (full_cover,),
+                               instance.objective, instance.sense)
+    assert encoder.decode(refute) is None
+    dropped = milp.MilpInstance(instance.variables, instance.constraints[1:],
+                                instance.objective, instance.sense)
+    assert encoder.decode(dropped) is None
+    hand_built = milp.MilpInstance(
+        [milp.Variable("a"), milp.Variable("b")],
+        [milp.Constraint(((0, 1), (1, -1)), milp.GREATER_EQUAL, 0)], ((1, 1),))
+    assert encoder.decode(hand_built) is None
+    assert encoder.decode(milp.MilpInstance([], [], [])) is None

@@ -9,7 +9,7 @@ from helpers import assignment_from_closure
 
 def state_link_instance():
     names = ["x0_c1", "l0_p1_c0", "l0_p2_c0", "l0_p3_c0"]
-    variables = [lpio.variable_from_name(n) for n in names]
+    variables = [encoder.variable_from_name(n) for n in names]
     c = Constraint(((0, 3), (1, -1), (2, -1), (3, -1)), ">=", 0)
     return MilpInstance(variables, [c], ((0, 1),))
 

@@ -222,3 +222,30 @@ def test_solution_json_round_trip(toy):
     assert payload["objective"] == 4
     assert set(payload["assignment"]) == {
         v.name for v in encoder.encode(toy, cfg).variables}
+
+
+def test_enocoro_heuristic_keeps_its_best_selection():
+    # the evaluation budget runs out inside the local search; the best
+    # selection found by then must still become the incumbent
+    system = preprocess.expand_rules(ciphers.build_enocoro(16))
+    cfg = encoder.EncodeConfig(nu=18, budget_k=18, mode=encoder.COMPACT)
+    instance = encoder.encode(system, cfg)
+    solution = solve(instance, SolveLimits(time_budget=1e9, node_budget=0))
+    assert solution.assignment is not None
+    assert evaluate(instance, solution.assignment).feasible
+    guesses = sum(solution.assignment[encoder.state_var_name(v, 0)]
+                  for v in range(system.n))
+    assert guesses <= 18
+    assert solution.objective == 92  # the README's Enocoro incumbent
+
+
+def test_heuristic_skips_instances_that_are_not_encodings(toy):
+    cfg = encoder.EncodeConfig(nu=4, budget_k=1)
+    instance = encoder.encode(toy, cfg)
+    assert solve(instance).stats.heuristic_evals > 0
+    extra = Constraint(((0, 1), (1, 1)), "<=", 2)  # satisfied by every point
+    widened = MilpInstance(instance.variables, instance.constraints + (extra,),
+                           instance.objective, instance.sense)
+    solution = solve(widened)
+    assert solution.stats.heuristic_evals == 0
+    assert solution.status == milp.OPTIMAL and solution.objective == 4
