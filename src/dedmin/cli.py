@@ -49,12 +49,20 @@ def _read_input(spec: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _build_cipher(name: str, args) -> DeductionSystem:
+    try:
+        if name == "snow2":
+            return ciphers.build_snow2(args.T if args.T is not None else 13)
+        return ciphers.build_enocoro(args.T if args.T is not None else 16,
+                                     args.range)
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from None
+
+
 def _load_system(args) -> DeductionSystem:
     spec = args.input
-    if spec == "snow2":
-        return ciphers.build_snow2(args.T if args.T else 13)
-    if spec == "enocoro":
-        return ciphers.build_enocoro(args.T if args.T else 16, args.range)
+    if spec in ("snow2", "enocoro"):
+        return _build_cipher(spec, args)
     try:
         return dsl.parse_system(_read_input(spec))
     except (dsl.ParseError, dsl.ValidationError) as exc:
@@ -105,10 +113,7 @@ def _guess_names(system: DeductionSystem, solution: milp.Solution) -> list[str]:
 
 
 def _cmd_generate(args) -> int:
-    if args.cipher == "snow2":
-        system = ciphers.build_snow2(args.T if args.T else 13)
-    else:
-        system = ciphers.build_enocoro(args.T if args.T else 16, args.range)
+    system = _build_cipher(args.cipher, args)
     if args.paths:
         expanded = preprocess.expand_rules(system)
         table = encoder.enumerate_paths(expanded)
@@ -167,9 +172,12 @@ def _cmd_solve(args) -> int:
 
 def _solve_report(system, solution, trace) -> str:
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
-    lines.append(f"nodes: {solution.stats.nodes}  "
-                 f"propagations: {solution.stats.propagations}  "
-                 f"wall: {solution.stats.wall_time:.3f}s")
+    stats = solution.stats
+    rate = (f"{stats.nodes / stats.search_time:.0f}" if stats.search_time > 0
+            else "-")
+    lines.append(f"nodes: {stats.nodes}  nodes/s: {rate}  "
+                 f"propagations: {stats.propagations}  "
+                 f"wall: {stats.wall_time:.3f}s")
     if system is not None and solution.assignment is not None:
         guess = _guess_names(system, solution)
         lines.append(f"guesses ({len(guess)}): {', '.join(guess)}")

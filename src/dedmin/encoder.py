@@ -313,6 +313,20 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
         n += 1
     if n == 0 or not instance.constraints or not variables[-1].copy:
         return None
+    # the last row is the budget (max) or the last proposition's coverage
+    # (min); checking its shape first spares a re-encode of most instances
+    # that are not encodings, such as one with an extra row appended
+    last = instance.constraints[-1]
+    maximize = instance.sense == MAXIMIZE
+    if maximize:
+        shaped = (last.rel == LESS_EQUAL
+                  and last.terms == tuple((v, 1) for v in range(n)))
+    else:
+        shaped = (last.rel == EQUAL and last.rhs == 1
+                  and last.terms == ((len(variables) - 1, 1),)
+                  and variables[-1].kind == STATE)
+    if not shaped:
+        return None
     paths: dict[tuple, tuple[int, ...]] = {}  # (prop, path number) -> premises
     compact = False
     for c in instance.constraints:
@@ -340,9 +354,7 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
         while (v, j) in paths:
             rules.append(DirectedRule(paths[v, j], v))
             j += 1
-    maximize = instance.sense == MAXIMIZE
-    cfg = EncodeConfig(variables[-1].copy,
-                       instance.constraints[-1].rhs if maximize else 0,
+    cfg = EncodeConfig(variables[-1].copy, last.rhs if maximize else 0,
                        COMPACT if compact else PLAIN,
                        MAX_COVERAGE if maximize else MIN_GUESSES)
     try:

@@ -5,7 +5,9 @@ integer-coefficient linear constraints and one linear objective.  The
 solver is branch-and-bound over chronological backtracking:
 
 * integer bounds propagation to a fixpoint after every decision
-  (:func:`propagate` exposes the same engine on its own);
+  (:func:`propagate` exposes the same engine on its own), with each
+  variable's rows listed per value it can take and each row scanned,
+  heaviest term first, only once its slack is below its heaviest weight;
 * branching on the initial-layer state variable occurring in the most
   constraints, value 1 first;
 * incumbent pruning with the trivial objective bound (fixed contribution
@@ -175,11 +177,14 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
     heuristic_evals: int = 0
+    # seconds of branch-and-bound, after the root pass and the heuristic
+    search_time: float = 0.0
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "wall_time": round(self.wall_time, 6),
-                "heuristic_evals": self.heuristic_evals}
+                "heuristic_evals": self.heuristic_evals,
+                "search_time": round(self.search_time, 6)}
 
 
 @dataclass
@@ -263,6 +268,23 @@ def evaluate(instance: MilpInstance, assignment: Mapping[str, int]) -> EvalRepor
 # ub of the rows it appears in; a row whose ub dropped below its rhs is a
 # conflict, and a row that can only survive with some unfixed variable at a
 # specific value forces that value.
+#
+# The layout lets the engine do only the work that can change a value:
+#
+# * ``drops[value][var]`` lists the ``(row, |coef|)`` pairs whose ub falls
+#   when ``var`` takes ``value``, so fixing and undoing walk one list and
+#   test no signs; zero coefficients have no entry;
+# * a row holds its terms heaviest first, so a scan stops at the first term
+#   no heavier than the row's slack ``ub - rhs``: no later term can be
+#   forced;
+# * a row enters the queue only once ``ub < limit``, where ``limit`` is
+#   rhs plus the row's heaviest weight.  Before that its slack covers every
+#   term, so it can neither force a value nor conflict.  The root pass
+#   examines every row once.
+#
+# The fixpoint does not depend on the order in which rows are examined, and
+# neither does whether a conflict is reached, so only the number of fixings
+# made before a conflict depends on this layout.
 
 FIXPOINT = "fixpoint"
 CONFLICT = "conflict"
@@ -277,7 +299,7 @@ class _Engine:
         origin: list[int] = []
 
         def add_row(terms, bound, ci):
-            rows.append(tuple(terms))
+            rows.append(tuple(sorted(terms, key=lambda t: -abs(t[1]))))
             rhs.append(bound)
             origin.append(ci)
 
@@ -285,18 +307,31 @@ class _Engine:
             if c.rel in (GREATER_EQUAL, EQUAL):
                 add_row(c.terms, c.rhs, ci)
             if c.rel in (LESS_EQUAL, EQUAL):
-                add_row(tuple((v, -a) for v, a in c.terms), -c.rhs, ci)
+                add_row(((v, -a) for v, a in c.terms), -c.rhs, ci)
 
         self.rows = rows
         self.rhs = rhs
         self.origin = origin
         self.val = [-1] * nvars
         self.ub = [sum(a for _, a in row if a > 0) for row in rows]
-        occ: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+        self.limit = [bound + (abs(row[0][1]) if row else 0)
+                      for row, bound in zip(rows, rhs)]
+        drops: tuple[list[list[tuple[int, int]]], ...] = (
+            [[] for _ in range(nvars)], [[] for _ in range(nvars)])
         for ri, row in enumerate(rows):
+            # neighbouring terms of equal weight share one entry, which keeps
+            # the lists about as small as the instance's own terms
+            entry = (ri, 0)
             for v, a in row:
-                occ[v].append((ri, a))
-        self.occ = [tuple(entries) for entries in occ]
+                if a > 0:
+                    if a != entry[1]:
+                        entry = (ri, a)
+                    drops[0][v].append(entry)
+                elif a < 0:
+                    if -a != entry[1]:
+                        entry = (ri, -a)
+                    drops[1][v].append(entry)
+        self.drops = drops
         self.trail: list[int] = []
         # examine every row once so root-level forcings and trivially
         # impossible rows are caught before any fixing happens
@@ -316,14 +351,14 @@ class _Engine:
         self.trail.append(var)
         self.fix_count += 1
         ub = self.ub
+        limit = self.limit
         inq = self.inq
-        queue = self.queue
-        for ri, a in self.occ[var]:
-            if (a > 0 and value == 0) or (a < 0 and value == 1):
-                ub[ri] -= abs(a)
-                if not inq[ri]:
-                    inq[ri] = True
-                    queue.append(ri)
+        for ri, w in self.drops[value][var]:
+            left = ub[ri] - w
+            ub[ri] = left
+            if left < limit[ri] and not inq[ri]:
+                inq[ri] = True
+                self.queue.append(ri)
         return True
 
     def propagate(self) -> int | None:
@@ -334,6 +369,7 @@ class _Engine:
         rhs = self.rhs
         rows = self.rows
         val = self.val
+        fix = self.fix
         while queue:
             ri = queue.pop()
             inq[ri] = False
@@ -344,23 +380,27 @@ class _Engine:
                 queue.clear()
                 return ri
             for v, a in rows[ri]:
-                if val[v] < 0:
-                    if a > 0:
-                        if a > slack:
-                            self.fix(v, 1)
-                    elif -a > slack:
-                        self.fix(v, 0)
+                if a > 0:
+                    if a <= slack:
+                        break
+                    if val[v] < 0:
+                        fix(v, 1)
+                elif -a <= slack:
+                    break
+                elif val[v] < 0:
+                    fix(v, 0)
         return None
 
     def undo_to(self, mark: int) -> None:
         ub = self.ub
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            value = self.val[var]
-            self.val[var] = -1
-            for ri, a in self.occ[var]:
-                if (a > 0 and value == 0) or (a < 0 and value == 1):
-                    ub[ri] += abs(a)
+        val = self.val
+        trail = self.trail
+        drops = self.drops
+        for var in trail[mark:]:
+            for ri, w in drops[val[var]][var]:
+                ub[ri] += w
+            val[var] = -1
+        del trail[mark:]
         for r in self.queue:
             self.inq[r] = False
         self.queue.clear()
@@ -672,6 +712,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
 
     # chronological DFS; each stack entry is (var, values_left, trail_mark)
     stack: list[tuple[int, list[int], int]] = []
+    search_start = time.monotonic()
     out_of_budget = False
     exhausted = False
     check_mask = 0x3F
@@ -716,7 +757,9 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
             break
 
     stats.propagations = engine.fix_count
-    stats.wall_time = time.monotonic() - start
+    end = time.monotonic()
+    stats.wall_time = end - start
+    stats.search_time = end - search_start
 
     if best_values is not None:
         assignment = {v.name: best_values[i]

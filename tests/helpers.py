@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 from dedmin import encoder, oracle
+from dedmin.milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL,
+                         MilpInstance)
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
 
 DATA = Path(__file__).parent / "data"
@@ -76,6 +78,19 @@ def replay_course(system: DeductionSystem, guess_names, course) -> set[int]:
     return known
 
 
+def with_full_cover(instance: MilpInstance, n: int,
+                    nu: int) -> MilpInstance:
+    """The instance plus a row demanding all ``n`` propositions at step ``nu``.
+
+    It is not an encoding; with a guess budget below the minimum it is
+    infeasible, which is how acceptance criterion 4 states the refutation.
+    """
+    row = Constraint(tuple((instance.index_of(encoder.state_var_name(p, nu)), 1)
+                           for p in range(n)), GREATER_EQUAL, n)
+    return MilpInstance(instance.variables, instance.constraints + (row,),
+                        instance.objective, instance.sense)
+
+
 def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
                             guess) -> dict[str, int]:
     """Full plain-mode assignment implied by a guess set.
@@ -106,3 +121,104 @@ def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
                 values[encoder.path_var_name(p.index, j + 1, step)] = \
                     1 if fired else 0
     return values
+
+
+# The propagation engine as it was before its rows were sorted by weight and
+# gated by slack, kept verbatim as the reference the current engine must agree
+# with (tests/test_milp.py).
+class ReferenceEngine:
+    def __init__(self, instance: MilpInstance):
+        self.instance = instance
+        nvars = len(instance.variables)
+        rows: list[tuple[tuple[int, int], ...]] = []
+        rhs: list[int] = []
+        origin: list[int] = []
+
+        def add_row(terms, bound, ci):
+            rows.append(tuple(terms))
+            rhs.append(bound)
+            origin.append(ci)
+
+        for ci, c in enumerate(instance.constraints):
+            if c.rel in (GREATER_EQUAL, EQUAL):
+                add_row(c.terms, c.rhs, ci)
+            if c.rel in (LESS_EQUAL, EQUAL):
+                add_row(tuple((v, -a) for v, a in c.terms), -c.rhs, ci)
+
+        self.rows = rows
+        self.rhs = rhs
+        self.origin = origin
+        self.val = [-1] * nvars
+        self.ub = [sum(a for _, a in row if a > 0) for row in rows]
+        occ: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
+        for ri, row in enumerate(rows):
+            for v, a in row:
+                occ[v].append((ri, a))
+        self.occ = [tuple(entries) for entries in occ]
+        self.trail: list[int] = []
+        # examine every row once so root-level forcings and trivially
+        # impossible rows are caught before any fixing happens
+        self.queue: list[int] = list(range(len(rows)))
+        self.inq = [True] * len(rows)
+        self.fix_count = 0
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def fix(self, var: int, value: int) -> bool:
+        """Record ``var = value``; False when it contradicts a prior fixing."""
+        old = self.val[var]
+        if old >= 0:
+            return old == value
+        self.val[var] = value
+        self.trail.append(var)
+        self.fix_count += 1
+        ub = self.ub
+        inq = self.inq
+        queue = self.queue
+        for ri, a in self.occ[var]:
+            if (a > 0 and value == 0) or (a < 0 and value == 1):
+                ub[ri] -= abs(a)
+                if not inq[ri]:
+                    inq[ri] = True
+                    queue.append(ri)
+        return True
+
+    def propagate(self) -> int | None:
+        """Run the queue to a fixpoint; returns a conflicting row or None."""
+        queue = self.queue
+        inq = self.inq
+        ub = self.ub
+        rhs = self.rhs
+        rows = self.rows
+        val = self.val
+        while queue:
+            ri = queue.pop()
+            inq[ri] = False
+            slack = ub[ri] - rhs[ri]
+            if slack < 0:
+                for r in queue:
+                    inq[r] = False
+                queue.clear()
+                return ri
+            for v, a in rows[ri]:
+                if val[v] < 0:
+                    if a > 0:
+                        if a > slack:
+                            self.fix(v, 1)
+                    elif -a > slack:
+                        self.fix(v, 0)
+        return None
+
+    def undo_to(self, mark: int) -> None:
+        ub = self.ub
+        while len(self.trail) > mark:
+            var = self.trail.pop()
+            value = self.val[var]
+            self.val[var] = -1
+            for ri, a in self.occ[var]:
+                if (a > 0 and value == 0) or (a < 0 and value == 1):
+                    ub[ri] += abs(a)
+        for r in self.queue:
+            self.inq[r] = False
+        self.queue.clear()

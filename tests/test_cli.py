@@ -149,3 +149,16 @@ def test_trace_rejects_malformed_solution(tmp_path, text):
     assert out.returncode == 1
     assert out.stderr.startswith("dedmin: ")
     assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
+@pytest.mark.parametrize("args", [("generate", "enocoro", "--T", "1"),
+                                  ("generate", "snow2", "--T", "0"),
+                                  ("solve", "snow2", "--T", "0", "--k", "9")])
+def test_bad_cipher_window_exits_1(args):
+    # --T 0 is a window, not "use the default", and the generator's
+    # refusal is a usage error
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("dedmin: ")
+    assert len(out.stderr.splitlines()) == 1, out.stderr

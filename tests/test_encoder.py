@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from helpers import random_system
+from helpers import random_system, with_full_cover
 
 
 def single_state_system(premise_counts):
@@ -343,16 +343,18 @@ def test_decode_inverts_encode_through_lp_text(seed):
             sorted(r.sort_key() for r in system.directed_rules)
 
 
-def test_decode_rejects_what_encode_cannot_make(toy):
+def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1)
     instance = encoder.encode(toy, cfg)
-    full_cover = milp.Constraint(
-        tuple((instance.index_of(encoder.state_var_name(p, cfg.nu)), 1)
-              for p in range(toy.n)), milp.GREATER_EQUAL, toy.n)
-    refute = milp.MilpInstance(instance.variables,
-                               instance.constraints + (full_cover,),
-                               instance.objective, instance.sense)
-    assert encoder.decode(refute) is None
+    refute = with_full_cover(instance, toy.n, cfg.nu)
+    with monkeypatch.context() as patched:
+        # the full-cover row breaks the last row's shape, which decode
+        # checks before it spends a re-encode on the instance
+        def no_encode(*args):
+            raise AssertionError("decode re-encoded a non-encoding")
+
+        patched.setattr(encoder, "encode", no_encode)
+        assert encoder.decode(refute) is None
     dropped = milp.MilpInstance(instance.variables, instance.constraints[1:],
                                 instance.objective, instance.sense)
     assert encoder.decode(dropped) is None
@@ -361,3 +363,4 @@ def test_decode_rejects_what_encode_cannot_make(toy):
         [milp.Constraint(((0, 1), (1, -1)), milp.GREATER_EQUAL, 0)], ((1, 1),))
     assert encoder.decode(hand_built) is None
     assert encoder.decode(milp.MilpInstance([], [], [])) is None
+

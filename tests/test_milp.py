@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, milp, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
-from helpers import assignment_from_closure, random_system
+from helpers import (ReferenceEngine, assignment_from_closure, random_system,
+                     with_full_cover)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -249,3 +252,108 @@ def test_heuristic_skips_instances_that_are_not_encodings(toy):
     solution = solve(widened)
     assert solution.stats.heuristic_evals == 0
     assert solution.status == milp.OPTIMAL and solution.objective == 4
+
+
+def test_search_time_is_part_of_wall_time():
+    system = preprocess.expand_rules(random_system(random.Random(5), 9, 14))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=encoder.default_nu(system), budget_k=max(1, system.n // 3)))
+    stats = solve(instance, SolveLimits(heuristic=False)).stats
+    assert stats.nodes > 0
+    assert 0 < stats.search_time <= stats.wall_time
+    assert stats.to_json()["search_time"] == round(stats.search_time, 6)
+
+
+# --- the engine against its reference ---------------------------------------
+
+@st.composite
+def engine_runs(draw):
+    """A small instance and a sequence of fixings and backtracks on it."""
+    n = draw(st.integers(3, 12))
+    term = st.tuples(st.integers(0, n - 1), st.integers(-3, 3))
+    row = st.builds(Constraint,
+                    st.lists(term, max_size=n,
+                             unique_by=lambda t: t[0]).map(tuple),
+                    st.sampled_from([milp.LESS_EQUAL, milp.GREATER_EQUAL,
+                                     milp.EQUAL]),
+                    st.integers(-4, 4))
+    rows = draw(st.lists(row, max_size=10))
+    instance = MilpInstance([Variable(f"v{i}") for i in range(n)], rows, [])
+    fixing = st.tuples(st.just("fix"), st.integers(0, n - 1),
+                       st.integers(0, 1))
+    backtrack = st.tuples(st.just("undo"), st.integers(0, 30))
+    moves = draw(st.lists(st.one_of(fixing, fixing, backtrack), max_size=25))
+    return instance, moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_runs())
+def test_engine_agrees_with_reference(run):
+    instance, moves = run
+    engines = (milp._Engine(instance), ReferenceEngine(instance))
+
+    def propagate_both():
+        conflicts = [engine.propagate() is not None for engine in engines]
+        assert conflicts[0] == conflicts[1]
+        if not conflicts[0]:
+            assert engines[0].val == engines[1].val
+        return conflicts[0]
+
+    if propagate_both():
+        return
+    marks = []
+    for move in moves:
+        if move[0] == "fix":
+            _, var, value = move
+            marks.append(engines[0].mark())
+            assert len({engine.fix(var, value) for engine in engines}) == 1
+            if propagate_both():
+                mark = marks.pop()
+                for engine in engines:
+                    engine.undo_to(mark)
+        elif marks:
+            mark = marks[move[1] % len(marks)]
+            del marks[marks.index(mark):]
+            for engine in engines:
+                engine.undo_to(mark)
+        # between conflicts both trails hold the same fixpoint
+        assert engines[0].val == engines[1].val
+        assert engines[0].mark() == engines[1].mark()
+
+
+def solve_both(instance, limits, monkeypatch):
+    got = solve(instance, limits)
+    with monkeypatch.context() as patched:
+        patched.setattr(milp, "_Engine", ReferenceEngine)
+        want = solve(instance, limits)
+    assert (got.status, got.objective, got.assignment, got.stats.nodes) == \
+        (want.status, want.objective, want.assignment, want.stats.nodes)
+    return got
+
+
+def test_solve_agrees_with_reference_engine(monkeypatch):
+    rng = random.Random(23)
+    for _ in range(12):
+        system = preprocess.expand_rules(random_system(rng, max_n=8, max_m=12))
+        for mode, sense in product((encoder.PLAIN, encoder.COMPACT),
+                                   (encoder.MAX_COVERAGE, encoder.MIN_GUESSES)):
+            budget = (rng.randint(0, system.n)
+                      if sense == encoder.MAX_COVERAGE else 0)
+            instance = encoder.encode(system, encoder.EncodeConfig(
+                encoder.default_nu(system), budget, mode, sense))
+            for heuristic in (True, False):
+                solve_both(instance, SolveLimits(
+                    time_budget=1e9, seed=rng.randrange(100),
+                    heuristic=heuristic), monkeypatch)
+
+
+def test_refutation_search_agrees_with_reference_engine(monkeypatch):
+    # SNOW k=8 with the row demanding every proposition at the last step:
+    # the conflict-heavy search of acceptance criterion 4
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    cfg = encoder.EncodeConfig(nu=12, budget_k=8, mode=encoder.COMPACT)
+    refute = with_full_cover(encoder.encode(system, cfg), system.n, cfg.nu)
+    solution = solve_both(refute, SolveLimits(time_budget=1e9, node_budget=50),
+                          monkeypatch)
+    assert solution.status == milp.TIME_LIMIT
+    assert solution.stats.nodes == 50
