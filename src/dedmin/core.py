@@ -37,6 +37,14 @@ class SymmetricRule:
     def of(members: Iterable[int]) -> "SymmetricRule":
         return SymmetricRule(tuple(members))
 
+    def readings(self) -> tuple["DirectedRule", ...]:
+        """One directed rule per member, in member order: it follows from
+        the members at every other position."""
+        return tuple(
+            DirectedRule.of((m for j, m in enumerate(self.members) if j != i),
+                            member)
+            for i, member in enumerate(self.members))
+
     def sort_key(self) -> tuple:
         return (tuple(sorted(self.members)), self.members)
 

@@ -47,19 +47,6 @@ class InfeasibleImport(ValueError):
             f"{len(self.violations)} constraints violated (first: {first})")
 
 
-def _terms_tokens(instance: MilpInstance, terms) -> list[str]:
-    tokens = []
-    for var, coef in terms:
-        name = instance.variables[var].name
-        mag = abs(coef)
-        body = name if mag == 1 else f"{mag} {name}"
-        if not tokens:
-            tokens.append(body if coef > 0 else f"- {body}")
-        else:
-            tokens.append(f"+ {body}" if coef > 0 else f"- {body}")
-    return tokens
-
-
 def _emit(label: str, tokens: list[str], tail: str = "") -> list[str]:
     lines = []
     line = f" {label}:"
@@ -78,10 +65,10 @@ def _emit(label: str, tokens: list[str], tail: str = "") -> list[str]:
 def write_lp(instance: MilpInstance) -> str:
     """Deterministic LP text for the instance; one constraint per ``cN:``."""
     lines = ["Maximize" if instance.sense == MAXIMIZE else "Minimize"]
-    lines.extend(_emit("obj", _terms_tokens(instance, instance.objective)))
+    lines.extend(_emit("obj", instance.term_tokens(instance.objective)))
     lines.append("Subject To")
     for ci, c in enumerate(instance.constraints):
-        lines.extend(_emit(f"c{ci}", _terms_tokens(instance, c.terms),
+        lines.extend(_emit(f"c{ci}", instance.term_tokens(c.terms),
                            tail=f"{c.rel} {c.rhs}"))
     lines.append("Binary")
     for v in instance.variables:

@@ -12,7 +12,7 @@ solver is branch-and-bound over chronological backtracking:
   constraints, value 1 first;
 * incumbent pruning with the trivial objective bound (fixed contribution
   plus the best case for everything unfixed);
-* an optional root heuristic for instances that
+* a root heuristic, run only on instances that
   :func:`~dedmin.encoder.decode` rebuilds exactly: a seeded local search
   over guess sets, each scored by closure sweeps of the decoded rules; the
   incumbent it proposes is always re-checked against the raw constraints
@@ -144,21 +144,24 @@ class MilpInstance:
     def objective_value(self, values: Sequence[int]) -> int:
         return sum(coef * values[var] for var, coef in self.objective)
 
-    def constraint_text(self, index: int) -> str:
-        c = self.constraints[index]
-        parts = []
-        for var, coef in c.terms:
+    def term_tokens(self, terms: Sequence[tuple[int, int]]) -> list[str]:
+        """LP tokens of a linear expression: ``x``, ``- 2 y``, ``+ z``."""
+        tokens = []
+        for var, coef in terms:
             name = self.variables[var].name
-            if not parts:
-                lead = "" if coef == 1 else ("-" if coef == -1 else f"{coef} ")
-                parts.append(f"{lead}{name}" if coef != -1 else f"-{name}")
+            mag = abs(coef)
+            body = name if mag == 1 else f"{mag} {name}"
+            if not tokens:
+                tokens.append(body if coef > 0 else f"- {body}")
             else:
-                sign = "+" if coef > 0 else "-"
-                mag = abs(coef)
-                head = name if mag == 1 else f"{mag} {name}"
-                parts.append(f"{sign} {head}")
-        body = " ".join(parts) if parts else "0"
-        return f"c{index}: {body} {c.rel} {c.rhs}"
+                tokens.append(f"+ {body}" if coef > 0 else f"- {body}")
+        return tokens
+
+    def constraint_text(self, index: int) -> str:
+        """Constraint ``index`` as its LP line, unwrapped."""
+        c = self.constraints[index]
+        return " ".join([f"c{index}:", *self.term_tokens(c.terms), c.rel,
+                         str(c.rhs)])
 
     def __repr__(self) -> str:
         return (f"MilpInstance(vars={len(self.variables)}, "
@@ -212,7 +215,6 @@ class SolveLimits:
     time_budget: float = 600.0
     node_budget: int | None = None
     seed: int = 0
-    heuristic: bool = True
 
 
 @dataclass(frozen=True)
@@ -222,20 +224,18 @@ class Violation:
     text: str
 
 
-def _values_from_mapping(instance: MilpInstance,
-                         assignment: Mapping[str, int]) -> list[int]:
-    values = [-1] * len(instance.variables)
+def _checked_items(instance: MilpInstance,
+                   assignment: Mapping[str, int]) -> list[tuple[int, int]]:
+    """``(variable id, value)`` per entry; unknown names and non-binary
+    values raise :class:`MalformedInstance`."""
+    items = []
     for name, value in assignment.items():
         if not instance.has_variable(name):
             raise MalformedInstance(f"unknown variable {name!r}")
         if value not in (0, 1):
             raise MalformedInstance(f"{name}: non-binary value {value!r}")
-        values[instance.index_of(name)] = value
-    missing = [v.name for v, val in zip(instance.variables, values) if val < 0]
-    if missing:
-        raise IncompleteAssignment(
-            f"{len(missing)} variables unassigned (first: {missing[0]})")
-    return values
+        items.append((instance.index_of(name), value))
+    return items
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,13 @@ class EvalReport:
 
 def evaluate(instance: MilpInstance, assignment: Mapping[str, int]) -> EvalReport:
     """Exact integer check of a full assignment against every constraint."""
-    values = _values_from_mapping(instance, assignment)
+    values = [-1] * len(instance.variables)
+    for var, value in _checked_items(instance, assignment):
+        values[var] = value
+    missing = [v.name for v, val in zip(instance.variables, values) if val < 0]
+    if missing:
+        raise IncompleteAssignment(
+            f"{len(missing)} variables unassigned (first: {missing[0]})")
     violations = []
     for ci, c in enumerate(instance.constraints):
         if not c.satisfied_by(values):
@@ -422,15 +428,9 @@ def propagate(instance: MilpInstance,
     """
     engine = _Engine(instance)
     given = set()
-    for name, value in partial.items():
-        if not instance.has_variable(name):
-            raise MalformedInstance(f"unknown variable {name!r}")
-        if value not in (0, 1):
-            raise MalformedInstance(f"{name}: non-binary value {value!r}")
-        var = instance.index_of(name)
+    for var, value in _checked_items(instance, partial):
         given.add(var)
-        if not engine.fix(var, value):
-            raise MalformedInstance(f"{name}: contradictory values given")
+        engine.fix(var, value)  # distinct names: never contradicts
     conflict_row = engine.propagate()
     if conflict_row is not None:
         return Propagation(CONFLICT, {}, engine.origin[conflict_row])
@@ -655,7 +655,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     stats = SolveStats()
     # decoded before the engine is built, so that the copy of the instance
     # decode makes is freed before the engine's rows take their memory
-    decoded = decode(instance) if limits.heuristic else None
+    decoded = decode(instance)
     engine = _Engine(instance)
     maximize = instance.sense == MAXIMIZE
     obj_terms = list(instance.objective)

@@ -47,27 +47,20 @@ class ClosureResult:
     trace: tuple[TraceStep, ...]
     rounds: int
 
-    def known_names(self, system: DeductionSystem) -> list[str]:
-        return [system.name_of(i) for i in sorted(self.known)]
-
 
 def deduction_options(system: DeductionSystem) -> list[tuple[tuple[int, ...], int]]:
     """All single-step derivations as ``(premises, conclusion)`` pairs.
 
     Directed rules come first, in declaration order, so for an expanded
     system the option id equals the directed-rule index.  Symmetric rules
-    are unfolded on the fly (each member derivable from the rest) and get
-    ids after the directed block; this keeps closure total on un-expanded
-    systems without mutating them.
+    follow as their readings, in declaration order and with no duplicate
+    dropped; this keeps closure total on un-expanded systems without
+    mutating them, and the ids are the rule numbers of a trace.
     """
-    options: list[tuple[tuple[int, ...], int]] = []
-    for rule in system.directed_rules:
-        options.append((rule.premises, rule.conclusion))
+    rules = list(system.directed_rules)
     for rule in system.symmetric_rules:
-        for pos, member in enumerate(rule.members):
-            others = tuple(sorted(m for i, m in enumerate(rule.members) if i != pos))
-            options.append((others, member))
-    return options
+        rules.extend(rule.readings())
+    return [(rule.premises, rule.conclusion) for rule in rules]
 
 
 def option_masks(system: DeductionSystem) -> list[tuple[int, int]]:

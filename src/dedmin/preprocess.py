@@ -10,6 +10,11 @@ Three transformations, all minimum-preserving:
   rule; depending on how they occur they are either derivable for free or
   forced into every guess set, and the returned records say which.
 
+:func:`simplify` runs the merge once, then the elimination once.  One pass
+of each is already the joint fixpoint: the merge consumes every two-member
+symmetric rule and makes none, and the elimination only deletes rules,
+drops premises and renumbers, so it makes none either.
+
 ``merge_equalities`` and ``eliminate_independent`` both return enough
 bookkeeping to translate a guess set for the reduced system back into one
 for the original (see :func:`extend_guess`).
@@ -23,31 +28,36 @@ from typing import Iterable
 from .core import (DeductionSystem, DirectedRule, SymmetricRule, require_valid)
 
 
+def _unique(rules: Iterable, key=lambda rule: rule) -> list:
+    """``rules`` without repeats under ``key``; the first occurrence wins.
+
+    Directed rules hold canonical premises, so by default a rule is its own
+    key: two rules are repeats when premises and conclusion agree.
+    """
+    first: dict = {}
+    for rule in rules:
+        first.setdefault(key(rule), rule)
+    return list(first.values())
+
+
+def _member_set(rule: SymmetricRule) -> frozenset[int]:
+    return frozenset(rule.members)
+
+
 def expand_rules(system: DeductionSystem) -> DeductionSystem:
     """Unfold symmetric rules; the result has directed rules only.
 
-    A symmetric rule of size k yields k directed rules, one per member as
-    conclusion.  Original directed rules keep their positions; expansions
+    A symmetric rule of size k yields its k readings, one per member as
+    conclusion.  Original directed rules keep their positions; readings
     follow in declaration order.  Exact duplicates are dropped (first
     occurrence wins) so mechanically generated models stay clean.
     """
     require_valid(system)
-    rules: list[DirectedRule] = []
-    seen: set[tuple] = set()
-
-    def push(premises: Iterable[int], conclusion: int) -> None:
-        rule = DirectedRule.of(premises, conclusion)
-        key = (rule.premises, rule.conclusion)
-        if key not in seen:
-            seen.add(key)
-            rules.append(rule)
-
-    for rule in system.directed_rules:
-        push(rule.premises, rule.conclusion)
+    rules = list(system.directed_rules)
     for rule in system.symmetric_rules:
-        for pos, member in enumerate(rule.members):
-            push((m for i, m in enumerate(rule.members) if i != pos), member)
-    return DeductionSystem(system.propositions, (), rules, name=system.name)
+        rules.extend(rule.readings())
+    return DeductionSystem(system.propositions, (), _unique(rules),
+                           name=system.name)
 
 
 def is_expanded(system: DeductionSystem) -> bool:
@@ -69,9 +79,6 @@ class MergeMap:
     def resolve(self, name: str) -> str:
         return self.representative.get(name, name)
 
-    def translate_guess(self, names: Iterable[str]) -> set[str]:
-        return {self.resolve(n) for n in names}
-
     def to_json(self) -> dict:
         merged = {k: v for k, v in sorted(self.representative.items()) if k != v}
         return {"merged_into": merged,
@@ -86,9 +93,18 @@ def merge_equalities(system: DeductionSystem) -> tuple[DeductionSystem, MergeMap
     single class; the member with the lowest index survives.  Rules are
     rewritten onto representatives; a bigger symmetric rule whose members
     collapse degenerates into the directed readings that still say
-    something.  Repeats until no two-member symmetric rule is left.
+    something.  Repeated rules are dropped, the first occurrence wins.
+
+    One pass suffices: it consumes every two-member rule, and a bigger rule
+    either keeps its size with distinct members or becomes directed
+    readings, so the result has no two-member symmetric rule left.  With
+    none to begin with, the input comes back unchanged.
     """
     require_valid(system)
+    pairs = [r for r in system.symmetric_rules if len(r.members) == 2]
+    if not pairs:
+        return system, MergeMap({p.name: p.name for p in system.propositions},
+                                (), 0)
     parent = list(range(system.n))
 
     def find(x: int) -> int:
@@ -97,86 +113,44 @@ def merge_equalities(system: DeductionSystem) -> tuple[DeductionSystem, MergeMap
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
+    for rule in pairs:
+        ra, rb = find(rule.members[0]), find(rule.members[1])
+        parent[max(ra, rb)] = min(ra, rb)
 
-    current = system
-    total_rules_removed = 0
-    while True:
-        pairs = [r for r in current.symmetric_rules if len(r.members) == 2]
-        if not pairs:
-            break
-        parent = list(range(current.n))
-        for rule in pairs:
-            union(rule.members[0], rule.members[1])
+    survivors = [i for i in range(system.n) if find(i) == i]
+    new_index = {old: new for new, old in enumerate(survivors)}
 
-        survivors = [i for i in range(current.n) if find(i) == i]
-        new_index = {old: new for new, old in enumerate(survivors)}
+    def relabel(old: int) -> int:
+        return new_index[find(old)]
 
-        def relabel(old: int) -> int:
-            return new_index[find(old)]
-
-        symmetric: list[SymmetricRule] = []
-        directed: list[DirectedRule] = []
-        seen_sym: set[tuple] = set()
-        seen_dir: set[tuple] = set()
-
-        def push_directed(premises, conclusion):
-            if conclusion in premises or not premises:
-                return
-            rule = DirectedRule.of(premises, conclusion)
-            key = (rule.premises, rule.conclusion)
-            if key not in seen_dir:
-                seen_dir.add(key)
-                directed.append(rule)
-
-        for rule in current.symmetric_rules:
-            if len(rule.members) == 2:
-                continue  # consumed by the merge itself
-            members = tuple(relabel(m) for m in rule.members)
-            if len(set(members)) == len(members):
-                key = tuple(sorted(members))
-                if key not in seen_sym:
-                    seen_sym.add(key)
-                    symmetric.append(SymmetricRule(members))
-            else:
-                # Members collapsed: keep the per-position readings that
-                # still deduce one proposition from genuinely different
-                # ones.  A reading whose premises contain its own
-                # conclusion (because a duplicate of the concluded class
-                # sits among the other members) says nothing and is
-                # dropped inside push_directed.
-                for pos, conclusion in enumerate(members):
-                    premises = {m for j, m in enumerate(members) if j != pos}
-                    push_directed(premises, conclusion)
-        for rule in current.directed_rules:
-            push_directed({relabel(p) for p in rule.premises},
-                          relabel(rule.conclusion))
-
-        merged_system = DeductionSystem.from_names(
-            [current.name_of(i) for i in survivors], symmetric, directed,
-            name=current.name)
-        total_rules_removed += current.rule_count - merged_system.rule_count
-
-        # record name-level mapping for this pass
-        pass_map = {current.name_of(i): current.name_of(find(i))
-                    for i in range(current.n)}
-        if current is system:
-            representative = pass_map
+    symmetric: list[SymmetricRule] = []
+    directed: list[DirectedRule] = []
+    for rule in system.symmetric_rules:
+        if len(rule.members) == 2:
+            continue  # consumed by the merge itself
+        relabelled = SymmetricRule.of(relabel(m) for m in rule.members)
+        if len(_member_set(relabelled)) == len(rule.members):
+            symmetric.append(relabelled)
         else:
-            representative = {name: pass_map.get(rep, rep)
-                              for name, rep in representative.items()}
-            for name, rep in pass_map.items():
-                representative.setdefault(name, rep)
-        current = merged_system
+            # Members collapsed: a reading whose premises contain its own
+            # conclusion (a duplicate of the concluded class sits among the
+            # other members) says nothing and is dropped.
+            directed.extend(r for r in relabelled.readings()
+                            if r.conclusion not in r.premises)
+    for rule in system.directed_rules:
+        rewritten = DirectedRule.of((relabel(p) for p in rule.premises),
+                                    relabel(rule.conclusion))
+        if rewritten.conclusion not in rewritten.premises:
+            directed.append(rewritten)
 
-    if current is system:
-        representative = {p.name: p.name for p in system.propositions}
-    removed = tuple(sorted(set(representative) - set(current.names())))
-    return current, MergeMap(representative, removed, total_rules_removed)
+    merged = DeductionSystem.from_names(
+        [system.name_of(i) for i in survivors],
+        _unique(symmetric, _member_set), _unique(directed), name=system.name)
+    representative = {system.name_of(i): system.name_of(find(i))
+                      for i in range(system.n)}
+    removed = tuple(sorted(set(representative) - set(merged.names())))
+    return merged, MergeMap(representative, removed,
+                            system.rule_count - merged.rule_count)
 
 
 @dataclass(frozen=True)
@@ -232,22 +206,8 @@ def eliminate_independent(
 
     def dedup() -> None:
         nonlocal symmetric, directed
-        seen: set = set()
-        unique_sym = []
-        for rule in symmetric:
-            key = tuple(sorted(rule.members))
-            if key not in seen:
-                seen.add(key)
-                unique_sym.append(rule)
-        symmetric = unique_sym
-        seen = set()
-        unique_dir = []
-        for rule in directed:
-            key = (rule.premises, rule.conclusion)
-            if key not in seen:
-                seen.add(key)
-                unique_dir.append(rule)
-        directed = unique_dir
+        symmetric = _unique(symmetric, _member_set)
+        directed = _unique(directed)
 
     def occurrences() -> dict[int, list[tuple[str, int]]]:
         occ: dict[int, list[tuple[str, int]]] = {i: [] for i in range(len(names))}
@@ -347,22 +307,12 @@ class SimplifyResult:
 
 
 def simplify(system: DeductionSystem) -> SimplifyResult:
-    """Equality merging then independent elimination, to a joint fixpoint."""
-    current = system
-    merge_map: MergeMap | None = None
-    eliminated: list[EliminatedVar] = []
-    while True:
-        merged, mm = merge_equalities(current)
-        if merge_map is None:
-            merge_map = mm
-        else:
-            merge_map = MergeMap(
-                {name: mm.resolve(rep)
-                 for name, rep in merge_map.representative.items()},
-                merge_map.removed + mm.removed,
-                merge_map.rules_removed + mm.rules_removed)
-        reduced, elim = eliminate_independent(merged)
-        eliminated.extend(elim)
-        if reduced == current:
-            return SimplifyResult(reduced, merge_map, tuple(eliminated))
-        current = reduced
+    """Equality merging, then independent elimination, once each.
+
+    That is the joint fixpoint: the elimination runs to its own fixpoint
+    and never makes a two-member symmetric rule, so merging its result
+    again would change nothing (see the module docstring).
+    """
+    merged, merge_map = merge_equalities(system)
+    reduced, eliminated = eliminate_independent(merged)
+    return SimplifyResult(reduced, merge_map, tuple(eliminated))

@@ -91,6 +91,17 @@ def with_full_cover(instance: MilpInstance, n: int,
                         instance.objective, instance.sense)
 
 
+def without_heuristic(instance: MilpInstance) -> MilpInstance:
+    """The instance plus a row every point satisfies.
+
+    It is not an encoding, so ``solve`` runs plain branch-and-bound on it,
+    with no root heuristic.
+    """
+    row = Constraint(((0, 1), (1, 1)), LESS_EQUAL, 2)
+    return MilpInstance(instance.variables, instance.constraints + (row,),
+                        instance.objective, instance.sense)
+
+
 def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
                             guess) -> dict[str, int]:
     """Full plain-mode assignment implied by a guess set.

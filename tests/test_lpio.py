@@ -44,6 +44,15 @@ def test_write_lp_byte_deterministic(toy):
     assert a == b
 
 
+def test_constraint_text_is_the_lp_line(toy):
+    for mode in (encoder.PLAIN, encoder.COMPACT):
+        instance = encoder.encode(toy, encoder.EncodeConfig(
+            nu=2, budget_k=1, mode=mode))
+        lines = [line.strip() for line in lpio.write_lp(instance).splitlines()]
+        for ci in range(len(instance.constraints)):
+            assert instance.constraint_text(ci) in lines
+
+
 def test_long_objective_wraps_and_parses():
     system = preprocess.expand_rules(ciphers.build_enocoro(16))
     cfg = encoder.EncodeConfig(nu=1, budget_k=18, mode=encoder.COMPACT)

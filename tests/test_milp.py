@@ -8,7 +8,7 @@ from dedmin import ciphers, encoder, milp, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
 from helpers import (ReferenceEngine, assignment_from_closure, random_system,
-                     with_full_cover)
+                     with_full_cover, without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -213,7 +213,7 @@ def test_time_limit_reports_incumbent():
 def test_node_budget_halts_search(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=encoder.PLAIN)
     instance = encoder.encode(toy, cfg)
-    solution = solve(instance, SolveLimits(node_budget=1, heuristic=False))
+    solution = solve(without_heuristic(instance), SolveLimits(node_budget=1))
     assert solution.status == milp.TIME_LIMIT
 
 
@@ -246,10 +246,7 @@ def test_heuristic_skips_instances_that_are_not_encodings(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1)
     instance = encoder.encode(toy, cfg)
     assert solve(instance).stats.heuristic_evals > 0
-    extra = Constraint(((0, 1), (1, 1)), "<=", 2)  # satisfied by every point
-    widened = MilpInstance(instance.variables, instance.constraints + (extra,),
-                           instance.objective, instance.sense)
-    solution = solve(widened)
+    solution = solve(without_heuristic(instance))
     assert solution.stats.heuristic_evals == 0
     assert solution.status == milp.OPTIMAL and solution.objective == 4
 
@@ -258,7 +255,7 @@ def test_search_time_is_part_of_wall_time():
     system = preprocess.expand_rules(random_system(random.Random(5), 9, 14))
     instance = encoder.encode(system, encoder.EncodeConfig(
         nu=encoder.default_nu(system), budget_k=max(1, system.n // 3)))
-    stats = solve(instance, SolveLimits(heuristic=False)).stats
+    stats = solve(without_heuristic(instance)).stats
     assert stats.nodes > 0
     assert 0 < stats.search_time <= stats.wall_time
     assert stats.to_json()["search_time"] == round(stats.search_time, 6)
@@ -341,10 +338,9 @@ def test_solve_agrees_with_reference_engine(monkeypatch):
                       if sense == encoder.MAX_COVERAGE else 0)
             instance = encoder.encode(system, encoder.EncodeConfig(
                 encoder.default_nu(system), budget, mode, sense))
-            for heuristic in (True, False):
-                solve_both(instance, SolveLimits(
-                    time_budget=1e9, seed=rng.randrange(100),
-                    heuristic=heuristic), monkeypatch)
+            for candidate in (instance, without_heuristic(instance)):
+                solve_both(candidate, SolveLimits(
+                    time_budget=1e9, seed=rng.randrange(100)), monkeypatch)
 
 
 def test_refutation_search_agrees_with_reference_engine(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedmin import encoder, milp, oracle, preprocess
+from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
 from helpers import random_system
 
 
@@ -13,6 +14,23 @@ def test_toy_closure_from_p2(toy):
     steps = [(s.rule + 1, toy.name_of(s.deduced)) for s in result.trace]
     assert steps == [(1, "p1"), (5, "p4"), (4, "p3")]
     assert result.rounds == 3
+
+
+def test_closure_rule_ids_on_unexpanded_system():
+    # ids: the directed block as declared, duplicates included, then the
+    # readings of each symmetric rule in member order
+    a, b, c, d = range(4)
+    system = DeductionSystem.from_names(
+        ["a", "b", "c", "d"], [SymmetricRule((d, a, b))],
+        [DirectedRule((a,), b), DirectedRule((a,), b),
+         DirectedRule((b, d), c)])
+    assert oracle.deduction_options(system) == [
+        ((a,), b), ((a,), b), ((b, d), c),
+        ((a, b), d), ((b, d), a), ((a, d), b)]
+    steps = [(s.rule, s.deduced) for s in oracle.closure(system, [a]).trace]
+    assert steps == [(0, b), (3, d), (2, c)]
+    steps = [(s.rule, s.deduced) for s in oracle.closure(system, [b, d]).trace]
+    assert steps == [(2, c), (4, a)]
 
 
 def test_closure_of_empty_guess_is_empty(toy):

@@ -189,3 +189,19 @@ def test_operations_idempotent(seed):
     reduced, _ = preprocess.eliminate_independent(system)
     reduced2, e2 = preprocess.eliminate_independent(reduced)
     assert reduced2 == reduced and e2 == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=20_000))
+def test_one_pass_leaves_no_two_member_rule(seed):
+    # the invariant that lets merge_equalities and simplify stop after one
+    # pass: nothing they output can be merged again
+    rng = random.Random(seed)
+    system = random_system(rng, max_n=12, max_m=20)
+    merged, _ = preprocess.merge_equalities(system)
+    result = preprocess.simplify(system)
+    for out in (merged, result.system):
+        assert all(len(r.members) != 2 for r in out.symmetric_rules)
+    again = preprocess.simplify(result.system)
+    assert again.system == result.system and again.eliminated == ()
+    assert again.merge_map.removed == ()
