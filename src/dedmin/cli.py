@@ -41,12 +41,18 @@ class CliError(Exception):
 
 
 def _read_input(spec: str) -> str:
-    if spec == "-":
-        return sys.stdin.read()
-    path = Path(spec)
-    if not path.exists():
-        raise CliError(f"no such file: {spec}")
-    return path.read_text(encoding="utf-8")
+    try:
+        if spec == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        path = Path(spec)
+        if not path.exists():
+            raise CliError(f"no such file: {spec}")
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{spec}: not UTF-8 text: {exc.reason} "
+                       f"at byte {exc.start}") from None
+    except OSError as exc:
+        raise CliError(f"{spec}: cannot read: {exc.strerror}") from None
 
 
 def _build_cipher(name: str, args) -> DeductionSystem:
@@ -99,7 +105,7 @@ def _limits(args) -> milp.SolveLimits:
 
 
 def _encode_config(system: DeductionSystem, args) -> encoder.EncodeConfig:
-    nu = args.nu if args.nu else encoder.default_nu(system)
+    nu = args.nu if args.nu is not None else encoder.default_nu(system)
     k = args.k if args.k is not None else system.n
     return encoder.EncodeConfig(nu=nu, budget_k=k, mode=args.mode,
                                 sense=args.sense)
@@ -177,6 +183,7 @@ def _solve_report(system, solution, trace) -> str:
             else "-")
     lines.append(f"nodes: {stats.nodes}  nodes/s: {rate}  "
                  f"propagations: {stats.propagations}  "
+                 f"heuristic: {stats.heuristic_time:.3f}s  "
                  f"wall: {stats.wall_time:.3f}s")
     if system is not None and solution.assignment is not None:
         guess = _guess_names(system, solution)
@@ -270,7 +277,7 @@ def _cmd_minimize(args) -> int:
                                 f"witness: {', '.join(witness) or '(empty)'}\n")
         return EXIT_OK
 
-    nu = args.nu if args.nu else encoder.default_nu(system)
+    nu = args.nu if args.nu is not None else encoder.default_nu(system)
     cfg = encoder.EncodeConfig(nu=nu, budget_k=0, mode=args.mode,
                                sense=encoder.MIN_GUESSES)
     instance = encoder.encode(system, cfg)

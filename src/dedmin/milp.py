@@ -180,6 +180,8 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
     heuristic_evals: int = 0
+    # seconds in the root heuristic; 0 when the instance gets none
+    heuristic_time: float = 0.0
     # seconds of branch-and-bound, after the root pass and the heuristic
     search_time: float = 0.0
 
@@ -187,6 +189,7 @@ class SolveStats:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "wall_time": round(self.wall_time, 6),
                 "heuristic_evals": self.heuristic_evals,
+                "heuristic_time": round(self.heuristic_time, 6),
                 "search_time": round(self.search_time, 6)}
 
 
@@ -465,12 +468,12 @@ def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
     from .oracle import mask_of, option_masks, sweeps
 
     n = system.n
-    masks = option_masks(system)
+    options = option_masks(system)
     inputs = list(range(n))  # variable v is the guess-layer state of prop v
     maximize = instance.sense == MAXIMIZE
 
-    # about 5e7 rule tests in all; one sweep tests every rule once
-    tests_per_eval = max(1, cfg.nu * len(masks))
+    # budgeted as if every sweep tested every rule once: about 5e7 tests
+    tests_per_eval = max(1, cfg.nu * len(options.masks))
     eval_budget = max(3000, min(60000, 50_000_000 // tests_per_eval))
     # small guess layers have few distinct subsets; don't oversample
     eval_budget = min(eval_budget, 40 * n * max(4, n))
@@ -489,7 +492,7 @@ def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
         if (evals & 63) == 0 and time.monotonic() > deadline:
             raise _HeuristicStop
         evals += 1
-        covered = sweeps(masks, mask_of(selection), cfg.nu)[-1].bit_count()
+        covered = sweeps(options, mask_of(selection), cfg.nu)[-1].bit_count()
         return (covered, 0) if maximize else (len(selection), n - covered)
 
     def consider(selection):
@@ -695,9 +698,11 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     score = _occurrences(instance)
     if decoded is not None:
         # leave at least half the budget to the exact search
+        heuristic_start = time.monotonic()
         deadline = start + limits.time_budget * 0.5
         seeded = _heuristic_incumbent(instance, engine, *decoded, limits,
                                       stats, deadline, score)
+        stats.heuristic_time = time.monotonic() - heuristic_start
         if seeded is not None:
             best_obj, best_values = seeded
 

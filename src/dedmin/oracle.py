@@ -13,13 +13,19 @@ Closure proceeds in :func:`sweeps`: a sweep derives every proposition whose
 rule premises were known at the start of the sweep.  One sweep therefore
 models exactly one unrolling step on the solver side, so ``rounds`` is the
 number of unrolling steps that guess set actually needs.
+
+Only a premise learned in the previous sweep can enable a rule: a rule
+whose premises were all known one sweep earlier would have fired then.  So
+the first sweep tests every rule, and each later sweep tests only the rules
+listed under the propositions the previous sweep learned
+(:class:`OptionMasks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import DeductionSystem, require_valid
 
@@ -63,41 +69,66 @@ def deduction_options(system: DeductionSystem) -> list[tuple[tuple[int, ...], in
     return [(rule.premises, rule.conclusion) for rule in rules]
 
 
-def option_masks(system: DeductionSystem) -> list[tuple[int, int]]:
-    """``(premise bitmask, conclusion bit)`` per deduction option, in id order."""
+@dataclass(frozen=True)
+class OptionMasks:
+    """Deduction options as ``(premise bitmask, conclusion bit)`` pairs.
+
+    ``masks`` lists them in id order; ``by_premise[p]`` lists, in id order,
+    the same pairs for the options that have ``p`` among their premises.
+    """
+
+    masks: tuple[tuple[int, int], ...]
+    by_premise: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def option_masks(system: DeductionSystem) -> OptionMasks:
+    """The masks of every deduction option, indexed by premise for sweeps."""
     masks = []
+    by_premise: list[list[tuple[int, int]]] = [[] for _ in range(system.n)]
     for premises, conclusion in deduction_options(system):
-        pmask = 0
+        option = (mask_of(premises), 1 << conclusion)
+        masks.append(option)
         for p in premises:
-            pmask |= 1 << p
-        masks.append((pmask, 1 << conclusion))
-    return masks
+            by_premise[p].append(option)
+    return OptionMasks(tuple(masks), tuple(map(tuple, by_premise)))
 
 
-def sweeps(masks: Sequence[tuple[int, int]], known: int,
+def sweeps(options: OptionMasks, known: int,
            limit: int | None = None) -> list[int]:
     """Known-set bitmask before the first sweep and after each one.
 
     A sweep derives every proposition whose premises were known at its
     start.  Stops at the fixpoint, or after ``limit`` sweeps: entry ``c``
     is then what state copy ``c`` of an encoding with ``nu >= c`` knows.
+
+    The first sweep tests every option.  An option that fires in a later
+    sweep has a premise the previous sweep learned (had all its premises
+    been known before that, it would have fired then), so a later sweep
+    tests only the options listed under the newly learned propositions.
     """
     rounds = [known]
+    scan = options.masks
+    by_premise = options.by_premise
     while limit is None or len(rounds) <= limit:
         new = 0
-        for pmask, cbit in masks:
+        for pmask, cbit in scan:
             if known & cbit == 0 and known & pmask == pmask:
                 new |= cbit
         if not new:
             break
         known |= new
         rounds.append(known)
+        scan = []
+        while new:
+            low = new & -new
+            scan += by_premise[low.bit_length() - 1]
+            new ^= low
     return rounds
 
 
-def closure_mask(masks: Sequence[tuple[int, int]], known: int) -> int:
+def closure_mask(options: OptionMasks, known: int) -> int:
     """Fixpoint of the known-set bitmask; fast path shared by the searches."""
-    return sweeps(masks, known)[-1]
+    return sweeps(options, known)[-1]
 
 
 def mask_of(props: Iterable[int]) -> int:
@@ -133,7 +164,7 @@ def closure(system: DeductionSystem, guess: Iterable[int]) -> ClosureResult:
     trace: list[TraceStep] = []
     for frontier, after in zip(rounds, rounds[1:]):
         new = after & ~frontier
-        for rid, (pmask, cbit) in enumerate(masks):
+        for rid, (pmask, cbit) in enumerate(masks.masks):
             if new & cbit and frontier & pmask == pmask:
                 new &= ~cbit
                 trace.append(TraceStep(options[rid][0], rid, options[rid][1]))

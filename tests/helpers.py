@@ -134,6 +134,30 @@ def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
     return values
 
 
+# The closure sweep as it was before later sweeps were limited to the rules
+# a newly learned proposition feeds, kept verbatim as the reference
+# ``oracle.sweeps`` must agree with (tests/test_oracle.py, tests/test_milp.py).
+# ``masks`` is the id-ordered ``oracle.option_masks(system).masks``.
+def reference_sweeps(masks, known: int, limit: int | None = None) -> list[int]:
+    """Known-set bitmask before the first sweep and after each one.
+
+    A sweep derives every proposition whose premises were known at its
+    start.  Stops at the fixpoint, or after ``limit`` sweeps: entry ``c``
+    is then what state copy ``c`` of an encoding with ``nu >= c`` knows.
+    """
+    rounds = [known]
+    while limit is None or len(rounds) <= limit:
+        new = 0
+        for pmask, cbit in masks:
+            if known & cbit == 0 and known & pmask == pmask:
+                new |= cbit
+        if not new:
+            break
+        known |= new
+        rounds.append(known)
+    return rounds
+
+
 # The propagation engine as it was before its rows were sorted by weight and
 # gated by slack, kept verbatim as the reference the current engine must agree
 # with (tests/test_milp.py).

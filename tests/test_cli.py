@@ -162,3 +162,31 @@ def test_bad_cipher_window_exits_1(args):
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("dedmin: ")
     assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
+@pytest.mark.parametrize("source", ["file", "directory", "stdin"])
+def test_unreadable_input_exits_1(tmp_path, source):
+    stdin = None
+    if source == "file":
+        bad = tmp_path / "bad.rules"
+        bad.write_bytes(b"\xff\xfe")
+        args = ("solve", str(bad))
+    elif source == "directory":
+        args = ("solve", str(tmp_path), "--k", "1")
+    else:
+        args = ("solve", "-")
+        stdin = b"props: a\n\xff\xfe\n"
+    out = subprocess.run([sys.executable, "-m", "dedmin.cli", *args],
+                         input=stdin, capture_output=True)
+    stderr = out.stderr.decode()
+    assert out.returncode == 1
+    assert stderr.startswith("dedmin: ")
+    assert len(stderr.splitlines()) == 1, stderr
+
+
+@pytest.mark.parametrize("command", [("solve", "--k", "1"), ("minimize",)])
+def test_nu_zero_is_read_as_given(command):
+    # --nu 0 is a depth, not "use the default", and encoding refuses it
+    out = run_cli(command[0], str(TOY), *command[1:], "--nu", "0")
+    assert out.returncode == 1
+    assert out.stderr == "dedmin: nu must be >= 1\n"

@@ -4,11 +4,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedmin import ciphers, encoder, milp, preprocess
+from dedmin import ciphers, encoder, milp, oracle, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
 from helpers import (ReferenceEngine, assignment_from_closure, random_system,
-                     with_full_cover, without_heuristic)
+                     reference_sweeps, with_full_cover, without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -259,6 +259,11 @@ def test_search_time_is_part_of_wall_time():
     assert stats.nodes > 0
     assert 0 < stats.search_time <= stats.wall_time
     assert stats.to_json()["search_time"] == round(stats.search_time, 6)
+    assert stats.heuristic_time == 0
+    stats = solve(instance).stats
+    assert stats.heuristic_evals > 0 and stats.heuristic_time > 0
+    assert stats.heuristic_time + stats.search_time <= stats.wall_time
+    assert stats.to_json()["heuristic_time"] == round(stats.heuristic_time, 6)
 
 
 # --- the engine against its reference ---------------------------------------
@@ -353,3 +358,43 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
                           monkeypatch)
     assert solution.status == milp.TIME_LIMIT
     assert solution.stats.nodes == 50
+
+
+# --- the closure sweep against its reference --------------------------------
+
+def solve_with_both_sweeps(instance, limits, monkeypatch):
+    got = solve(instance, limits)
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "sweeps", lambda options, known, limit=None:
+                        reference_sweeps(options.masks, known, limit))
+        want = solve(instance, limits)
+    assert want.stats.heuristic_evals > 0
+    assert (got.status, got.objective, got.assignment, got.stats.nodes,
+            got.stats.heuristic_evals) == \
+        (want.status, want.objective, want.assignment, want.stats.nodes,
+         want.stats.heuristic_evals)
+
+
+def test_heuristic_agrees_with_reference_sweeps(monkeypatch):
+    rng = random.Random(31)
+    for _ in range(12):
+        system = preprocess.expand_rules(random_system(rng, max_n=8, max_m=12))
+        for sense in (encoder.MAX_COVERAGE, encoder.MIN_GUESSES):
+            budget = (rng.randint(0, system.n)
+                      if sense == encoder.MAX_COVERAGE else 0)
+            instance = encoder.encode(system, encoder.EncodeConfig(
+                encoder.default_nu(system), budget, encoder.COMPACT, sense))
+            solve_with_both_sweeps(instance, SolveLimits(
+                time_budget=1e9, seed=rng.randrange(100)), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_snow_solve_agrees_with_reference_sweeps(seed, monkeypatch):
+    # the node budget makes a kernel that misses a deduction fail here
+    # rather than leave branch-and-bound searching without a good incumbent
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=12, budget_k=9, mode=encoder.COMPACT))
+    solve_with_both_sweeps(instance, SolveLimits(time_budget=1e9,
+                                                 node_budget=1000, seed=seed),
+                           monkeypatch)

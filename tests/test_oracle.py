@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import encoder, milp, oracle, preprocess
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
-from helpers import random_system
+from helpers import random_system, reference_sweeps
 
 
 def test_toy_closure_from_p2(toy):
@@ -98,6 +98,24 @@ def test_trace_replay_reproduces_known(seed):
         known.add(step.deduced)
     assert known == set(result.known)
     assert result.rounds <= system.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
+def test_sweeps_agree_with_reference(seed, expand, data):
+    # later sweeps test only the options a newly learned premise feeds;
+    # the rounds must be those of testing every option in every sweep
+    system = random_system(random.Random(seed), max_n=12, max_m=20)
+    if expand:
+        system = preprocess.expand_rules(system)
+    n = system.n
+    options = oracle.option_masks(system)
+    for p, listed in enumerate(options.by_premise):
+        assert listed == tuple(m for m in options.masks if m[0] >> p & 1)
+    known = oracle.mask_of(data.draw(st.sets(st.integers(0, n - 1))))
+    limit = data.draw(st.sampled_from([None, *range(n + 2)]))
+    assert oracle.sweeps(options, known, limit) == \
+        reference_sweeps(options.masks, known, limit)
 
 
 def test_closure_rounds_bound(toy):
