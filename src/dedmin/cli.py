@@ -239,12 +239,8 @@ def _cmd_trace(args) -> int:
         payload = payload.get("assignment", payload)
     if not isinstance(payload, dict):
         raise CliError("solution JSON must contain an assignment object")
-    values = {}
-    for name, value in payload.items():
-        try:
-            values[name] = int(value)
-        except (TypeError, ValueError):
-            raise CliError(f"{name}: value {value!r} is not an integer") from None
+    values = {name: lpio.binary_value(name, value)
+              for name, value in payload.items()}
     copies = [v.copy for v in map(encoder.variable_from_name, values)
               if v.kind == milp.STATE]
     if not copies:
@@ -413,7 +409,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"dedmin: {exc}\n")
         return exc.code
-    except (encoder.ConfigError, lpio.LpParseError, oracle.TraceMismatch) as exc:
+    except (encoder.ConfigError, lpio.LpParseError, lpio.NonBinaryValue,
+            oracle.TraceMismatch) as exc:
         sys.stderr.write(f"dedmin: {exc}\n")
         return EXIT_USAGE
     except BrokenPipeError:  # downstream closed the pipe; not our error

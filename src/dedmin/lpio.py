@@ -152,8 +152,12 @@ def read_lp(text: str) -> MilpInstance:
 
     if sense is None:
         raise LpParseError("missing Maximize/Minimize header")
+    index: dict[str, int] = {}
+    for name in binary_names:
+        if name in index:
+            raise LpParseError(f"variable {name!r} declared Binary twice")
+        index[name] = len(index)
     variables = [variable_from_name(n) for n in binary_names]
-    index = {v.name: i for i, v in enumerate(variables)}
 
     def resolve(terms, where):
         out = []
@@ -179,6 +183,17 @@ def read_lp(text: str) -> MilpInstance:
         constraints.append(Constraint(terms, rel, rhs))
 
     return MilpInstance(variables, constraints, objective, sense)
+
+
+def binary_value(name: str, value: object) -> int:
+    """An imported value as 0 or 1; anything else is :class:`NonBinaryValue`."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise NonBinaryValue(f"{name}: bad value {value!r}") from None
+    if number not in (0.0, 1.0):
+        raise NonBinaryValue(f"{name}: non-binary value {value!r}")
+    return int(number)
 
 
 def read_solution(text: str, instance: MilpInstance) -> Solution:
@@ -209,13 +224,7 @@ def read_solution(text: str, instance: MilpInstance) -> Solution:
     for name, value in pairs.items():
         if not instance.has_variable(name):
             raise UnknownVariable(name)
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise NonBinaryValue(f"{name}: bad value {value!r}") from None
-        if number not in (0.0, 1.0):
-            raise NonBinaryValue(f"{name}: non-binary value {value!r}")
-        assignment[name] = int(number)
+        assignment[name] = binary_value(name, value)
 
     report = evaluate(instance, assignment)
     if not report.feasible:

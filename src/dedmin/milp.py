@@ -13,10 +13,11 @@ solver is branch-and-bound over chronological backtracking:
 * incumbent pruning with the trivial objective bound (fixed contribution
   plus the best case for everything unfixed);
 * a root heuristic, run only on instances that
-  :func:`~dedmin.encoder.decode` rebuilds exactly: a seeded local search
-  over guess sets, each scored by closure sweeps of the decoded rules; the
-  incumbent it proposes is always re-checked against the raw constraints
-  before being trusted.
+  :func:`~dedmin.encoder.decode` rebuilds exactly: in both senses one
+  seeded local search over guess sets of a fixed size, climbing their
+  coverage, the propositions that closure sweeps of the decoded rules know;
+  the incumbent it proposes is always re-checked against the raw
+  constraints before being trusted.
 
 All arithmetic is exact integer arithmetic; a reported optimum is the true
 optimum of the instance, and ``infeasible`` is only reported after the
@@ -445,7 +446,7 @@ def propagate(instance: MilpInstance,
 
 
 # --------------------------------------------------------------------------
-# root heuristic: local search over guess sets, scored by closure sweeps
+# root heuristic: local search over guess sets, scored by their coverage
 
 class _HeuristicStop(Exception):
     """Internal: eval or time budget of the root heuristic ran out."""
@@ -458,12 +459,12 @@ def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
     ``system`` and ``cfg`` are what :func:`~dedmin.encoder.decode` rebuilt
     the instance from.  State copy ``c`` of a proposition is then known
     exactly when ``c`` closure sweeps from the guess layer know it, so a
-    guess set is scored by at most ``nu`` sweeps of the decoded rules.  The
-    winning candidate is completed through the real propagation engine and
-    therefore satisfies the instance exactly.  Both senses reduce to
-    fixed-size subset climbs over the guess layer: maximize climbs the
-    objective at the axiom budget, minimize repeatedly asks whether one
-    guess fewer still covers everything.
+    guess set is scored by its coverage: how many propositions ``nu`` sweeps
+    of the decoded rules know.  Both senses climb coverage over guess sets
+    of one fixed size: maximize at the axiom budget, minimize at one guess
+    fewer than its best full cover, until a size finds none.  The best
+    candidate is completed through the real propagation engine and
+    therefore satisfies the instance exactly.
     """
     from .oracle import mask_of, option_masks, sweeps
 
@@ -472,129 +473,101 @@ def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
     inputs = list(range(n))  # variable v is the guess-layer state of prop v
     maximize = instance.sense == MAXIMIZE
 
-    # budgeted as if every sweep tested every rule once: about 5e7 tests
+    # evaluations: a fixed 5e7 divided by nu x rules, within [3000, 60000]
     tests_per_eval = max(1, cfg.nu * len(options.masks))
     eval_budget = max(3000, min(60000, 50_000_000 // tests_per_eval))
     # small guess layers have few distinct subsets; don't oversample
     eval_budget = min(eval_budget, 40 * n * max(4, n))
     rng = random.Random(limits.seed)
-    stall_limit = 8
     by_score = sorted(inputs, key=lambda v: (-score[v], v))
 
     evals = 0
     best_sel: set[int] | None = None
-    best_obj = None
+    best_covered = -1
 
-    def run(selection):
-        nonlocal evals
+    def coverage(selection: set[int]) -> int:
+        """Propositions ``nu`` sweeps from ``selection`` know.
+
+        Every evaluation keeps the best selection for the sense (the most
+        covered, or the smallest full cover), so a search the budget cuts
+        short still leaves its best.
+        """
+        nonlocal evals, best_sel, best_covered
         if evals >= eval_budget:
             raise _HeuristicStop
         if (evals & 63) == 0 and time.monotonic() > deadline:
             raise _HeuristicStop
         evals += 1
         covered = sweeps(options, mask_of(selection), cfg.nu)[-1].bit_count()
-        return (covered, 0) if maximize else (len(selection), n - covered)
+        if (covered > best_covered if maximize else covered == n and (
+                best_sel is None or len(selection) < len(best_sel))):
+            best_sel, best_covered = set(selection), covered
+        return covered
 
-    def consider(selection):
-        nonlocal best_sel, best_obj
-        objective, missing = run(selection)
-        if missing == 0:
-            if best_obj is None or (objective > best_obj if maximize
-                                    else objective < best_obj):
-                best_obj = objective
-                best_sel = set(selection)
-        return objective, missing
-
-    def metric(selection):
-        # larger is better in both senses: coverage, minus any shortfall
-        # against full coverage; every feasible candidate is kept, so a
-        # search the budget cuts short still leaves its best
-        objective, missing = consider(selection)
-        return objective - missing * (n + 1), missing
-
-    def climb(sel: set[int], ideal: int) -> tuple[set[int], int]:
-        """First-improvement swap ascent of ``metric`` at fixed size."""
-        current, _ = metric(sel)
-        improved = True
-        while improved and current < ideal:
-            improved = False
+    def climb(sel: set[int]) -> tuple[set[int], int]:
+        """First-improvement swap ascent of coverage at fixed size."""
+        current = coverage(sel)
+        while current < n:
             ins = [v for v in by_score if v not in sel]
             rng.shuffle(ins)
-            for out in sorted(sel):
-                for inn in ins:
-                    cand = (sel - {out}) | {inn}
-                    value, _ = metric(cand)
-                    if value > current:
-                        sel, current, improved = cand, value, True
-                        break
-                if improved:
+            for cand in ((sel - {out}) | {inn}
+                         for out in sorted(sel) for inn in ins):
+                value = coverage(cand)
+                if value > current:
+                    sel, current = cand, value
                     break
+            else:
+                break
         return sel, current
 
-    def search_size(k: int, ideal: int, starts) -> tuple[set[int] | None, int]:
-        """Iterated local search over size-k subsets; best metric wins."""
-        top: tuple[set[int] | None, int] = (None, -(1 << 62))
+    def search_size(k: int, starts: list[set[int]]) -> int:
+        """Iterated local search over size-k subsets; the best coverage."""
+        top, top_covered = climb(set(starts[0]))
+        pool = starts[1:]
         stall = 0
-        pool = list(starts)
-        while (pool or stall < stall_limit) and top[1] < ideal:
+        while (pool or stall < 8) and top_covered < n:
             if pool:
                 cand = set(pool.pop(0))
-            elif top[0] and rng.random() < 0.7:
-                cand = set(top[0])
+            elif top and rng.random() < 0.7:
+                cand = set(top)
                 for _ in range(2):
-                    if cand and len(inputs) > len(cand):
-                        cand.discard(rng.choice(sorted(cand)))
-                        cand.add(rng.choice(
-                            [v for v in inputs if v not in cand]))
+                    cand.discard(rng.choice(sorted(cand)))
+                    cand.add(rng.choice([v for v in inputs if v not in cand]))
             else:
                 cand = set(rng.sample(inputs, k))
-            cand, value = climb(cand, ideal)
-            if value > top[1]:
-                top = (cand, value)
+            cand, covered = climb(cand)
+            if covered > top_covered:
+                top, top_covered = cand, covered
                 stall = 0
             else:
                 stall += 1
-        return top
+        return top_covered
 
     try:
         if maximize:
             k = cfg.budget_k  # at most n, which EncodeConfig.check ensures
-            ideal = n
             if k >= n:
-                consider(set(inputs))
-                raise _HeuristicStop
-            # greedy constructive start plus the raw occurrence ranking
-            sel: set[int] = set()
-            while len(sel) < k:
-                gain_best, pick = None, None
-                for v in by_score:
-                    if v in sel:
-                        continue
-                    value, _ = metric(sel | {v})
-                    if gain_best is None or value > gain_best:
-                        gain_best, pick = value, v
-                sel.add(pick)
-            found, _ = search_size(k, ideal, [set(by_score[:k]), sel])
-            consider(found)
+                coverage(set(inputs))
+            else:
+                # greedy constructive start plus the raw occurrence ranking
+                sel: set[int] = set()
+                while len(sel) < k:
+                    sel.add(max((v for v in by_score if v not in sel),
+                                key=lambda v: coverage(sel | {v})))
+                search_size(k, [set(by_score[:k]), sel])
         else:
             sel = set(inputs)
-            consider(sel)  # guessing everything covers everything
+            coverage(sel)  # guessing everything covers everything
             # greedy drop pass, cheapest-looking variables first
             for v in sorted(inputs, key=lambda v: (score[v], v)):
-                if v in sel and len(sel) > 1:
-                    _, missing = run(sel - {v})
-                    if missing == 0:
-                        sel -= {v}
-            consider(sel)
-            # now push below the greedy floor one size at a time
-            while len(sel) > 1:
-                target = len(sel) - 1
-                starts = [sel - {v} for v in sorted(sel, key=lambda v: (score[v], v))[:3]]
-                found, value = search_size(target, 0, starts)
-                if found is None or value < 0:
+                if len(sel) > 1 and coverage(sel - {v}) == n:
+                    sel.remove(v)
+            # now push below the best full cover one size at a time
+            while len(best_sel) > 1:
+                cheapest = sorted(best_sel, key=lambda v: (score[v], v))[:3]
+                starts = [best_sel - {v} for v in cheapest]
+                if search_size(len(best_sel) - 1, starts) < n:
                     break
-                sel = found
-                consider(sel)
     except _HeuristicStop:
         pass
 
@@ -634,13 +607,11 @@ def _occurrences(instance: MilpInstance) -> list[int]:
 
 
 def _decision_order(instance: MilpInstance, score: list[int]) -> list[int]:
-    initial = [i for i, v in enumerate(instance.variables)
-               if v.kind == STATE and v.copy == 0]
-    first = set(initial)
-    rest = [i for i in range(len(instance.variables)) if i not in first]
-    initial.sort(key=lambda v: (-score[v], v))
-    rest.sort(key=lambda v: (-score[v], v))
-    return initial + rest
+    """Guess-layer state variables first, then by occurrence count."""
+    variables = instance.variables
+    return sorted(range(len(variables)), key=lambda v: (
+        not (variables[v].kind == STATE and variables[v].copy == 0),
+        -score[v], v))
 
 
 def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution:
@@ -715,24 +686,13 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
                 return v
         return None
 
-    # chronological DFS; each stack entry is (var, values_left, trail_mark)
-    stack: list[tuple[int, list[int], int]] = []
+    # chronological DFS; each stack entry is (var, trail_mark), where var
+    # is None once the decision's 0-branch has been taken as well
+    stack: list[tuple[int | None, int]] = []
     search_start = time.monotonic()
-    out_of_budget = False
-    exhausted = False
-    check_mask = 0x3F
-
-    def budget_hit() -> bool:
-        if limits.node_budget is not None and stats.nodes >= limits.node_budget:
-            return True
-        if (stats.nodes & check_mask) == 0 \
-                and time.monotonic() - start > limits.time_budget:
-            return True
-        return False
-
-    while True:
-        conflict = engine.propagate()
-        if conflict is None and not prunable(bound()):
+    status = None
+    while status is None:
+        if engine.propagate() is None and not prunable(bound()):
             var = next_unfixed()
             if var is None:
                 values = list(engine.val)
@@ -742,41 +702,33 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
                 # a leaf cannot be extended; fall through to backtrack
             else:
                 stats.nodes += 1
-                if budget_hit():
-                    out_of_budget = True
+                if (limits.node_budget is not None
+                        and stats.nodes >= limits.node_budget) or (
+                        (stats.nodes & 63) == 0
+                        and time.monotonic() - start > limits.time_budget):
+                    status = TIME_LIMIT
                     break
-                mark = engine.mark()
-                stack.append((var, [0], mark))
+                stack.append((var, engine.mark()))
                 engine.fix(var, 1)
                 continue
-        # backtrack: retry the deepest decision with an untried value
+        # backtrack: take the 0-branch of the deepest decision that has one
         while stack:
-            var, values_left, mark = stack[-1]
+            var, mark = stack.pop()
             engine.undo_to(mark)
-            if values_left:
-                engine.fix(var, values_left.pop())
+            if var is not None:
+                stack.append((None, mark))
+                engine.fix(var, 0)
                 break
-            stack.pop()
         else:
-            exhausted = True
-            break
+            status = OPTIMAL if best_values is not None else INFEASIBLE
 
     stats.propagations = engine.fix_count
     end = time.monotonic()
     stats.wall_time = end - start
     stats.search_time = end - search_start
 
-    if best_values is not None:
-        assignment = {v.name: best_values[i]
-                      for i, v in enumerate(instance.variables)}
-    else:
-        assignment = None
-
-    if exhausted:
-        if best_values is None:
-            return Solution(INFEASIBLE, None, None, stats)
-        return Solution(OPTIMAL, assignment, best_obj, stats)
-    if out_of_budget:
-        return Solution(TIME_LIMIT, assignment, best_obj, stats)
-    # not reachable: the loop only exits via exhaustion or budget
-    raise AssertionError("search loop exited unexpectedly")
+    if best_values is None:
+        return Solution(status, None, None, stats)
+    assignment = {v.name: best_values[i]
+                  for i, v in enumerate(instance.variables)}
+    return Solution(status, assignment, best_obj, stats)

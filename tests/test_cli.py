@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from dedmin import cli, dsl, encoder, lpio, preprocess
 
 DATA = Path(__file__).parent / "data"
 TOY = DATA / "toy.rules"
@@ -141,14 +146,29 @@ def test_time_limit_exit_3():
 
 
 @pytest.mark.parametrize("text", ["not json at all", "[1, 2]",
-                                  '{"x0_c0": "abc"}'])
+                                  '{"x0_c0": "abc"}', '{"x0_c0": 1.9}',
+                                  '{"x0_c0": 2}', '{"x0_c0": -1}',
+                                  pytest.param('{"x0_c0": 1%s}' % ("0" * 400),
+                                               id="too-large-for-a-float")])
 def test_trace_rejects_malformed_solution(tmp_path, text):
+    # the rule of lpio.read_solution: only 0 and 1 are values
     sol = tmp_path / "sol.json"
     sol.write_text(text)
     out = run_cli("trace", str(TOY), "--solution", str(sol))
     assert out.returncode == 1
     assert out.stderr.startswith("dedmin: ")
     assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_duplicate_binary_exits_1(tmp_path, flags):
+    lp = tmp_path / "dup.lp"
+    lp.write_text("Maximize\n obj: x\nSubject To\n c0: x <= 1\n"
+                  "Binary\n x\n x\nEnd\n")
+    out = run_cli("solve", str(lp), *flags)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "dedmin: variable 'x' declared Binary twice\n"
 
 
 @pytest.mark.parametrize("args", [("generate", "enocoro", "--T", "1"),
@@ -190,3 +210,59 @@ def test_nu_zero_is_read_as_given(command):
     out = run_cli(command[0], str(TOY), *command[1:], "--nu", "0")
     assert out.returncode == 1
     assert out.stderr == "dedmin: nu must be >= 1\n"
+
+
+# --- mutated inputs never end in a traceback --------------------------------
+
+TOY_RULES = TOY.read_text()
+TOY_LP = lpio.write_lp(encoder.encode(
+    preprocess.expand_rules(dsl.parse_system(TOY_RULES)),
+    encoder.EncodeConfig(nu=4, budget_k=1)))
+TOKENS = sorted(set(TOY_RULES.split() + TOY_LP.split())) + [
+    "+", "-", "0", "-1", "99", "=", "=>", "[", "]", ",", "#", "\\", ":",
+    "props:", "Maximize", "Minimize", "Subject To", "Binary", "End"]
+EDIT = st.tuples(st.sampled_from(["delete", "duplicate", "insert", "drop"]),
+                 st.integers(0, 999), st.integers(0, 99),
+                 st.sampled_from(TOKENS))
+BINARY_LINE = TOY_LP.splitlines().index("Binary") + 1
+
+
+def mutate(text, edits):
+    """``text`` with each edit applied: (kind, line, token position, token)."""
+    lines = text.splitlines()
+    for kind, line, position, token in edits:
+        if not lines:
+            break
+        line %= len(lines)
+        if kind == "delete":
+            del lines[line]
+        elif kind == "duplicate":
+            lines.insert(line, lines[line])
+        else:
+            words = lines[line].split()
+            indent = lines[line][:len(lines[line]) - len(lines[line].lstrip())]
+            if kind == "insert":
+                words.insert(position % (len(words) + 1), token)
+            elif words:
+                del words[position % len(words)]
+            lines[line] = indent + " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(lp=st.booleans(), edits=st.lists(EDIT, min_size=1, max_size=3))
+@example(lp=True, edits=[("duplicate", BINARY_LINE, 0, "x")])
+def test_mutated_inputs_end_in_an_exit_code(tmp_path_factory, lp, edits):
+    path = tmp_path_factory.getbasetemp() / ("mutant.lp" if lp
+                                             else "mutant.rules")
+    path.write_text(mutate(TOY_LP if lp else TOY_RULES, edits))
+    solver = ("--node-limit", "50")
+    runs = [("solve", *solver)] if lp else [
+        ("solve", *solver), ("minimize", *solver),
+        ("minimize", "--brute", *solver), ("encode",), ("reduce",),
+        ("verify", "--guess", "p1")]
+    for command, *flags in runs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, str(path), *flags])
+        assert code in (0, 1, 2, 3), (command, code)

@@ -89,6 +89,8 @@ def test_read_solution_rejects_nonbinary(toy):
     instance = encoder.encode(toy, cfg)
     with pytest.raises(lpio.NonBinaryValue):
         lpio.read_solution(json.dumps({"x0_c0": 2}), instance)
+    with pytest.raises(lpio.NonBinaryValue):  # too large for a float
+        lpio.read_solution('{"x0_c0": 1%s}' % ("0" * 400), instance)
 
 
 def test_read_solution_rejects_unknown_variable(toy):
@@ -118,3 +120,6 @@ def test_read_lp_rejects_garbage():
         lpio.read_lp("Maximize\n obj: x\nSubject To\n c0: x + >= 1\nBinary\n x\nEnd\n")
     with pytest.raises(lpio.LpParseError):
         lpio.read_lp("Maximize\n obj: y\nSubject To\nBinary\n x\nEnd\n")
+    with pytest.raises(lpio.LpParseError, match="'x' declared Binary twice"):
+        lpio.read_lp("Maximize\n obj: x\nSubject To\n c0: x <= 1\n"
+                     "Binary\n x\n x\nEnd\n")

@@ -242,6 +242,22 @@ def test_enocoro_heuristic_keeps_its_best_selection():
     assert solution.objective == 92  # the README's Enocoro incumbent
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snow_minimize_climb_reaches_nine_guesses(seed):
+    # the heuristic alone: the climb descends size by size to a 9-guess cover
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=12, budget_k=0, mode=encoder.COMPACT, sense=encoder.MIN_GUESSES))
+    solution = solve(instance, SolveLimits(time_budget=1e9, node_budget=0,
+                                           seed=seed))
+    assert solution.objective == 9
+    assert evaluate(instance, solution.assignment).feasible
+    guess = [v for v in range(system.n)
+             if solution.assignment[encoder.state_var_name(v, 0)] == 1]
+    assert len(guess) == 9
+    assert len(oracle.closure(system, guess).known) == system.n
+
+
 def test_heuristic_skips_instances_that_are_not_encodings(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1)
     instance = encoder.encode(toy, cfg)
