@@ -75,9 +75,16 @@ def _load_system(args) -> DeductionSystem:
         raise CliError(f"{spec}: {exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{path}: cannot write: {exc.strerror}") from None
+
+
 def _write_output(args, text: str) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -166,14 +173,18 @@ def _cmd_solve(args) -> int:
         payload["guess"] = _guess_names(system, solution)
         if trace is not None:
             payload["known"] = len(trace.known)
-            payload["trace"] = [
-                {"premises": [system.name_of(p) for p in step.premises],
-                 "rule": step.rule, "deduced": system.name_of(step.deduced)}
-                for step in trace.trace]
+            payload["trace"] = _trace_json(system, trace)
         _write_output(args, json.dumps(payload, indent=2) + "\n")
     else:
         _write_output(args, _solve_report(system, solution, trace))
     return _solution_exit(solution)
+
+
+def _trace_json(system: DeductionSystem,
+                result: oracle.ClosureResult) -> list[dict]:
+    return [{"premises": [system.name_of(p) for p in step.premises],
+             "rule": step.rule, "deduced": system.name_of(step.deduced)}
+            for step in result.trace]
 
 
 def _solve_report(system, solution, trace) -> str:
@@ -208,10 +219,7 @@ def _cmd_verify(args) -> int:
             "full_coverage": full,
             "rounds": result.rounds,
             "missing": missing,
-            "trace": [
-                {"premises": [system.name_of(p) for p in step.premises],
-                 "rule": step.rule, "deduced": system.name_of(step.deduced)}
-                for step in result.trace],
+            "trace": _trace_json(system, result),
         }
         _write_output(args, json.dumps(payload, indent=2) + "\n")
     else:
@@ -231,16 +239,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace(args) -> int:
     system = preprocess.expand_rules(_load_system(args))
-    try:
-        payload = json.loads(_read_input(args.solution))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.solution}: not JSON: {exc}") from None
-    if isinstance(payload, dict):
-        payload = payload.get("assignment", payload)
-    if not isinstance(payload, dict):
-        raise CliError("solution JSON must contain an assignment object")
-    values = {name: lpio.binary_value(name, value)
-              for name, value in payload.items()}
+    values = lpio.read_assignment(_read_input(args.solution))
     copies = [v.copy for v in map(encoder.variable_from_name, values)
               if v.kind == milp.STATE]
     if not copies:
@@ -302,8 +301,8 @@ def _cmd_reduce(args) -> int:
     else:
         _write_output(args, text)
         if args.report:
-            Path(args.report).write_text(
-                json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
+            _write_file(args.report,
+                        json.dumps(result.to_json(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -369,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("trace", help="deduction course behind a solution JSON")
+    p = sub.add_parser("trace", help="deduction course behind a solution")
     p.add_argument("input")
     _add_model_flags(p)
     p.add_argument("--solution", required=True)

@@ -185,11 +185,9 @@ def default_nu(system: DeductionSystem) -> int:
 class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
-        self.index: dict[str, int] = {}
         self.constraints: list[Constraint] = []
 
     def add_var(self, variable: Variable) -> int:
-        self.index[variable.name] = len(self.variables)
         self.variables.append(variable)
         return len(self.variables) - 1
 
@@ -199,11 +197,8 @@ class _Builder:
 
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     """Build the unrolled instance; deterministic down to variable order."""
-    require_valid(system)
-    if not is_expanded(system):
-        raise NotExpandedError("system still has symmetric rules; expand first")
+    table = enumerate_paths(system)  # validates the system
     cfg.check(system.n)
-    table = enumerate_paths(system)
     n = system.n
     b = _Builder()
 

@@ -1,26 +1,31 @@
 """LP-format export and solution import.
 
-:func:`write_lp` emits the classic sectioned text format (Maximize/Minimize,
-Subject To, Binary, End) so instances can be handed to any external solver;
-:func:`read_lp` parses the same dialect back, which doubles as the
-round-trip check.  :func:`read_solution` ingests an external solver's
-answer, treats it as untrusted (objective recomputed, feasibility checked
-constraint by constraint) and only then wraps it as a
-:class:`~dedmin.milp.Solution`.
+:func:`write_lp` emits the classic sectioned text format, so that instances
+can be handed to any external solver, and :func:`read_lp` is its exact
+inverse, raising :class:`LpParseError` on any other text.  The dialect is a
+``Maximize`` or ``Minimize`` line; an ``obj:`` line of the objective's terms;
+``Subject To``; rows labelled ``c0``, ``c1``, ... in order, each ending in
+its relation and integer right-hand side; ``Binary`` and one name per line;
+and ``End``.  A term is ``[+|-] [coefficient] name``, and only the first
+term may omit its sign.  A line that would pass 240 characters goes on,
+after a break between terms, on a line that starts with three spaces.
 
-Solution files are either a JSON object ``{"name": 0/1, ...}`` or plain
-``name value`` lines; variables not mentioned default to 0, matching the
-sparse output of most solvers.
+:func:`read_assignment` reads a JSON object ``{"name": 0/1, ...}``, that
+object under ``"assignment"`` as ``solve --json`` writes it, or ``name
+value`` lines, the shape of a Gurobi ``.sol`` file.  :func:`read_solution`
+treats such an answer as untrusted (objective recomputed, feasibility
+checked constraint by constraint) and only then wraps it as a
+:class:`~dedmin.milp.Solution`.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 from .encoder import variable_from_name
-from .milp import (Constraint, FEASIBLE, MAXIMIZE, MINIMIZE, MilpInstance,
-                   Solution, SolveStats, evaluate)
+from .milp import (Constraint, EQUAL, FEASIBLE, GREATER_EQUAL, LESS_EQUAL,
+                   MAXIMIZE, MINIMIZE, MilpInstance, Solution, SolveStats,
+                   evaluate)
 
 _MAX_LINE = 240
 
@@ -34,7 +39,8 @@ class UnknownVariable(KeyError):
 
 
 class NonBinaryValue(ValueError):
-    """Imported solution assigns something other than 0 or 1."""
+    """An imported assignment is malformed or holds a value other than 0
+    or 1."""
 
 
 class InfeasibleImport(ValueError):
@@ -77,112 +83,91 @@ def write_lp(instance: MilpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NAME_TOKEN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_SIGNS = {"+": 1, "-": -1}
 
 
-def _parse_expression(tokens: list[str], where: str) -> list[tuple[str, int]]:
-    terms: list[tuple[str, int]] = []
-    sign = 1
-    pending: int | None = None
-    dangling = False
-    for token in tokens:
-        if token == "+":
+def _integer(token: str, where: str) -> int:
+    """``token`` as an integer: an optional ``-``, then decimal digits."""
+    try:
+        if token.removeprefix("-").isdecimal():
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise LpParseError(f"{where}: {token!r} is not an integer")
+
+
+def _terms(tokens: list[str], index: dict[str, int],
+           where: str) -> tuple[tuple[int, int], ...]:
+    """``[+|-] [coefficient] name`` terms; only the first may omit its sign."""
+    terms = []
+    rest = iter(tokens)
+    for token in rest:
+        sign = _SIGNS.get(token)
+        if sign is None:
+            if terms:
+                raise LpParseError(f"{where}: no sign before {token!r}")
             sign = 1
-            dangling = True
-        elif token == "-":
-            sign = -1
-            dangling = True
-        elif re.fullmatch(r"\d+", token):
-            if pending is not None:
-                raise LpParseError(f"{where}: two numbers in a row")
-            pending = int(token)
-            dangling = True
-        elif _NAME_TOKEN.match(token):
-            coef = sign * (pending if pending is not None else 1)
-            terms.append((token, coef))
-            sign, pending, dangling = 1, None, False
         else:
-            raise LpParseError(f"{where}: unexpected token {token!r}")
-    if pending is not None or dangling:
-        raise LpParseError(f"{where}: dangling sign or coefficient")
-    return terms
+            token = next(rest, None)
+        coefficient = 1
+        if token is not None and token.isdecimal():
+            coefficient = _integer(token, where)
+            token = next(rest, None)
+        if token is None:
+            raise LpParseError(f"{where}: dangling sign or coefficient")
+        if token not in index:
+            raise LpParseError(f"{where}: {token!r} is not declared Binary")
+        terms.append((index[token], sign * coefficient))
+    return tuple(terms)
+
+
+def _body(line: str, label: str) -> list[str]:
+    """The tokens after the ``label:`` that starts ``line``."""
+    tokens = line.split()
+    if tokens[:1] != [f"{label}:"]:
+        raise LpParseError(f"expected ' {label}:', got {line!r}")
+    return tokens[1:]
 
 
 def read_lp(text: str) -> MilpInstance:
-    """Parse the dialect :func:`write_lp` produces."""
-    sense = None
-    section = None
-    objective_tokens: list[str] = []
-    constraint_chunks: list[str] = []
-    binary_names: list[str] = []
+    """The instance :func:`write_lp` turns into ``text``.
 
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        lowered = stripped.lower()
-        if lowered in ("maximize", "minimize"):
-            sense = MAXIMIZE if lowered == "maximize" else MINIMIZE
-            section = "objective"
-            continue
-        if lowered in ("subject to", "st", "s.t."):
-            section = "constraints"
-            continue
-        if lowered in ("binary", "binaries", "bin"):
-            section = "binary"
-            continue
-        if lowered == "end":
-            section = "end"
-            continue
-        if section == "objective":
-            objective_tokens.append(stripped)
-        elif section == "constraints":
-            if re.match(r"^[A-Za-z_][A-Za-z0-9_]*\s*:", stripped):
-                constraint_chunks.append(stripped)
-            elif constraint_chunks:
-                constraint_chunks[-1] += " " + stripped
-            else:
-                raise LpParseError(f"constraint continuation before any "
-                                   f"constraint: {stripped!r}")
-        elif section == "binary":
-            binary_names.extend(stripped.split())
+    Anything :func:`write_lp` does not write is an :class:`LpParseError`.
+    """
+    lines: list[str] = []
+    for line in text.splitlines():
+        if line.startswith("   ") and lines:  # a wrapped line goes on
+            lines[-1] += line[2:]
         else:
-            raise LpParseError(f"unexpected line outside sections: {stripped!r}")
-
-    if sense is None:
+            lines.append(line)
+    if lines[:1] not in (["Maximize"], ["Minimize"]):
         raise LpParseError("missing Maximize/Minimize header")
+    if (lines[2:3] != ["Subject To"] or "Binary" not in lines
+            or lines[-1] != "End"):
+        raise LpParseError("expected the objective, then 'Subject To', "
+                           "the rows, 'Binary', the names and 'End'")
+    binary = lines.index("Binary")
     index: dict[str, int] = {}
-    for name in binary_names:
+    for line in lines[binary + 1:-1]:
+        name = line[1:]
+        if line[:1] != " " or not (name.isascii() and name.isidentifier()):
+            raise LpParseError(f"Binary: {line!r} is not one variable name")
         if name in index:
             raise LpParseError(f"variable {name!r} declared Binary twice")
         index[name] = len(index)
-    variables = [variable_from_name(n) for n in binary_names]
-
-    def resolve(terms, where):
-        out = []
-        for name, coef in terms:
-            if name not in index:
-                raise LpParseError(f"{where}: variable {name!r} not declared Binary")
-            out.append((index[name], coef))
-        return tuple(out)
-
-    obj_text = " ".join(objective_tokens)
-    body = obj_text.split(":", 1)[1] if ":" in obj_text else obj_text
-    objective = resolve(_parse_expression(body.split(), "objective"), "objective")
 
     constraints = []
-    for chunk in constraint_chunks:
-        label, _, body = chunk.partition(":")
-        m = re.search(r"(<=|>=|=)\s*(-?\d+)\s*$", body)
-        if not m:
-            raise LpParseError(f"{label}: missing relation")
-        rel, rhs = m.group(1), int(m.group(2))
-        expr = body[:m.start()].split()
-        terms = resolve(_parse_expression(expr, label.strip()), label.strip())
-        constraints.append(Constraint(terms, rel, rhs))
-
-    return MilpInstance(variables, constraints, objective, sense)
+    for ci, line in enumerate(lines[3:binary]):
+        where = f"c{ci}"
+        body = _body(line, where)
+        if len(body) < 2 or body[-2] not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
+            raise LpParseError(f"{where}: missing relation")
+        constraints.append(Constraint(_terms(body[:-2], index, where),
+                                      body[-2], _integer(body[-1], where)))
+    return MilpInstance(map(variable_from_name, index),
+                        constraints,
+                        _terms(_body(lines[1], "obj"), index, "objective"),
+                        MAXIMIZE if lines[0] == "Maximize" else MINIMIZE)
 
 
 def binary_value(name: str, value: object) -> int:
@@ -196,35 +181,46 @@ def binary_value(name: str, value: object) -> int:
     return int(number)
 
 
+def read_assignment(text: str) -> dict[str, int]:
+    """The ``name: value`` pairs of an assignment, each a :func:`binary_value`.
+
+    ``text`` is a JSON object, that object under ``"assignment"`` (as
+    ``solve --json`` writes it), or ``name value`` lines in which ``#``
+    starts a comment (the shape of a Gurobi ``.sol`` file).
+    """
+    if not text.lstrip().startswith("{"):
+        pairs = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split("#", 1)[0].split()
+            if len(parts) == 2:
+                pairs[parts[0]] = parts[1]
+            elif parts:
+                raise NonBinaryValue(f"line {lineno}: expected 'name value', "
+                                     f"got {raw.strip()!r}")
+    else:
+        try:
+            pairs = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise NonBinaryValue(f"not JSON: {exc}") from None
+        pairs = pairs.get("assignment", pairs)
+        if not isinstance(pairs, dict):
+            raise NonBinaryValue("no assignment object in the JSON")
+    return {name: binary_value(name, value) for name, value in pairs.items()}
+
+
 def read_solution(text: str, instance: MilpInstance) -> Solution:
     """Import an external assignment; verified, never trusted.
 
-    Accepts a JSON object or ``name value`` lines.  Unmentioned variables
+    ``text`` is read by :func:`read_assignment`, and unmentioned variables
     default to 0.  The objective is recomputed locally and feasibility is
     established through :func:`~dedmin.milp.evaluate` before a Solution is
     returned; violations raise :class:`InfeasibleImport`.
     """
-    stripped = text.strip()
-    pairs: dict[str, object]
-    if stripped.startswith("{"):
-        pairs = json.loads(stripped)
-    else:
-        pairs = {}
-        for lineno, raw in enumerate(stripped.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise NonBinaryValue(
-                    f"line {lineno}: expected 'name value', got {line!r}")
-            pairs[parts[0]] = parts[1]
-
     assignment = {v.name: 0 for v in instance.variables}
-    for name, value in pairs.items():
+    for name, value in read_assignment(text).items():
         if not instance.has_variable(name):
             raise UnknownVariable(name)
-        assignment[name] = binary_value(name, value)
+        assignment[name] = value
 
     report = evaluate(instance, assignment)
     if not report.feasible:

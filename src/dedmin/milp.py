@@ -701,13 +701,13 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
                     best_obj, best_values = objective, values
                 # a leaf cannot be extended; fall through to backtrack
             else:
-                stats.nodes += 1
                 if (limits.node_budget is not None
                         and stats.nodes >= limits.node_budget) or (
                         (stats.nodes & 63) == 0
                         and time.monotonic() - start > limits.time_budget):
                     status = TIME_LIMIT
                     break
+                stats.nodes += 1
                 stack.append((var, engine.mark()))
                 engine.fix(var, 1)
                 continue

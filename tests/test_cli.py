@@ -149,15 +149,43 @@ def test_time_limit_exit_3():
                                   '{"x0_c0": "abc"}', '{"x0_c0": 1.9}',
                                   '{"x0_c0": 2}', '{"x0_c0": -1}',
                                   pytest.param('{"x0_c0": 1%s}' % ("0" * 400),
-                                               id="too-large-for-a-float")])
+                                               id="too-large-for-a-float"),
+                                  pytest.param('{"x0_c0": %s}' % ("[" * 10**5),
+                                               id="nested-too-deep")])
 def test_trace_rejects_malformed_solution(tmp_path, text):
-    # the rule of lpio.read_solution: only 0 and 1 are values
+    # the rule of lpio.read_assignment: only 0 and 1 are values
     sol = tmp_path / "sol.json"
     sol.write_text(text)
     out = run_cli("trace", str(TOY), "--solution", str(sol))
     assert out.returncode == 1
     assert out.stderr.startswith("dedmin: ")
     assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
+def test_trace_reads_name_value_lines(tmp_path, capsys):
+    # the .sol shape: '#' comment lines, then one 'name value' per line
+    assert cli.main(["solve", str(TOY), "--nu", "4", "--k", "1",
+                     "--json"]) == 0
+    assignment = json.loads(capsys.readouterr().out)["assignment"]
+    sol = tmp_path / "toy.sol"
+    sol.write_text("# Objective value = 4\n" + "".join(
+        f"{name} {value}\n" for name, value in assignment.items()))
+    assert cli.main(["trace", str(TOY), "--solution", str(sol)]) == 0
+    assert "| p2 | r1 | p1 |" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent",
+                                    "missing-report-parent"])
+def test_failed_write_exits_1(tmp_path, capsys, target):
+    missing = tmp_path / "missing"
+    args = {"directory": ["generate", "snow2", "-o", str(tmp_path)],
+            "missing-parent": ["generate", "snow2", "-o",
+                               str(missing / "snow2.rules")],
+            "missing-report-parent": ["reduce", str(TOY), "--report",
+                                      str(missing / "report.json")]}[target]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dedmin: ") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

@@ -1,10 +1,17 @@
 import json
+import random
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dedmin import ciphers, encoder, lpio, milp, preprocess
+from dedmin import ciphers, cli, encoder, lpio, milp, preprocess
 from dedmin.milp import Constraint, MilpInstance
-from helpers import assignment_from_closure
+from helpers import (assignment_from_closure, random_system, with_full_cover,
+                     without_heuristic)
+
+TOY = Path(__file__).parent / "data" / "toy.rules"
 
 
 def state_link_instance():
@@ -123,3 +130,83 @@ def test_read_lp_rejects_garbage():
     with pytest.raises(lpio.LpParseError, match="'x' declared Binary twice"):
         lpio.read_lp("Maximize\n obj: x\nSubject To\n c0: x <= 1\n"
                      "Binary\n x\n x\nEnd\n")
+
+
+def fields(instance):
+    return (instance.variables, instance.constraints, instance.objective,
+            instance.sense)
+
+
+def assert_round_trip(instance):
+    text = lpio.write_lp(instance)
+    again = lpio.read_lp(text)
+    assert fields(again) == fields(instance)
+    assert lpio.write_lp(again) == text
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_read_lp_inverts_write_lp(seed):
+    # up to 40 propositions, so that the objective and budget rows wrap
+    rng = random.Random(seed)
+    system = preprocess.expand_rules(random_system(rng, max_n=40, max_m=60))
+    for mode, sense in product((encoder.PLAIN, encoder.COMPACT),
+                               (encoder.MAX_COVERAGE, encoder.MIN_GUESSES)):
+        budget = rng.randint(0, system.n) if sense == encoder.MAX_COVERAGE else 0
+        cfg = encoder.EncodeConfig(rng.randint(1, 3), budget, mode, sense)
+        instance = encoder.encode(system, cfg)
+        for case in (instance, with_full_cover(instance, system.n, cfg.nu),
+                     without_heuristic(instance)):
+            assert_round_trip(case)
+
+
+@pytest.mark.parametrize("build, cfg", [
+    (lambda: ciphers.build_snow2(13), encoder.EncodeConfig(nu=12, budget_k=9)),
+    (lambda: ciphers.build_enocoro(16), encoder.EncodeConfig(nu=18, budget_k=18)),
+], ids=["snow-k9", "enocoro-k18"])
+def test_read_lp_inverts_write_lp_on_ciphers(build, cfg):
+    assert_round_trip(encoder.encode(preprocess.expand_rules(build()), cfg))
+
+
+LP = "Maximize\n obj: x\nSubject To\n c0: x + 2 y >= 1\nBinary\n x\n y\nEnd\n"
+LONG = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("Maximize", "Maximise", "header"),
+    ("Subject To\n", "", "'Subject To'"),
+    ("End\n", "", "'End'"),
+    (" obj: x", " x", "expected ' obj:'"),
+    (" c0:", " c1:", "expected ' c0:'"),
+    (" y\n", " 2y\n", "' 2y' is not one variable name"),
+    (" x\n y", " x y", "' x y' is not one variable name"),
+    (" y\n", " x\n", "'x' declared Binary twice"),
+    (">= 1", "1", "c0: missing relation"),
+    (">= 1", ">= 1.5", "c0: '1.5' is not an integer"),
+    (">= 1", ">= " + LONG, "c0: '1+' is not an integer"),
+    ("2 y", LONG + " y", "c0: '1+' is not an integer"),
+    ("x + 2 y", "x 2 y", "c0: no sign before '2'"),
+    ("x + 2 y", "x + 2", "c0: dangling sign or coefficient"),
+    ("obj: x", "obj: z", "objective: 'z' is not declared Binary"),
+], ids=["header", "no-subject-to", "no-end", "objective-label", "row-label",
+        "binary-name", "binary-line", "binary-twice", "relation", "rhs",
+        "rhs-digits", "coefficient-digits", "sign", "dangling", "undeclared"])
+def test_each_rejection_exits_1(tmp_path, capsys, old, new, message):
+    assert lpio.read_lp(LP).sense == milp.MAXIMIZE
+    text = LP.replace(old, new, 1)
+    with pytest.raises(lpio.LpParseError, match=message):
+        lpio.read_lp(text)
+    path = tmp_path / "bad.lp"
+    path.write_text(text)
+    assert cli.main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dedmin: ") and len(err.splitlines()) == 1, err
+
+
+def test_read_solution_reads_solve_json(toy, capsys):
+    assert cli.main(["solve", str(TOY), "--nu", "4", "--k", "1", "--mode",
+                     "plain", "--json"]) == 0
+    instance = encoder.encode(toy, encoder.EncodeConfig(
+        nu=4, budget_k=1, mode=encoder.PLAIN))
+    solution = lpio.read_solution(capsys.readouterr().out, instance)
+    assert solution.objective == 4

@@ -217,6 +217,17 @@ def test_node_budget_halts_search(toy):
     assert solution.status == milp.TIME_LIMIT
 
 
+def test_node_budget_counts_decisions(toy):
+    # the toy's full tree is two decisions, so a budget of two completes it
+    cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=encoder.PLAIN)
+    instance = without_heuristic(encoder.encode(toy, cfg))
+    full = solve(instance)
+    assert (full.status, full.stats.nodes) == (milp.OPTIMAL, 2)
+    assert solve(instance, SolveLimits(node_budget=2)).status == milp.OPTIMAL
+    stopped = solve(instance, SolveLimits(node_budget=0))
+    assert (stopped.status, stopped.stats.nodes) == (milp.TIME_LIMIT, 0)
+
+
 def test_solution_json_round_trip(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=encoder.PLAIN)
     solution = solve(encoder.encode(toy, cfg))
