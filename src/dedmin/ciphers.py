@@ -14,6 +14,10 @@ equivalence as explicit two-member rules; running
 :func:`dedmin.preprocess.merge_equalities` over it reproduces the merged
 model and is covered by tests.
 
+Every generator lists its rules in the order :func:`dedmin.dsl.render_system`
+writes them (``SymmetricRule.sort_key``), so a generated system and its
+rendered ``.rules`` text encode to the same instance.
+
 Enocoro window sizes follow the published state listing (``declared``).
 The ``extended`` mode widens every stream by one step so that boundary
 relations touching one-past-the-window values are also available.
@@ -25,6 +29,13 @@ from .core import DeductionSystem, SymmetricRule
 
 DECLARED = "declared"
 EXTENDED = "extended"
+
+
+def _system(names: list[str], rules: list[SymmetricRule],
+            name: str) -> DeductionSystem:
+    """The system with its rules in rendering order."""
+    return DeductionSystem.from_names(
+        names, sorted(rules, key=SymmetricRule.sort_key), name=name)
 
 
 def _instantiate(names: dict[str, int], families, index_of) -> list[SymmetricRule]:
@@ -60,8 +71,8 @@ def build_snow2(T: int) -> DeductionSystem:
         [("s", 15), ("R", 1), ("R", 0), ("s", 0)],    # keystream word
         [("R", 2), ("s", 5), ("R", 0)],               # FSM update
     ]
-    rules = _instantiate(limit, families, index_of)
-    return DeductionSystem.from_names(names, rules, name=f"snow2_T{T}")
+    return _system(names, _instantiate(limit, families, index_of),
+                   f"snow2_T{T}")
 
 
 def build_snow2_raw(T: int) -> DeductionSystem:
@@ -100,7 +111,7 @@ def build_snow2_raw(T: int) -> DeductionSystem:
         index_of("s", T + 14), index_of("R1", T - 1),
         index_of("R1", T - 2), index_of("s", T - 1)]))
     rules.extend(_instantiate(limit, fsm, index_of))
-    return DeductionSystem.from_names(names, rules, name=f"snow2_raw_T{T}")
+    return _system(names, rules, f"snow2_raw_T{T}")
 
 
 _ENOCORO_FAMILIES = [
@@ -137,6 +148,5 @@ def build_enocoro(T: int, range_mode: str = DECLARED) -> DeductionSystem:
     def index_of(stream: str, i: int) -> int:
         return base[stream] + i
 
-    rules = _instantiate(limit, _ENOCORO_FAMILIES, index_of)
-    return DeductionSystem.from_names(
-        names, rules, name=f"enocoro128v2_T{T}_{range_mode}")
+    return _system(names, _instantiate(limit, _ENOCORO_FAMILIES, index_of),
+                   f"enocoro128v2_T{T}_{range_mode}")

@@ -188,6 +188,14 @@ def _trace_json(system: DeductionSystem,
 
 
 def _solve_report(system, solution, trace) -> str:
+    """The text report of ``solve``.
+
+    Its fields: ``status``; ``objective``; ``nodes``, the branch-and-bound
+    decisions; ``nodes/s``, from the search time; ``propagations``, the
+    fixings of the row engine, which is 0 when the instance is an encoding
+    and is searched over guess sets; ``heuristic``, the seconds of the root
+    heuristic; ``wall``; then the guesses and the deduction trace.
+    """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats
     rate = (f"{stats.nodes / stats.search_time:.0f}" if stats.search_time > 0

@@ -34,7 +34,9 @@ the same optima.
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
 initial layer subject to full final coverage.  :func:`decode` inverts
-:func:`encode` exactly, and this module owns the variable naming contract.
+:func:`encode` exactly, :func:`assignment_of` is the one assignment an
+encoding admits for a given guess layer, and this module owns the variable
+naming contract.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Iterable
 from .core import DeductionSystem, DirectedRule, require_valid
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
                    MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
+from .oracle import mask_of, option_masks, sweeps
 from .preprocess import is_expanded
 
 PLAIN = "plain"
@@ -182,6 +185,21 @@ def default_nu(system: DeductionSystem) -> int:
     return max(1, system.n)
 
 
+def _fold_plans(table: PathTable, mode: str) -> list[int | None]:
+    """Which path, per proposition, compact mode folds into the state link:
+    the last multi-premise one; None keeps the full per-path form."""
+    plans: list[int | None] = []
+    for paths in table.rows:
+        folded = None
+        if mode == COMPACT and len(paths) >= 2:
+            for j in range(len(paths) - 1, 0, -1):
+                if len(paths[j].premises) >= 2:
+                    folded = j
+                    break
+        plans.append(folded)
+    return plans
+
+
 class _Builder:
     def __init__(self):
         self.variables: list[Variable] = []
@@ -206,18 +224,7 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     for v in range(n):
         state_ids[0][v] = b.add_var(Variable(state_var_name(v, 0), STATE, v, 0))
 
-    # which path, per proposition, gets folded into the state link: the
-    # last multi-premise one; None keeps the full per-path form
-    plans: list[int | None] = []
-    for v in range(n):
-        paths = table.row(v)
-        folded = None
-        if cfg.mode == COMPACT and len(paths) >= 2:
-            for j in range(len(paths) - 1, 0, -1):
-                if len(paths[j].premises) >= 2:
-                    folded = j
-                    break
-        plans.append(folded)
+    plans = _fold_plans(table, cfg.mode)
 
     for step in range(cfg.nu):
         path_ids: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -362,6 +369,33 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
             (variables, instance.constraints, instance.objective):
         return None
     return system, cfg
+
+
+def assignment_of(system: DeductionSystem, cfg: EncodeConfig,
+                  guesses: Iterable[int]) -> dict[str, int]:
+    """The one assignment of ``encode(system, cfg)`` with guess layer ``guesses``.
+
+    State copy ``c`` of a proposition is its bit after ``c`` closure sweeps
+    from the guesses, and a path variable of step ``c`` is 1 exactly when
+    all its premises are known at copy ``c``.  The names come in the
+    encoding's variable order.
+    """
+    table = enumerate_paths(system)
+    plans = _fold_plans(table, cfg.mode)
+    rounds = sweeps(option_masks(system), mask_of(guesses), cfg.nu)
+    known = [rounds[min(c, len(rounds) - 1)] for c in range(cfg.nu + 1)]
+    n = system.n
+    values = {state_var_name(v, 0): known[0] >> v & 1 for v in range(n)}
+    for step in range(cfg.nu):
+        for v in range(n):
+            folded = plans[v]
+            for j, path in enumerate(table.row(v)):
+                if folded is None or j not in (0, folded):
+                    values[path_var_name(v, j + 1, step)] = int(all(
+                        known[step] >> p & 1 for p in path.premises))
+        for v in range(n):
+            values[state_var_name(v, step + 1)] = known[step + 1] >> v & 1
+    return values
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,28 @@
 
 The model (:class:`MilpInstance`) is a plain list of binary variables,
 integer-coefficient linear constraints and one linear objective.  The
-solver is branch-and-bound over chronological backtracking:
+solver is branch-and-bound in one of two forms, chosen by
+:func:`~dedmin.encoder.decode` alone:
 
-* integer bounds propagation to a fixpoint after every decision
-  (:func:`propagate` exposes the same engine on its own), with each
-  variable's rows listed per value it can take and each row scanned,
-  heaviest term first, only once its slack is below its heaviest weight;
-* branching on the initial-layer state variable occurring in the most
-  constraints, value 1 first;
-* incumbent pruning with the trivial objective bound (fixed contribution
-  plus the best case for everything unfixed);
-* a root heuristic, run only on instances that
-  :func:`~dedmin.encoder.decode` rebuilds exactly: in both senses one
-  seeded local search over guess sets of a fixed size, climbing their
-  coverage, the propositions that closure sweeps of the decoded rules know;
-  the incumbent it proposes is always re-checked against the raw
-  constraints before being trusted.
+* an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``
+  is searched over guess sets.  Fixing the guess layer of an encoding
+  forces every other variable to its closure value
+  (:func:`~dedmin.encoder.assignment_of`), so the search branches on the
+  guess layer only and scores each node by closure sweeps of the decoded
+  rules on bitmasks, pruning with the coverage of every guess still open.
+  A seeded local search over guess sets of a fixed size, climbing their
+  coverage, gives it its first incumbent, and the final incumbent's full
+  assignment is re-checked against the raw constraints;
+* any other instance is searched over its rows: integer bounds
+  propagation to a fixpoint after every decision (:func:`propagate`
+  exposes the same engine on its own), with each variable's rows listed
+  per value it can take and each row scanned, heaviest term first, only
+  once its slack is below its heaviest weight; branching on the
+  initial-layer state variable occurring in the most constraints, value 1
+  first; incumbent pruning with the trivial objective bound (fixed
+  contribution plus the best case for everything unfixed).
 
+Both forms branch in the same order and count one node per decision.
 All arithmetic is exact integer arithmetic; a reported optimum is the true
 optimum of the instance, and ``infeasible`` is only reported after the
 search space is exhausted.  Runs are deterministic given the same seed and
@@ -452,26 +457,24 @@ class _HeuristicStop(Exception):
     """Internal: eval or time budget of the root heuristic ran out."""
 
 
-def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
-                         deadline, score):
-    """Seeded local search for a strong feasible start; None when inapplicable.
+def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
+                         score):
+    """Seeded local search for a strong feasible start.
 
-    ``system`` and ``cfg`` are what :func:`~dedmin.encoder.decode` rebuilt
-    the instance from.  State copy ``c`` of a proposition is then known
-    exactly when ``c`` closure sweeps from the guess layer know it, so a
-    guess set is scored by its coverage: how many propositions ``nu`` sweeps
-    of the decoded rules know.  Both senses climb coverage over guess sets
-    of one fixed size: maximize at the axiom budget, minimize at one guess
-    fewer than its best full cover, until a size finds none.  The best
-    candidate is completed through the real propagation engine and
-    therefore satisfies the instance exactly.
+    Runs on an instance :func:`~dedmin.encoder.decode` rebuilt as
+    ``encode(system, cfg)``, where ``options`` are the system's option
+    masks.  State copy ``c`` of a proposition is then known exactly when
+    ``c`` closure sweeps from the guess layer know it, so a guess set is
+    scored by its coverage: how many propositions ``nu`` sweeps of the
+    decoded rules know.  Both senses climb coverage over guess sets of one
+    fixed size: maximize at the axiom budget, minimize at one guess fewer
+    than its best full cover, until a size finds none.  Returns the
+    objective and guess mask of the best selection, or None when the
+    budget ran out before the first evaluation.
     """
-    from .oracle import mask_of, option_masks, sweeps
+    from .oracle import mask_of, sweeps
 
-    n = system.n
-    options = option_masks(system)
     inputs = list(range(n))  # variable v is the guess-layer state of prop v
-    maximize = instance.sense == MAXIMIZE
 
     # evaluations: a fixed 5e7 divided by nu x rules, within [3000, 60000]
     tests_per_eval = max(1, cfg.nu * len(options.masks))
@@ -572,26 +575,9 @@ def _heuristic_incumbent(instance, engine, system, cfg, limits, stats,
         pass
 
     stats.heuristic_evals = evals
-    return _complete_selection(instance, engine, inputs, best_sel)
-
-
-def _complete_selection(instance, engine, inputs, selection):
-    """Push a candidate input layer through the real engine and verify it."""
-    if selection is None:
+    if best_sel is None:
         return None
-    mark = engine.mark()
-    ok = (all(engine.fix(v, 1 if v in selection else 0) for v in inputs)
-          and engine.propagate() is None
-          and all(val >= 0 for val in engine.val))
-    values = list(engine.val)
-    engine.undo_to(mark)
-    if not ok:
-        return None
-    assignment = {v.name: values[i] for i, v in enumerate(instance.variables)}
-    report = evaluate(instance, assignment)
-    if report.feasible:
-        return report.objective, values
-    return None
+    return (best_covered if maximize else len(best_sel)), mask_of(best_sel)
 
 
 # --------------------------------------------------------------------------
@@ -614,22 +600,138 @@ def _decision_order(instance: MilpInstance, score: list[int]) -> list[int]:
         -score[v], v))
 
 
+def _out_of_budget(limits: SolveLimits, stats: SolveStats,
+                   start: float) -> bool:
+    """True when no further decision may be taken; the clock is read every
+    64 decisions."""
+    return (limits.node_budget is not None
+            and stats.nodes >= limits.node_budget) or (
+            (stats.nodes & 63) == 0
+            and time.monotonic() - start > limits.time_budget)
+
+
 def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution:
     """Deterministic branch-and-bound; optima are exact, proofs complete.
 
     Returns ``optimal`` only when the search tree was exhausted within the
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
-    and ``infeasible`` only with a completed proof.
+    and ``infeasible`` only with a completed proof.  An instance that
+    :func:`~dedmin.encoder.decode` rebuilds is searched over guess sets,
+    any other one over rows.
     """
     from .encoder import decode  # local import; encoder imports milp
 
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
-    stats = SolveStats()
-    # decoded before the engine is built, so that the copy of the instance
+    # decoded before any engine is built, so that the copy of the instance
     # decode makes is freed before the engine's rows take their memory
     decoded = decode(instance)
+    if decoded is not None:
+        return _solve_encoding(instance, *decoded, limits, start)
+    return _solve_rows(instance, limits, start)
+
+
+def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
+    """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
+
+    The guess layer fixes every other variable to its closure value
+    (:func:`~dedmin.encoder.assignment_of`), so a node is a set of guesses
+    decided so far, evaluated by closure sweeps on bitmasks.  Decisions
+    follow the row search's order, most occurrences first, value 1 first.
+    With ``ones`` the guesses taken and ``rest`` those still undecided:
+
+    * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
+      once all of ``rest`` fits in the budget (then it takes them all);
+      it is pruned when the coverage of ``ones | rest`` is no better than
+      the incumbent;
+    * minimize: a node is a leaf once ``ones`` covers everything; it is
+      pruned when it has as many guesses as the incumbent, when one more
+      would reach that on a partial cover, or when ``ones | rest`` does
+      not cover everything.
+
+    Coverage is monotone in the guess set, so every pruned subtree holds
+    nothing better than the incumbent.  No engine is built, so
+    ``stats.propagations`` stays 0.
+    """
+    from .encoder import assignment_of
+    from .oracle import option_masks, sweeps
+
+    stats = SolveStats()
+    n, nu = system.n, cfg.nu
+    options = option_masks(system)
+    maximize = instance.sense == MAXIMIZE
+    score = _occurrences(instance)
+
+    # leave at least half the budget to the exact search
+    heuristic_start = time.monotonic()
+    incumbent = _heuristic_incumbent(
+        options, n, cfg, maximize, limits, stats,
+        start + limits.time_budget * 0.5, score)
+    stats.heuristic_time = time.monotonic() - heuristic_start
+    best_obj, best = incumbent if incumbent is not None else (None, None)
+
+    def coverage(guesses: int) -> int:
+        return sweeps(options, guesses, nu)[-1].bit_count()
+
+    # the guess layer's part of _decision_order: variable v is the
+    # guess-layer state of proposition v
+    order = sorted(range(n), key=lambda v: (-score[v], v))
+    # rest[i]: the guesses decided at position i of the order or later
+    rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest[i] = rest[i + 1] | 1 << order[i]
+    k = cfg.budget_k
+    search_start = time.monotonic()
+    status = OPTIMAL
+    stack = [(0, 0)]  # (position of the next decision, guesses taken)
+    while stack:
+        i, ones = stack.pop()
+        taken = ones.bit_count()
+        if maximize:
+            if taken == k or taken + n - i <= k:
+                leaf = ones if taken == k else ones | rest[i]
+                value = coverage(leaf)
+                if best_obj is None or value > best_obj:
+                    best_obj, best = value, leaf
+                continue
+            if best_obj is not None and coverage(ones | rest[i]) <= best_obj:
+                continue
+        else:
+            if best_obj is not None and taken >= best_obj:
+                continue
+            if coverage(ones) == n:
+                best_obj, best = taken, ones
+                continue
+            if best_obj is not None and taken + 1 >= best_obj:
+                continue
+            if coverage(ones | rest[i]) < n:
+                continue
+        if _out_of_budget(limits, stats, start):
+            status = TIME_LIMIT
+            break
+        stats.nodes += 1
+        stack.append((i + 1, ones))
+        stack.append((i + 1, ones | 1 << order[i]))
+    stats.search_time = time.monotonic() - search_start
+
+    if best is None:  # stopped before the first leaf
+        stats.wall_time = time.monotonic() - start
+        return Solution(status, None, None, stats)
+    assignment = assignment_of(system, cfg,
+                               (v for v in range(n) if best >> v & 1))
+    report = evaluate(instance, assignment)
+    if not report.feasible or report.objective != best_obj:
+        raise RuntimeError(
+            f"guess set scored {best_obj} but its encoding reads "
+            f"{report.objective} with {len(report.violations)} broken rows")
+    stats.wall_time = time.monotonic() - start
+    return Solution(status, assignment, best_obj, stats)
+
+
+def _solve_rows(instance, limits, start) -> Solution:
+    """Branch-and-bound over the rows, with propagation after each decision."""
+    stats = SolveStats()
     engine = _Engine(instance)
     maximize = instance.sense == MAXIMIZE
     obj_terms = list(instance.objective)
@@ -666,18 +768,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE, None, None, stats)
 
-    score = _occurrences(instance)
-    if decoded is not None:
-        # leave at least half the budget to the exact search
-        heuristic_start = time.monotonic()
-        deadline = start + limits.time_budget * 0.5
-        seeded = _heuristic_incumbent(instance, engine, *decoded, limits,
-                                      stats, deadline, score)
-        stats.heuristic_time = time.monotonic() - heuristic_start
-        if seeded is not None:
-            best_obj, best_values = seeded
-
-    order = _decision_order(instance, score)
+    order = _decision_order(instance, _occurrences(instance))
 
     def next_unfixed() -> int | None:
         val = engine.val
@@ -701,10 +792,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
                     best_obj, best_values = objective, values
                 # a leaf cannot be extended; fall through to backtrack
             else:
-                if (limits.node_budget is not None
-                        and stats.nodes >= limits.node_budget) or (
-                        (stats.nodes & 63) == 0
-                        and time.monotonic() - start > limits.time_budget):
+                if _out_of_budget(limits, stats, start):
                     status = TIME_LIMIT
                     break
                 stats.nodes += 1

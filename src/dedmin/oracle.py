@@ -224,7 +224,7 @@ def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
     instance or the solver is wrong, which is exactly what
     :class:`TraceMismatch` reports.
     """
-    from . import encoder  # local import; encoder does not import oracle
+    from . import encoder  # local import; encoder imports oracle
 
     if solution.assignment is None:
         raise TraceMismatch("solution carries no assignment")

@@ -1,11 +1,12 @@
-"""Shared test utilities: random systems, fixture loading, assignments."""
+"""Shared test utilities: random systems, fixture loading, instance
+wrappers and the reference kernels."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
-from dedmin import encoder, oracle
+from dedmin import encoder
 from dedmin.milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL,
                          MilpInstance)
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
@@ -100,38 +101,6 @@ def without_heuristic(instance: MilpInstance) -> MilpInstance:
     row = Constraint(((0, 1), (1, 1)), LESS_EQUAL, 2)
     return MilpInstance(instance.variables, instance.constraints + (row,),
                         instance.objective, instance.sense)
-
-
-def assignment_from_closure(system: DeductionSystem, cfg: encoder.EncodeConfig,
-                            guess) -> dict[str, int]:
-    """Full plain-mode assignment implied by a guess set.
-
-    States follow the per-round closure; a path variable is 1 exactly when
-    all its premises were known at its source step.
-    """
-    assert cfg.mode == encoder.PLAIN
-    table = encoder.enumerate_paths(system)
-    per_round = [{p for p in range(system.n) if known >> p & 1}
-                 for known in oracle.sweeps(oracle.option_masks(system),
-                                            oracle.mask_of(guess))]
-
-    def known_at(i: int) -> set[int]:
-        return per_round[min(i, len(per_round) - 1)]
-
-    values: dict[str, int] = {}
-    for copy in range(cfg.nu + 1):
-        known = known_at(copy)
-        for p in system.propositions:
-            values[encoder.state_var_name(p.index, copy)] = \
-                1 if p.index in known else 0
-    for step in range(cfg.nu):
-        known = known_at(step)
-        for p in system.propositions:
-            for j, path in enumerate(table.row(p.index)):
-                fired = all(q in known for q in path.premises)
-                values[encoder.path_var_name(p.index, j + 1, step)] = \
-                    1 if fired else 0
-    return values
 
 
 # The closure sweep as it was before later sweeps were limited to the rules

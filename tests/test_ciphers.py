@@ -204,3 +204,19 @@ def test_snow_rendered_document_shape():
     assert lines[1].startswith("props: ")
     assert len(lines[1].split()) == 43
     assert len(lines) == 2 + 37
+
+
+@pytest.mark.parametrize("T", range(2, 16))
+def test_rendered_rules_keep_their_positions(T):
+    # a generated system and its .rules text must encode to one instance
+    from dedmin import dsl
+    cfg = encoder.EncodeConfig(nu=2, budget_k=2)
+    for system in (ciphers.build_snow2(T), ciphers.build_snow2_raw(T),
+                   ciphers.build_enocoro(T)):
+        again = dsl.parse_system(dsl.render_system(system))
+        assert again.symmetric_rules == system.symmetric_rules
+        assert again.directed_rules == system.directed_rules
+        built = encoder.encode(preprocess.expand_rules(system), cfg)
+        parsed = encoder.encode(preprocess.expand_rules(again), cfg)
+        assert (parsed.variables, parsed.constraints, parsed.objective) == \
+            (built.variables, built.constraints, built.objective)

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, cli, encoder, lpio, milp, preprocess
 from dedmin.milp import Constraint, MilpInstance
-from helpers import (assignment_from_closure, random_system, with_full_cover,
-                     without_heuristic)
+from helpers import random_system, with_full_cover, without_heuristic
 
 TOY = Path(__file__).parent / "data" / "toy.rules"
 
@@ -74,7 +73,7 @@ def test_long_objective_wraps_and_parses():
 def test_read_solution_accepts_closure_assignment(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=encoder.PLAIN)
     instance = encoder.encode(toy, cfg)
-    assignment = assignment_from_closure(toy, cfg, [toy.index_of("p2")])
+    assignment = encoder.assignment_of(toy, cfg, [toy.index_of("p2")])
     solution = lpio.read_solution(json.dumps(assignment), instance)
     assert solution.objective == 4
     assert solution.status == milp.FEASIBLE

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dedmin import ciphers, encoder, milp, oracle, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
-from helpers import (ReferenceEngine, assignment_from_closure, random_system,
-                     reference_sweeps, with_full_cover, without_heuristic)
+from helpers import (ReferenceEngine, random_system, reference_sweeps,
+                     with_full_cover, without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -149,13 +149,15 @@ def test_evaluate_all_zero_is_feasible(toy):
 
 def test_evaluate_closure_built_snow_solution():
     system = preprocess.expand_rules(ciphers.build_snow2(13))
-    cfg = encoder.EncodeConfig(nu=12, budget_k=9, mode=encoder.PLAIN)
-    instance = encoder.encode(system, cfg)
     guess = [system.index_of(f"R_{i}") for i in range(4, 13)]
-    assignment = assignment_from_closure(system, cfg, guess)
-    report = evaluate(instance, assignment)
-    assert report.feasible
-    assert report.objective == 42
+    for mode in (encoder.PLAIN, encoder.COMPACT):
+        cfg = encoder.EncodeConfig(nu=12, budget_k=9, mode=mode)
+        instance = encoder.encode(system, cfg)
+        assignment = encoder.assignment_of(system, cfg, guess)
+        assert list(assignment) == [v.name for v in instance.variables]
+        report = evaluate(instance, assignment)
+        assert report.feasible
+        assert report.objective == 42
 
 
 def test_evaluate_requires_full_assignment(toy):
@@ -361,6 +363,8 @@ def solve_both(instance, limits, monkeypatch):
 
 
 def test_solve_agrees_with_reference_engine(monkeypatch):
+    # an encoding is searched over guess sets, without an engine, so only
+    # the without_heuristic instances below reach _Engine
     rng = random.Random(23)
     for _ in range(12):
         system = preprocess.expand_rules(random_system(rng, max_n=8, max_m=12))
@@ -425,3 +429,108 @@ def test_snow_solve_agrees_with_reference_sweeps(seed, monkeypatch):
     solve_with_both_sweeps(instance, SolveLimits(time_budget=1e9,
                                                  node_budget=1000, seed=seed),
                            monkeypatch)
+
+
+# --- the guess-set search of encodings --------------------------------------
+
+def random_encodings(rng, count, max_n, random_nu):
+    """``(system, cfg, instance)`` over plain/compact x max/min."""
+    for _ in range(count):
+        system = preprocess.expand_rules(random_system(rng, max_n=max_n,
+                                                       max_m=12))
+        for mode, sense in product((encoder.PLAIN, encoder.COMPACT),
+                                   (encoder.MAX_COVERAGE, encoder.MIN_GUESSES)):
+            nu = (rng.randint(1, system.n) if random_nu
+                  else encoder.default_nu(system))
+            budget = (rng.randint(0, system.n)
+                      if sense == encoder.MAX_COVERAGE else 0)
+            cfg = encoder.EncodeConfig(nu, budget, mode, sense)
+            yield system, cfg, encoder.encode(system, cfg)
+
+
+def test_guess_layer_forces_the_closure_assignment():
+    # the fact the guess-set search rests on: once the guess layer is
+    # fixed, the rows force every other variable to its closure value, or
+    # conflict exactly when the guesses break the budget or the coverage
+    rng = random.Random(41)
+    for system, cfg, instance in random_encodings(rng, 10, 7, True):
+        options = oracle.option_masks(system)
+        n = system.n
+        for mask in range(1 << n):
+            guesses = [v for v in range(n) if mask >> v & 1]
+            layer = {encoder.state_var_name(v, 0): mask >> v & 1
+                     for v in range(n)}
+            result = propagate(instance, layer)
+            if cfg.sense == encoder.MAX_COVERAGE:
+                broken = len(guesses) > cfg.budget_k
+            else:
+                broken = oracle.sweeps(options, mask, cfg.nu)[-1] != \
+                    (1 << n) - 1
+            assert (result.status == milp.CONFLICT) == broken
+            if not broken:
+                assert {**layer, **result.fixed} == \
+                    encoder.assignment_of(system, cfg, guesses)
+
+
+def exhaustive_coverage(system, cfg):
+    """The most propositions ``nu`` sweeps from at most ``k`` guesses know."""
+    options = oracle.option_masks(system)
+    return max(oracle.sweeps(options, oracle.mask_of(guess),
+                             cfg.nu)[-1].bit_count()
+               for size in range(cfg.budget_k + 1)
+               for guess in combinations(range(system.n), size))
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_guess_search_agrees_with_references(heuristic, monkeypatch):
+    # without the heuristic's incumbent the search alone finds the optimum
+    if not heuristic:
+        monkeypatch.setattr(milp, "_heuristic_incumbent",
+                            lambda *args: None)
+    rng = random.Random(43)
+    for random_nu in (False, True):
+        for system, cfg, instance in random_encodings(rng, 8, 8, random_nu):
+            solution = solve(instance)
+            assert solution.status == milp.OPTIMAL
+            assert solution.stats.propagations == 0
+            guesses = [v for v in range(system.n) if solution.assignment[
+                encoder.state_var_name(v, 0)]]
+            assert solution.assignment == \
+                encoder.assignment_of(system, cfg, guesses)
+            assert evaluate(instance, solution.assignment).objective == \
+                solution.objective
+            rows = solve(without_heuristic(instance))
+            assert (rows.status, rows.objective) == \
+                (solution.status, solution.objective)
+            if cfg.sense == encoder.MAX_COVERAGE:
+                assert solution.objective == exhaustive_coverage(system, cfg)
+            elif not random_nu:
+                assert solution.objective == \
+                    oracle.brute_force_min(system).k_min
+
+
+def test_guess_search_stops_at_its_node_budget(monkeypatch):
+    monkeypatch.setattr(milp, "_heuristic_incumbent", lambda *args: None)
+    rng = random.Random(47)
+    for system, cfg, instance in random_encodings(rng, 6, 8, False):
+        full = solve(instance)
+        for budget in range(full.stats.nodes):
+            stopped = solve(instance, SolveLimits(node_budget=budget))
+            assert stopped.status == milp.TIME_LIMIT
+            assert stopped.stats.nodes == budget
+            if stopped.assignment is not None:
+                assert evaluate(instance, stopped.assignment).feasible
+        again = solve(instance, SolveLimits(node_budget=full.stats.nodes))
+        assert (again.status, again.objective) == (milp.OPTIMAL,
+                                                   full.objective)
+
+
+def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
+                                                               monkeypatch):
+    # the final incumbent is checked against the rows: a failed check is
+    # an error, never an answer
+    instance = encoder.encode(toy, encoder.EncodeConfig(nu=4, budget_k=1))
+    monkeypatch.setattr(encoder, "assignment_of", lambda system, cfg, guesses:
+                        {v.name: 0 for v in instance.variables})
+    with pytest.raises(RuntimeError, match="broken rows"):
+        solve(instance)
