@@ -192,9 +192,10 @@ def _solve_report(system, solution, trace) -> str:
 
     Its fields: ``status``; ``objective``; ``nodes``, the branch-and-bound
     decisions; ``nodes/s``, from the search time; ``propagations``, the
-    fixings of the row engine, which is 0 when the instance is an encoding
-    and is searched over guess sets; ``heuristic``, the seconds of the root
-    heuristic; ``wall``; then the guesses and the deduction trace.
+    fixings of the row engine, which is 0 when the instance is searched
+    over guess sets (an encoding, or one plus its full-cover row);
+    ``heuristic``, the seconds of the root heuristic; ``wall``; then the
+    guesses and the deduction trace.
     """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats

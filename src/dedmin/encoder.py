@@ -34,15 +34,17 @@ the same optima.
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
 initial layer subject to full final coverage.  :func:`decode` inverts
-:func:`encode` exactly, :func:`assignment_of` is the one assignment an
-encoding admits for a given guess layer, and this module owns the variable
-naming contract.
+:func:`encode` exactly, :func:`decode_full_cover` does the same for a
+max-sense encoding plus a row demanding full final coverage,
+:func:`assignment_of` is the one assignment an encoding admits for a given
+guess layer, and this module owns the variable naming contract.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .core import DeductionSystem, DirectedRule, require_valid
@@ -201,6 +203,8 @@ def _fold_plans(table: PathTable, mode: str) -> list[int | None]:
 
 
 class _Builder:
+    """Collects what :func:`_emit` emits into a new instance."""
+
     def __init__(self):
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
@@ -213,12 +217,50 @@ class _Builder:
         self.constraints.append(Constraint(tuple(terms), rel, rhs))
 
 
-def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
-    """Build the unrolled instance; deterministic down to variable order."""
+class _Mismatch(Exception):
+    """Internal: an emitted variable or row differs from the instance's."""
+
+
+class _Checker:
+    """Compares what :func:`_emit` emits with the first ``rows`` rows and
+    the variables of an instance, one at a time, and raises
+    :class:`_Mismatch` at the first difference."""
+
+    def __init__(self, instance: MilpInstance, rows: int):
+        self.variables = instance.variables
+        self.constraints = instance.constraints
+        self.rows = rows
+        self.nvars = 0
+        self.nrows = 0
+
+    def add_var(self, variable: Variable) -> int:
+        i = self.nvars
+        if i == len(self.variables) or self.variables[i] != variable:
+            raise _Mismatch
+        self.nvars = i + 1
+        return i
+
+    def add(self, terms: Iterable[tuple[int, int]], rel: str, rhs: int) -> None:
+        i = self.nrows
+        if i == self.rows:
+            raise _Mismatch
+        c = self.constraints[i]
+        if c.rhs != rhs or c.rel != rel or c.terms != tuple(terms):
+            raise _Mismatch
+        self.nrows = i + 1
+
+    @property
+    def complete(self) -> bool:
+        return self.nvars == len(self.variables) and self.nrows == self.rows
+
+
+def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
+          ) -> tuple[tuple[tuple[int, int], ...], str]:
+    """Emit the variables and rows of the unrolled instance into ``b``, in
+    order; returns its objective and sense."""
     table = enumerate_paths(system)  # validates the system
     cfg.check(system.n)
     n = system.n
-    b = _Builder()
 
     state_ids = [[-1] * n for _ in range(cfg.nu + 1)]
     for v in range(n):
@@ -296,7 +338,23 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
         objective = tuple((state_ids[0][v], 1) for v in range(n))
         sense = MINIMIZE
 
+    return objective, sense
+
+
+def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
+    """Build the unrolled instance; deterministic down to variable order."""
+    b = _Builder()
+    objective, sense = _emit(system, cfg, b)
     return MilpInstance(b.variables, b.constraints, objective, sense)
+
+
+def _guess_layer_size(variables: tuple[Variable, ...]) -> int:
+    """How many leading variables are the guess layer ``x0_c0, x1_c0, ...``."""
+    n = 0
+    while n < len(variables) and \
+            variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
+        n += 1
+    return n
 
 
 def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | None:
@@ -304,21 +362,48 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
 
     Reads ``n``, ``nu``, the sense and the budget from the variables and
     the last row, and each proposition's paths from the rows of the first
-    unrolling step.  Returns None unless encoding the result reproduces
-    the instance's variables, rows and objective exactly.  Encodings keep
-    no proposition names, so the rebuilt ones are ``p0``, ``p1``, ...
+    unrolling step.  Returns None unless the encoding of the result, as it
+    is emitted, matches the instance's variables, rows and objective
+    exactly; no second instance is built.  Encodings keep no proposition
+    names, so the rebuilt ones are ``p0``, ``p1``, ...
+    """
+    return _decode(instance, len(instance.constraints))
+
+
+def decode_full_cover(instance: MilpInstance
+                      ) -> tuple[DeductionSystem, EncodeConfig] | None:
+    """:func:`decode` of ``instance`` less its last row, when that row is
+    ``sum x{p}_c{nu} >= n`` over every proposition and the rows before it
+    are a max-sense encoding.
+
+    With that row the instance asks whether ``budget_k`` guesses cover
+    every proposition; it is no encoding itself, so :func:`decode` rejects
+    it.
     """
     variables = instance.variables
-    n = 0
-    while n < len(variables) and \
-            variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
-        n += 1
-    if n == 0 or not instance.constraints or not variables[-1].copy:
+    n = _guess_layer_size(variables)
+    if n == 0 or instance.sense != MAXIMIZE or not instance.constraints:
+        return None
+    last = instance.constraints[-1]
+    first = len(variables) - n  # the state copies of the last step
+    if last.rel != GREATER_EQUAL or last.rhs != n or \
+            last.terms != tuple((first + p, 1) for p in range(n)):
+        return None
+    return _decode(instance, len(instance.constraints) - 1)
+
+
+def _decode(instance: MilpInstance,
+            rows: int) -> tuple[DeductionSystem, EncodeConfig] | None:
+    """:func:`decode` of the instance's variables, objective and first
+    ``rows`` rows."""
+    variables = instance.variables
+    n = _guess_layer_size(variables)
+    if n == 0 or rows == 0 or not variables[-1].copy:
         return None
     # the last row is the budget (max) or the last proposition's coverage
-    # (min); checking its shape first spares a re-encode of most instances
+    # (min); checking its shape first spares an emission for most instances
     # that are not encodings, such as one with an extra row appended
-    last = instance.constraints[-1]
+    last = instance.constraints[rows - 1]
     maximize = instance.sense == MAXIMIZE
     if maximize:
         shaped = (last.rel == LESS_EQUAL
@@ -331,7 +416,7 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
         return None
     paths: dict[tuple, tuple[int, ...]] = {}  # (prop, path number) -> premises
     compact = False
-    for c in instance.constraints:
+    for c in islice(instance.constraints, rows):
         if not c.terms:
             return None
         lead, coef = variables[c.terms[0][0]], c.terms[0][1]
@@ -359,14 +444,14 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
     cfg = EncodeConfig(variables[-1].copy, last.rhs if maximize else 0,
                        COMPACT if compact else PLAIN,
                        MAX_COVERAGE if maximize else MIN_GUESSES)
+    checker = _Checker(instance, rows)
     try:
         system = DeductionSystem.from_names(
             [f"p{i}" for i in range(n)], directed_rules=rules)
-        again = encode(system, cfg)
-    except ValueError:
+        objective, _ = _emit(system, cfg, checker)
+    except (_Mismatch, ValueError):
         return None
-    if (again.variables, again.constraints, again.objective) != \
-            (variables, instance.constraints, instance.objective):
+    if not checker.complete or objective != instance.objective:
         return None
     return system, cfg
 

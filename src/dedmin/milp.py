@@ -3,7 +3,7 @@
 The model (:class:`MilpInstance`) is a plain list of binary variables,
 integer-coefficient linear constraints and one linear objective.  The
 solver is branch-and-bound in one of two forms, chosen by
-:func:`~dedmin.encoder.decode` alone:
+:func:`~dedmin.encoder.decode` and :func:`~dedmin.encoder.decode_full_cover`:
 
 * an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``
   is searched over guess sets.  Fixing the guess layer of an encoding
@@ -14,6 +14,10 @@ solver is branch-and-bound in one of two forms, chosen by
   A seeded local search over guess sets of a fixed size, climbing their
   coverage, gives it its first incumbent, and the final incumbent's full
   assignment is re-checked against the raw constraints;
+* so is an instance that ``decode_full_cover`` reads as a max-sense
+  encoding plus a last row demanding every proposition at the last step,
+  as the question whether ``budget_k`` guesses cover everything: a
+  size-limited search for one cover, with no root heuristic;
 * any other instance is searched over its rows: integer bounds
   propagation to a fixpoint after every decision (:func:`propagate`
   exposes the same engine on its own), with each variable's rows listed
@@ -616,23 +620,26 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     Returns ``optimal`` only when the search tree was exhausted within the
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
     and ``infeasible`` only with a completed proof.  An instance that
-    :func:`~dedmin.encoder.decode` rebuilds is searched over guess sets,
-    any other one over rows.
+    :func:`~dedmin.encoder.decode` or
+    :func:`~dedmin.encoder.decode_full_cover` rebuilds is searched over
+    guess sets, any other one over rows.
     """
-    from .encoder import decode  # local import; encoder imports milp
+    from .encoder import decode, decode_full_cover  # encoder imports milp
 
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
-    # decoded before any engine is built, so that the copy of the instance
-    # decode makes is freed before the engine's rows take their memory
-    decoded = decode(instance)
+    decoded, full_cover = decode(instance), False
+    if decoded is None:
+        decoded = decode_full_cover(instance)
+        full_cover = decoded is not None
     if decoded is not None:
-        return _solve_encoding(instance, *decoded, limits, start)
+        return _solve_encoding(instance, *decoded, full_cover, limits, start)
     return _solve_rows(instance, limits, start)
 
 
-def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
+def _solve_encoding(instance, system, cfg, full_cover, limits,
+                    start) -> Solution:
     """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
 
     The guess layer fixes every other variable to its closure value
@@ -648,11 +655,19 @@ def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
     * minimize: a node is a leaf once ``ones`` covers everything; it is
       pruned when it has as many guesses as the incumbent, when one more
       would reach that on a partial cover, or when ``ones | rest`` does
-      not cover everything.
+      not cover everything;
+    * full cover (``instance`` is the max-sense encoding plus its row
+      demanding every proposition, see
+      :func:`~dedmin.encoder.decode_full_cover`): the minimize search with
+      ``budget_k + 1`` as its bound instead of an incumbent, stopped at
+      the first cover, which is optimal with objective ``n``; ``infeasible``
+      once the tree is exhausted without one.
 
-    Coverage is monotone in the guess set, so every pruned subtree holds
-    nothing better than the incumbent.  No engine is built, so
-    ``stats.propagations`` stays 0.
+    Minimize and full cover start with every proposition no option
+    concludes already guessed, since every cover holds it.  Coverage is
+    monotone in the guess set, so every pruned subtree holds nothing
+    better than the incumbent.  Full cover runs no root heuristic, and no
+    engine is built, so ``stats.propagations`` stays 0.
     """
     from .encoder import assignment_of
     from .oracle import option_masks, sweeps
@@ -660,36 +675,50 @@ def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
     stats = SolveStats()
     n, nu = system.n, cfg.nu
     options = option_masks(system)
-    maximize = instance.sense == MAXIMIZE
+    maximize = instance.sense == MAXIMIZE and not full_cover
     score = _occurrences(instance)
 
-    # leave at least half the budget to the exact search
-    heuristic_start = time.monotonic()
-    incumbent = _heuristic_incumbent(
-        options, n, cfg, maximize, limits, stats,
-        start + limits.time_budget * 0.5, score)
-    stats.heuristic_time = time.monotonic() - heuristic_start
-    best_obj, best = incumbent if incumbent is not None else (None, None)
+    if full_cover:
+        # a size limit, not an incumbent: any cover within it answers
+        best_obj, best = cfg.budget_k + 1, None
+    else:
+        # leave at least half the budget to the exact search
+        heuristic_start = time.monotonic()
+        incumbent = _heuristic_incumbent(
+            options, n, cfg, maximize, limits, stats,
+            start + limits.time_budget * 0.5, score)
+        stats.heuristic_time = time.monotonic() - heuristic_start
+        best_obj, best = incumbent if incumbent is not None else (None, None)
 
     def coverage(guesses: int) -> int:
         return sweeps(options, guesses, nu)[-1].bit_count()
 
+    # every cover guesses the propositions no option concludes, so the
+    # minimize and full-cover searches start with them guessed
+    forced = 0
+    if not maximize:
+        concluded = 0
+        for _, cbit in options.masks:
+            concluded |= cbit
+        forced = ((1 << n) - 1) & ~concluded
     # the guess layer's part of _decision_order: variable v is the
     # guess-layer state of proposition v
-    order = sorted(range(n), key=lambda v: (-score[v], v))
+    order = sorted((v for v in range(n) if not forced >> v & 1),
+                   key=lambda v: (-score[v], v))
+    m = len(order)
     # rest[i]: the guesses decided at position i of the order or later
-    rest = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
+    rest = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
         rest[i] = rest[i + 1] | 1 << order[i]
     k = cfg.budget_k
     search_start = time.monotonic()
     status = OPTIMAL
-    stack = [(0, 0)]  # (position of the next decision, guesses taken)
+    stack = [(0, forced)]  # (position of the next decision, guesses taken)
     while stack:
         i, ones = stack.pop()
         taken = ones.bit_count()
         if maximize:
-            if taken == k or taken + n - i <= k:
+            if taken == k or taken + m - i <= k:
                 leaf = ones if taken == k else ones | rest[i]
                 value = coverage(leaf)
                 if best_obj is None or value > best_obj:
@@ -701,7 +730,11 @@ def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
             if best_obj is not None and taken >= best_obj:
                 continue
             if coverage(ones) == n:
-                best_obj, best = taken, ones
+                best = ones
+                if full_cover:
+                    best_obj = n  # the instance's objective: all covered
+                    break
+                best_obj = taken
                 continue
             if best_obj is not None and taken + 1 >= best_obj:
                 continue
@@ -715,9 +748,10 @@ def _solve_encoding(instance, system, cfg, limits, start) -> Solution:
         stack.append((i + 1, ones | 1 << order[i]))
     stats.search_time = time.monotonic() - search_start
 
-    if best is None:  # stopped before the first leaf
+    if best is None:  # stopped before the first leaf, or no cover exists
         stats.wall_time = time.monotonic() - start
-        return Solution(status, None, None, stats)
+        return Solution(INFEASIBLE if status == OPTIMAL else status, None,
+                        None, stats)
     assignment = assignment_of(system, cfg,
                                (v for v in range(n) if best >> v & 1))
     report = evaluate(instance, assignment)

@@ -20,10 +20,9 @@ import pytest
 
 from dedmin import ciphers, dsl, encoder, lpio, milp, oracle, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from dedmin.milp import Constraint, MilpInstance
 from helpers import (PAPER_ENOCORO_GUESS, PAPER_SNOW_GUESS, load_course,
                      load_paths_fixture, path_table_as_name_sets,
-                     random_system)
+                     random_system, with_full_cover)
 
 STRETCH_BUDGET = float(os.environ.get("DEDMIN_STRETCH_BUDGET", "20"))
 
@@ -206,13 +205,7 @@ def test_criterion_3_snow_reproduction(snow):
 
 def test_criterion_4_snow_k8_refutation(snow):
     cfg = encoder.EncodeConfig(nu=12, budget_k=8, mode=encoder.COMPACT)
-    base = encoder.encode(snow, cfg)
-    full_cover = Constraint(
-        tuple((base.index_of(encoder.state_var_name(v, 12)), 1)
-              for v in range(42)), ">=", 42)
-    instance = MilpInstance(base.variables,
-                            tuple(base.constraints) + (full_cover,),
-                            base.objective, base.sense)
+    instance = with_full_cover(encoder.encode(snow, cfg), snow.n, cfg.nu)
     solution = milp.solve(instance, milp.SolveLimits(time_budget=STRETCH_BUDGET))
     if solution.status == milp.TIME_LIMIT:
         pytest.skip(f"refutation incomplete within {STRETCH_BUDGET:.0f}s "

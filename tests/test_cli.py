@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dedmin import cli, dsl, encoder, lpio, preprocess
+from helpers import with_full_cover
 
 DATA = Path(__file__).parent / "data"
 TOY = DATA / "toy.rules"
@@ -131,6 +132,26 @@ def test_solve_infeasible_exit_2(tmp_path):
     out = run_cli("solve", str(lp), "--json")
     assert out.returncode == 2
     assert json.loads(out.stdout)["status"] == "infeasible"
+
+
+def test_solve_full_cover_lp_exits_by_its_budget(toy, tmp_path):
+    # the toy encoding plus the row demanding every proposition at the last
+    # step: one guess (p2) covers everything, no guess covers nothing
+    for k, code, status in ((1, 0, "optimal"), (0, 2, "infeasible")):
+        cfg = encoder.EncodeConfig(nu=4, budget_k=k)
+        lp = tmp_path / f"cover{k}.lp"
+        lp.write_text(lpio.write_lp(with_full_cover(
+            encoder.encode(toy, cfg), toy.n, cfg.nu)))
+        sol = tmp_path / f"cover{k}.json"
+        out = run_cli("solve", str(lp), "--json", "-o", str(sol))
+        assert out.returncode == code, out.stderr
+        payload = json.loads(sol.read_text())
+        assert payload["status"] == status
+        assert payload["stats"]["propagations"] == 0
+    traced = run_cli("trace", str(TOY), "--solution",
+                     str(tmp_path / "cover1.json"))
+    assert traced.returncode == 0
+    assert "| p2 | r1 | p1 |" in traced.stdout
 
 
 def test_time_limit_exit_3():

@@ -349,11 +349,12 @@ def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
     refute = with_full_cover(instance, toy.n, cfg.nu)
     with monkeypatch.context() as patched:
         # the full-cover row breaks the last row's shape, which decode
-        # checks before it spends a re-encode on the instance
-        def no_encode(*args):
-            raise AssertionError("decode re-encoded a non-encoding")
+        # checks before it emits an encoding to compare with the instance
+        def no_emit(*args):
+            raise AssertionError("decode emitted for a non-encoding")
 
-        patched.setattr(encoder, "encode", no_encode)
+        patched.setattr(encoder, "encode", no_emit)
+        patched.setattr(encoder, "_emit", no_emit)
         assert encoder.decode(refute) is None
     dropped = milp.MilpInstance(instance.variables, instance.constraints[1:],
                                 instance.objective, instance.sense)
@@ -364,3 +365,29 @@ def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
     assert encoder.decode(hand_built) is None
     assert encoder.decode(milp.MilpInstance([], [], [])) is None
 
+
+def test_decode_full_cover_reads_an_encoding_plus_its_full_cover_row(toy):
+    for mode in (encoder.PLAIN, encoder.COMPACT):
+        cfg = encoder.EncodeConfig(nu=3, budget_k=2, mode=mode)
+        instance = encoder.encode(toy, cfg)
+        refute = with_full_cover(instance, toy.n, cfg.nu)
+        assert encoder.decode_full_cover(refute) == encoder.decode(instance)
+        assert encoder.decode_full_cover(instance) is None
+        row = refute.constraints[-1]
+        for changed in (
+                milp.Constraint(row.terms, milp.GREATER_EQUAL, toy.n - 1),
+                milp.Constraint(row.terms[1:], milp.GREATER_EQUAL, toy.n),
+                milp.Constraint(row.terms, milp.EQUAL, toy.n)):
+            wrong = milp.MilpInstance(instance.variables,
+                                      instance.constraints + (changed,),
+                                      instance.objective, instance.sense)
+            assert encoder.decode_full_cover(wrong) is None
+        # only a max-sense encoding takes the row
+        minimize = encoder.encode(toy, encoder.EncodeConfig(
+            nu=3, mode=mode, sense=encoder.MIN_GUESSES))
+        assert encoder.decode_full_cover(
+            with_full_cover(minimize, toy.n, 3)) is None
+        # the rows before it must be an encoding
+        dropped = milp.MilpInstance(refute.variables, refute.constraints[1:],
+                                    refute.objective, refute.sense)
+        assert encoder.decode_full_cover(dropped) is None

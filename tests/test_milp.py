@@ -381,11 +381,13 @@ def test_solve_agrees_with_reference_engine(monkeypatch):
 
 def test_refutation_search_agrees_with_reference_engine(monkeypatch):
     # SNOW k=8 with the row demanding every proposition at the last step:
-    # the conflict-heavy search of acceptance criterion 4
+    # the conflict-heavy search of acceptance criterion 4, kept on the row
+    # engine by one more row
     system = preprocess.expand_rules(ciphers.build_snow2(13))
     cfg = encoder.EncodeConfig(nu=12, budget_k=8, mode=encoder.COMPACT)
     refute = with_full_cover(encoder.encode(system, cfg), system.n, cfg.nu)
-    solution = solve_both(refute, SolveLimits(time_budget=1e9, node_budget=50),
+    solution = solve_both(without_heuristic(refute),
+                          SolveLimits(time_budget=1e9, node_budget=50),
                           monkeypatch)
     assert solution.status == milp.TIME_LIMIT
     assert solution.stats.nodes == 50
@@ -534,3 +536,51 @@ def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
                         {v.name: 0 for v in instance.variables})
     with pytest.raises(RuntimeError, match="broken rows"):
         solve(instance)
+
+
+# --- the full-cover search --------------------------------------------------
+
+def test_full_cover_search_agrees_with_references():
+    # an encoding plus its full-cover row is searched over guess sets: it
+    # has a cover within the budget exactly when brute force says so
+    rng = random.Random(53)
+    for _ in range(15):
+        system = preprocess.expand_rules(random_system(rng, max_n=7,
+                                                       max_m=12))
+        k_min = oracle.brute_force_min(system).k_min
+        for mode in (encoder.PLAIN, encoder.COMPACT):
+            for budget in range(system.n + 1):
+                cfg = encoder.EncodeConfig(encoder.default_nu(system), budget,
+                                           mode)
+                instance = with_full_cover(encoder.encode(system, cfg),
+                                           system.n, cfg.nu)
+                solution = solve(instance)
+                rows = solve(without_heuristic(instance))
+                assert (solution.status, solution.objective) == \
+                    (rows.status, rows.objective)
+                assert solution.stats.propagations == 0
+                if budget < k_min:
+                    assert solution.status == milp.INFEASIBLE
+                    assert solution.assignment is None
+                    continue
+                assert (solution.status, solution.objective) == \
+                    (milp.OPTIMAL, system.n)
+                guesses = [v for v in range(system.n) if solution.assignment[
+                    encoder.state_var_name(v, 0)]]
+                assert len(guesses) <= budget
+                assert oracle.covers_all(system, guesses)
+                assert evaluate(instance, solution.assignment).feasible
+
+
+def test_full_cover_search_builds_no_row_engine(monkeypatch):
+    def no_engine(instance):
+        raise AssertionError("the full-cover search built a row engine")
+
+    monkeypatch.setattr(milp, "_Engine", no_engine)
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    cfg = encoder.EncodeConfig(nu=12, budget_k=8, mode=encoder.COMPACT)
+    refute = with_full_cover(encoder.encode(system, cfg), system.n, cfg.nu)
+    solution = solve(refute, SolveLimits(time_budget=1e9, node_budget=1000))
+    assert (solution.status, solution.assignment) == (milp.TIME_LIMIT, None)
+    assert solution.stats.nodes == 1000
+    assert solution.stats.heuristic_evals == 0
