@@ -107,6 +107,11 @@ def _resolve_guess(system: DeductionSystem, spec: str) -> list[int]:
 
 
 def _limits(args) -> milp.SolveLimits:
+    """The solver limits of ``args``; a negative or NaN one is a usage error."""
+    if not args.time_limit >= 0:  # also catches NaN
+        raise CliError(f"--time-limit must be >= 0, not {args.time_limit}")
+    if args.node_limit is not None and args.node_limit < 0:
+        raise CliError(f"--node-limit must be >= 0, not {args.node_limit}")
     return milp.SolveLimits(time_budget=args.time_limit,
                             node_budget=args.node_limit, seed=args.seed)
 
@@ -152,9 +157,10 @@ def _solution_exit(solution: milp.Solution) -> int:
 
 
 def _cmd_solve(args) -> int:
+    limits = _limits(args)
     if args.input not in ("snow2", "enocoro") and args.input.endswith(".lp"):
         instance = lpio.read_lp(_read_input(args.input))
-        solution = milp.solve(instance, _limits(args))
+        solution = milp.solve(instance, limits)
         if args.json:
             _write_output(args, solution.to_json_text())
         else:
@@ -164,7 +170,7 @@ def _cmd_solve(args) -> int:
     system = preprocess.expand_rules(_load_system(args))
     cfg = _encode_config(system, args)
     instance = encoder.encode(system, cfg)
-    solution = milp.solve(instance, _limits(args))
+    solution = milp.solve(instance, limits)
     trace = None
     if solution.assignment is not None:
         trace = oracle.extract_trace(system, solution, cfg)
@@ -194,16 +200,21 @@ def _solve_report(system, solution, trace) -> str:
     decisions; ``nodes/s``, from the search time; ``propagations``, the
     fixings of the row engine, which is 0 when the instance is searched
     over guess sets (an encoding, or one plus its full-cover row);
-    ``heuristic``, the seconds of the root heuristic; ``wall``; then the
-    guesses and the deduction trace.
+    ``heuristic``, the seconds of the root heuristic; ``evals``, its
+    closure evaluations; ``evals/s``, from the heuristic's seconds, ``-``
+    when no heuristic ran; ``wall``; then the guesses and the deduction
+    trace.
     """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats
     rate = (f"{stats.nodes / stats.search_time:.0f}" if stats.search_time > 0
             else "-")
+    eval_rate = (f"{stats.heuristic_evals / stats.heuristic_time:.0f}"
+                 if stats.heuristic_time > 0 else "-")
     lines.append(f"nodes: {stats.nodes}  nodes/s: {rate}  "
                  f"propagations: {stats.propagations}  "
                  f"heuristic: {stats.heuristic_time:.3f}s  "
+                 f"evals: {stats.heuristic_evals}  evals/s: {eval_rate}  "
                  f"wall: {stats.wall_time:.3f}s")
     if system is not None and solution.assignment is not None:
         guess = _guess_names(system, solution)
@@ -261,6 +272,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    limits = _limits(args)
+    if args.max_k is not None and args.max_k < 0:
+        raise CliError(f"--max-k must be >= 0, not {args.max_k}")
     system = preprocess.expand_rules(_load_system(args))
     if args.brute:
         found = oracle.brute_force_min(
@@ -285,7 +299,7 @@ def _cmd_minimize(args) -> int:
     cfg = encoder.EncodeConfig(nu=nu, budget_k=0, mode=args.mode,
                                sense=encoder.MIN_GUESSES)
     instance = encoder.encode(system, cfg)
-    solution = milp.solve(instance, _limits(args))
+    solution = milp.solve(instance, limits)
     witness = _guess_names(system, solution)
     if args.json:
         payload = {"status": solution.status, "k_min": solution.objective,

@@ -475,6 +475,14 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     than its best full cover, until a size finds none.  Returns the
     objective and guess mask of the best selection, or None when the
     budget ran out before the first evaluation.
+
+    Nearly every evaluation adds one guess to a set the search holds
+    still: the climb tries ``(sel - {out}) | {inn}`` for every ``inn``
+    under one ``out``, and the greedy start ``sel | {v}`` for every ``v``.
+    That set is swept once, capped at one sweep, and each candidate is
+    scored from it as a base (:func:`~dedmin.oracle.sweeps`), which gives
+    the same coverage.  A base sweep is not an evaluation: it counts
+    against neither the eval budget nor ``heuristic_evals``.
     """
     from .oracle import mask_of, sweeps
 
@@ -492,9 +500,10 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     best_sel: set[int] | None = None
     best_covered = -1
 
-    def coverage(selection: set[int]) -> int:
+    def coverage(selection: set[int], base: list[int] | None = None) -> int:
         """Propositions ``nu`` sweeps from ``selection`` know.
 
+        ``base`` is the first sweep of a subset of ``selection``, or None.
         Every evaluation keeps the best selection for the sense (the most
         covered, or the smallest full cover), so a search the budget cuts
         short still leaves its best.
@@ -505,11 +514,20 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
         if (evals & 63) == 0 and time.monotonic() > deadline:
             raise _HeuristicStop
         evals += 1
-        covered = sweeps(options, mask_of(selection), cfg.nu)[-1].bit_count()
+        covered = sweeps(options, mask_of(selection), cfg.nu,
+                         base)[-1].bit_count()
         if (covered > best_covered if maximize else covered == n and (
                 best_sel is None or len(selection) < len(best_sel))):
             best_sel, best_covered = set(selection), covered
         return covered
+
+    def swaps(sel: set[int], ins: list[int]):
+        """Each ``(sel - {out}) | {inn}`` with the base of ``sel - {out}``."""
+        for out in sorted(sel):
+            kept = sel - {out}
+            base = sweeps(options, mask_of(kept), 1)
+            for inn in ins:
+                yield kept | {inn}, base
 
     def climb(sel: set[int]) -> tuple[set[int], int]:
         """First-improvement swap ascent of coverage at fixed size."""
@@ -517,9 +535,8 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
         while current < n:
             ins = [v for v in by_score if v not in sel]
             rng.shuffle(ins)
-            for cand in ((sel - {out}) | {inn}
-                         for out in sorted(sel) for inn in ins):
-                value = coverage(cand)
+            for cand, base in swaps(sel, ins):
+                value = coverage(cand, base)
                 if value > current:
                     sel, current = cand, value
                     break
@@ -559,8 +576,9 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
                 # greedy constructive start plus the raw occurrence ranking
                 sel: set[int] = set()
                 while len(sel) < k:
+                    base = sweeps(options, mask_of(sel), 1)
                     sel.add(max((v for v in by_score if v not in sel),
-                                key=lambda v: coverage(sel | {v})))
+                                key=lambda v: coverage(sel | {v}, base)))
                 search_size(k, [set(by_score[:k]), sel])
         else:
             sel = set(inputs)
@@ -668,6 +686,14 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
     monotone in the guess set, so every pruned subtree holds nothing
     better than the incumbent.  Full cover runs no root heuristic, and no
     engine is built, so ``stats.propagations`` stays 0.
+
+    A child skips the sweep its parent settled.  The take child's
+    ``ones | rest`` is its parent's: minimizing or in full cover that set
+    covers, and maximizing it beat the incumbent, which no leaf has
+    changed since, as the take child is popped right after its parent.
+    The skip child's ``ones`` is its parent's, which does not cover
+    (minimize, full cover).  Nodes and answers are those of checking
+    every node in full.
     """
     from .encoder import assignment_of
     from .oracle import option_masks, sweeps
@@ -713,9 +739,11 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
     k = cfg.budget_k
     search_start = time.monotonic()
     status = OPTIMAL
-    stack = [(0, forced)]  # (position of the next decision, guesses taken)
+    # (position of the next decision, guesses taken, whether the decision
+    # that made this node took its guess; None at the root)
+    stack = [(0, forced, None)]
     while stack:
-        i, ones = stack.pop()
+        i, ones, took = stack.pop()
         taken = ones.bit_count()
         if maximize:
             if taken == k or taken + m - i <= k:
@@ -724,12 +752,13 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
                 if best_obj is None or value > best_obj:
                     best_obj, best = value, leaf
                 continue
-            if best_obj is not None and coverage(ones | rest[i]) <= best_obj:
+            if (not took and best_obj is not None
+                    and coverage(ones | rest[i]) <= best_obj):
                 continue
         else:
             if best_obj is not None and taken >= best_obj:
                 continue
-            if coverage(ones) == n:
+            if took is not False and coverage(ones) == n:
                 best = ones
                 if full_cover:
                     best_obj = n  # the instance's objective: all covered
@@ -738,14 +767,14 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
                 continue
             if best_obj is not None and taken + 1 >= best_obj:
                 continue
-            if coverage(ones | rest[i]) < n:
+            if not took and coverage(ones | rest[i]) < n:
                 continue
         if _out_of_budget(limits, stats, start):
             status = TIME_LIMIT
             break
         stats.nodes += 1
-        stack.append((i + 1, ones))
-        stack.append((i + 1, ones | 1 << order[i]))
+        stack.append((i + 1, ones, False))
+        stack.append((i + 1, ones | 1 << order[i], True))
     stats.search_time = time.monotonic() - search_start
 
     if best is None:  # stopped before the first leaf, or no cover exists

@@ -19,6 +19,13 @@ whose premises were all known one sweep earlier would have fired then.  So
 the first sweep tests every rule, and each later sweep tests only the rules
 listed under the propositions the previous sweep learned
 (:class:`OptionMasks`).
+
+The same argument lets a guess set be scored from a subset already swept.
+Given the first sweep of a subset ``b`` of the known set (its *base*), a
+rule that fires from the known set but not from ``b`` has a premise outside
+``b``; so the first sweep takes the base's derivations as given and tests
+only the rules listed under the guesses ``b`` lacks.  The rounds are the
+same as without a base.
 """
 
 from __future__ import annotations
@@ -93,8 +100,8 @@ def option_masks(system: DeductionSystem) -> OptionMasks:
     return OptionMasks(tuple(masks), tuple(map(tuple, by_premise)))
 
 
-def sweeps(options: OptionMasks, known: int,
-           limit: int | None = None) -> list[int]:
+def sweeps(options: OptionMasks, known: int, limit: int | None = None,
+           base: list[int] | None = None) -> list[int]:
     """Known-set bitmask before the first sweep and after each one.
 
     A sweep derives every proposition whose premises were known at its
@@ -105,12 +112,20 @@ def sweeps(options: OptionMasks, known: int,
     sweep has a premise the previous sweep learned (had all its premises
     been known before that, it would have fired then), so a later sweep
     tests only the options listed under the newly learned propositions.
+
+    ``base``, when given, is ``sweeps(options, b, 1)`` for a subset ``b``
+    of ``known``.  An option that fires from ``known`` but not from ``b``
+    has a premise in ``known`` outside ``b``, so the first sweep keeps what
+    the base derived that ``known`` lacks and tests only the options listed
+    under those premises.  The rounds equal those without a base.
     """
     rounds = [known]
-    scan = options.masks
     by_premise = options.by_premise
+    if base is None:
+        scan, new = options.masks, 0
+    else:
+        scan, new = _fed_by(by_premise, known & ~base[0]), base[-1] & ~known
     while limit is None or len(rounds) <= limit:
-        new = 0
         for pmask, cbit in scan:
             if known & cbit == 0 and known & pmask == pmask:
                 new |= cbit
@@ -118,12 +133,18 @@ def sweeps(options: OptionMasks, known: int,
             break
         known |= new
         rounds.append(known)
-        scan = []
-        while new:
-            low = new & -new
-            scan += by_premise[low.bit_length() - 1]
-            new ^= low
+        scan, new = _fed_by(by_premise, new), 0
     return rounds
+
+
+def _fed_by(by_premise, props: int) -> list[tuple[int, int]]:
+    """The options listed under the propositions of the bitmask ``props``."""
+    scan = []
+    while props:
+        low = props & -props
+        scan += by_premise[low.bit_length() - 1]
+        props ^= low
+    return scan
 
 
 def closure_mask(options: OptionMasks, known: int) -> int:

@@ -4,6 +4,7 @@ wrappers and the reference kernels."""
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 from dedmin import encoder
@@ -226,3 +227,135 @@ class ReferenceEngine:
         for r in self.queue:
             self.inq[r] = False
         self.queue.clear()
+
+
+# The guess-set branch-and-bound as it was before a child skipped the checks
+# its parent settled, kept verbatim as the reference ``milp._solve_encoding``
+# must agree with, node for node (tests/test_milp.py).  Its names are
+# imported when it runs, so that a test's patches of ``milp`` reach it.
+def reference_solve_encoding(instance, system, cfg, full_cover, limits,
+                             start):
+    """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
+
+    The guess layer fixes every other variable to its closure value
+    (:func:`~dedmin.encoder.assignment_of`), so a node is a set of guesses
+    decided so far, evaluated by closure sweeps on bitmasks.  Decisions
+    follow the row search's order, most occurrences first, value 1 first.
+    With ``ones`` the guesses taken and ``rest`` those still undecided:
+
+    * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
+      once all of ``rest`` fits in the budget (then it takes them all);
+      it is pruned when the coverage of ``ones | rest`` is no better than
+      the incumbent;
+    * minimize: a node is a leaf once ``ones`` covers everything; it is
+      pruned when it has as many guesses as the incumbent, when one more
+      would reach that on a partial cover, or when ``ones | rest`` does
+      not cover everything;
+    * full cover (``instance`` is the max-sense encoding plus its row
+      demanding every proposition, see
+      :func:`~dedmin.encoder.decode_full_cover`): the minimize search with
+      ``budget_k + 1`` as its bound instead of an incumbent, stopped at
+      the first cover, which is optimal with objective ``n``; ``infeasible``
+      once the tree is exhausted without one.
+
+    Minimize and full cover start with every proposition no option
+    concludes already guessed, since every cover holds it.  Coverage is
+    monotone in the guess set, so every pruned subtree holds nothing
+    better than the incumbent.  Full cover runs no root heuristic, and no
+    engine is built, so ``stats.propagations`` stays 0.
+    """
+    from dedmin.encoder import assignment_of
+    from dedmin.milp import (INFEASIBLE, MAXIMIZE, OPTIMAL, TIME_LIMIT,
+                             Solution, SolveStats, _heuristic_incumbent,
+                             _occurrences, _out_of_budget, evaluate)
+    from dedmin.oracle import option_masks, sweeps
+
+    stats = SolveStats()
+    n, nu = system.n, cfg.nu
+    options = option_masks(system)
+    maximize = instance.sense == MAXIMIZE and not full_cover
+    score = _occurrences(instance)
+
+    if full_cover:
+        # a size limit, not an incumbent: any cover within it answers
+        best_obj, best = cfg.budget_k + 1, None
+    else:
+        # leave at least half the budget to the exact search
+        heuristic_start = time.monotonic()
+        incumbent = _heuristic_incumbent(
+            options, n, cfg, maximize, limits, stats,
+            start + limits.time_budget * 0.5, score)
+        stats.heuristic_time = time.monotonic() - heuristic_start
+        best_obj, best = incumbent if incumbent is not None else (None, None)
+
+    def coverage(guesses: int) -> int:
+        return sweeps(options, guesses, nu)[-1].bit_count()
+
+    # every cover guesses the propositions no option concludes, so the
+    # minimize and full-cover searches start with them guessed
+    forced = 0
+    if not maximize:
+        concluded = 0
+        for _, cbit in options.masks:
+            concluded |= cbit
+        forced = ((1 << n) - 1) & ~concluded
+    # the guess layer's part of _decision_order: variable v is the
+    # guess-layer state of proposition v
+    order = sorted((v for v in range(n) if not forced >> v & 1),
+                   key=lambda v: (-score[v], v))
+    m = len(order)
+    # rest[i]: the guesses decided at position i of the order or later
+    rest = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        rest[i] = rest[i + 1] | 1 << order[i]
+    k = cfg.budget_k
+    search_start = time.monotonic()
+    status = OPTIMAL
+    stack = [(0, forced)]  # (position of the next decision, guesses taken)
+    while stack:
+        i, ones = stack.pop()
+        taken = ones.bit_count()
+        if maximize:
+            if taken == k or taken + m - i <= k:
+                leaf = ones if taken == k else ones | rest[i]
+                value = coverage(leaf)
+                if best_obj is None or value > best_obj:
+                    best_obj, best = value, leaf
+                continue
+            if best_obj is not None and coverage(ones | rest[i]) <= best_obj:
+                continue
+        else:
+            if best_obj is not None and taken >= best_obj:
+                continue
+            if coverage(ones) == n:
+                best = ones
+                if full_cover:
+                    best_obj = n  # the instance's objective: all covered
+                    break
+                best_obj = taken
+                continue
+            if best_obj is not None and taken + 1 >= best_obj:
+                continue
+            if coverage(ones | rest[i]) < n:
+                continue
+        if _out_of_budget(limits, stats, start):
+            status = TIME_LIMIT
+            break
+        stats.nodes += 1
+        stack.append((i + 1, ones))
+        stack.append((i + 1, ones | 1 << order[i]))
+    stats.search_time = time.monotonic() - search_start
+
+    if best is None:  # stopped before the first leaf, or no cover exists
+        stats.wall_time = time.monotonic() - start
+        return Solution(INFEASIBLE if status == OPTIMAL else status, None,
+                        None, stats)
+    assignment = assignment_of(system, cfg,
+                               (v for v in range(n) if best >> v & 1))
+    report = evaluate(instance, assignment)
+    if not report.feasible or report.objective != best_obj:
+        raise RuntimeError(
+            f"guess set scored {best_obj} but its encoding reads "
+            f"{report.objective} with {len(report.violations)} broken rows")
+    stats.wall_time = time.monotonic() - start
+    return Solution(status, assignment, best_obj, stats)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dedmin import cli, dsl, encoder, lpio, preprocess
+from dedmin import cli, dsl, encoder, lpio, milp, preprocess
 from helpers import with_full_cover
 
 DATA = Path(__file__).parent / "data"
@@ -251,6 +251,47 @@ def test_unreadable_input_exits_1(tmp_path, source):
     assert out.returncode == 1
     assert stderr.startswith("dedmin: ")
     assert len(stderr.splitlines()) == 1, stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "snow2", "--nu", "12", "--k", "9", "--time-limit", "-1"),
+    ("solve", "snow2", "--nu", "12", "--k", "9", "--time-limit", "nan"),
+    ("solve", "snow2", "--nu", "12", "--k", "9", "--node-limit", "-3"),
+    ("minimize", str(TOY), "--time-limit", "-0.5"),
+    ("minimize", str(TOY), "--node-limit", "-1"),
+    ("minimize", str(TOY), "--brute", "--max-k", "-2")])
+def test_negative_solver_limits_exit_1(args):
+    # a negative or NaN limit is a usage error, not an empty search
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("dedmin: ")
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
+def test_zero_time_limit_is_a_limit():
+    out = run_cli("solve", str(TOY), "--k", "1", "--time-limit", "0")
+    assert out.returncode in (0, 3)
+    assert out.stderr == ""
+
+
+def test_solve_report_prints_the_evaluation_rate(toy):
+    # evals/s is heuristic_evals over heuristic_time, "-" with no heuristic
+    cfg = encoder.EncodeConfig(nu=4, budget_k=1)
+    instance = encoder.encode(toy, cfg)
+    for candidate, ran in ((instance, True),
+                           (with_full_cover(instance, toy.n, cfg.nu), False)):
+        solution = milp.solve(candidate)
+        stats = solution.stats
+        words = cli._solve_report(None, solution, None).splitlines()[2].split()
+        evals = int(words[words.index("evals:") + 1])
+        rate = words[words.index("evals/s:") + 1]
+        assert evals == stats.heuristic_evals
+        if ran:
+            assert evals > 0
+            assert rate == f"{stats.heuristic_evals / stats.heuristic_time:.0f}"
+        else:
+            assert (evals, rate) == (0, "-")
 
 
 @pytest.mark.parametrize("command", [("solve", "--k", "1"), ("minimize",)])

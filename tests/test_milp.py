@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dedmin import ciphers, encoder, milp, oracle, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
-from helpers import (ReferenceEngine, random_system, reference_sweeps,
+from helpers import (ReferenceEngine, random_system,
+                     reference_solve_encoding, reference_sweeps,
                      with_full_cover, without_heuristic)
 
 
@@ -396,9 +397,12 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
 # --- the closure sweep against its reference --------------------------------
 
 def solve_with_both_sweeps(instance, limits, monkeypatch):
+    # the reference ignores the base, so the heuristic's scores from a
+    # base are compared with sweeps from scratch
     got = solve(instance, limits)
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "sweeps", lambda options, known, limit=None:
+        patched.setattr(oracle, "sweeps",
+                        lambda options, known, limit=None, base=None:
                         reference_sweeps(options.masks, known, limit))
         want = solve(instance, limits)
     assert want.stats.heuristic_evals > 0
@@ -483,6 +487,18 @@ def exhaustive_coverage(system, cfg):
                for guess in combinations(range(system.n), size))
 
 
+def solve_with_both_loops(instance, monkeypatch):
+    # a check a child wrongly inherits prunes nothing or misses a cover, so
+    # the nodes are pinned as well as the answer
+    got = solve(instance)
+    with monkeypatch.context() as patched:
+        patched.setattr(milp, "_solve_encoding", reference_solve_encoding)
+        want = solve(instance)
+    assert (got.status, got.objective, got.stats.nodes, got.assignment) == \
+        (want.status, want.objective, want.stats.nodes, want.assignment)
+    return got
+
+
 @pytest.mark.parametrize("heuristic", [True, False])
 def test_guess_search_agrees_with_references(heuristic, monkeypatch):
     # without the heuristic's incumbent the search alone finds the optimum
@@ -492,7 +508,10 @@ def test_guess_search_agrees_with_references(heuristic, monkeypatch):
     rng = random.Random(43)
     for random_nu in (False, True):
         for system, cfg, instance in random_encodings(rng, 8, 8, random_nu):
-            solution = solve(instance)
+            solution = solve_with_both_loops(instance, monkeypatch)
+            if cfg.sense == encoder.MAX_COVERAGE:
+                solve_with_both_loops(with_full_cover(instance, system.n,
+                                                      cfg.nu), monkeypatch)
             assert solution.status == milp.OPTIMAL
             assert solution.stats.propagations == 0
             guesses = [v for v in range(system.n) if solution.assignment[

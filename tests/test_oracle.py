@@ -118,6 +118,27 @@ def test_sweeps_agree_with_reference(seed, expand, data):
         reference_sweeps(options.masks, known, limit)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
+def test_sweeps_from_a_base_agree_with_reference(seed, expand, data):
+    # from the first sweep of a subset, the first sweep tests only the
+    # options under the guesses the subset lacks; the rounds must be those
+    # of sweeping the superset from scratch
+    system = random_system(random.Random(seed), max_n=12, max_m=20)
+    if expand:
+        system = preprocess.expand_rules(system)
+    n = system.n
+    options = oracle.option_masks(system)
+    superset = data.draw(st.sets(st.integers(0, n - 1)))
+    subset = data.draw(st.sets(st.sampled_from(sorted(superset)))
+                       if superset else st.just(set()))
+    base = reference_sweeps(options.masks, oracle.mask_of(subset), 1)
+    known = oracle.mask_of(superset)
+    limit = data.draw(st.sampled_from([None, *range(n + 2)]))
+    assert oracle.sweeps(options, known, limit, base) == \
+        reference_sweeps(options.masks, known, limit)
+
+
 def test_closure_rounds_bound(toy):
     result = oracle.closure(toy, [toy.index_of("p2")])
     assert result.rounds <= toy.n
