@@ -273,6 +273,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_minimize(args) -> int:
     limits = _limits(args)
+    if args.max_k is not None and not args.brute:
+        raise CliError("--max-k applies only with --brute")
     if args.max_k is not None and args.max_k < 0:
         raise CliError(f"--max-k must be >= 0, not {args.max_k}")
     system = preprocess.expand_rules(_load_system(args))

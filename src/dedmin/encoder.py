@@ -34,10 +34,10 @@ the same optima.
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
 initial layer subject to full final coverage.  :func:`decode` inverts
-:func:`encode` exactly, :func:`decode_full_cover` does the same for a
-max-sense encoding plus a row demanding full final coverage,
-:func:`assignment_of` is the one assignment an encoding admits for a given
-guess layer, and this module owns the variable naming contract.
+:func:`encode` exactly, with or without a last row demanding full final
+coverage after a max-sense encoding; :func:`assignment_of` is the one
+assignment an encoding admits for a given guess layer, and this module owns
+the variable naming contract.
 """
 
 from __future__ import annotations
@@ -187,21 +187,6 @@ def default_nu(system: DeductionSystem) -> int:
     return max(1, system.n)
 
 
-def _fold_plans(table: PathTable, mode: str) -> list[int | None]:
-    """Which path, per proposition, compact mode folds into the state link:
-    the last multi-premise one; None keeps the full per-path form."""
-    plans: list[int | None] = []
-    for paths in table.rows:
-        folded = None
-        if mode == COMPACT and len(paths) >= 2:
-            for j in range(len(paths) - 1, 0, -1):
-                if len(paths[j].premises) >= 2:
-                    folded = j
-                    break
-        plans.append(folded)
-    return plans
-
-
 class _Builder:
     """Collects what :func:`_emit` emits into a new instance."""
 
@@ -266,7 +251,12 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     for v in range(n):
         state_ids[0][v] = b.add_var(Variable(state_var_name(v, 0), STATE, v, 0))
 
-    plans = _fold_plans(table, cfg.mode)
+    # which path, per proposition, compact mode folds into the state link:
+    # the last multi-premise one; None keeps the full per-path form
+    plans: list[int | None] = []
+    for paths in table.rows:
+        multi = [j for j in range(1, len(paths)) if len(paths[j].premises) >= 2]
+        plans.append(multi[-1] if cfg.mode == COMPACT and multi else None)
 
     for step in range(cfg.nu):
         path_ids: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -348,17 +338,10 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     return MilpInstance(b.variables, b.constraints, objective, sense)
 
 
-def _guess_layer_size(variables: tuple[Variable, ...]) -> int:
-    """How many leading variables are the guess layer ``x0_c0, x1_c0, ...``."""
-    n = 0
-    while n < len(variables) and \
-            variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
-        n += 1
-    return n
-
-
-def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | None:
-    """The system and configuration :func:`encode` turns into ``instance``.
+def decode(instance: MilpInstance
+           ) -> tuple[DeductionSystem, EncodeConfig, bool] | None:
+    """The system and configuration :func:`encode` turns into ``instance``,
+    and whether a full-cover row follows the encoding.
 
     Reads ``n``, ``nu``, the sense and the budget from the variables and
     the last row, and each proposition's paths from the rows of the first
@@ -366,45 +349,31 @@ def decode(instance: MilpInstance) -> tuple[DeductionSystem, EncodeConfig] | Non
     is emitted, matches the instance's variables, rows and objective
     exactly; no second instance is built.  Encodings keep no proposition
     names, so the rebuilt ones are ``p0``, ``p1``, ...
+
+    ``full_cover`` is True when the last row is ``sum x{p}_c{nu} >= n``
+    over every proposition and the rows before it are a max-sense
+    encoding: the instance then asks whether ``budget_k`` guesses cover
+    every proposition, and that row is left out of the comparison.
     """
-    return _decode(instance, len(instance.constraints))
-
-
-def decode_full_cover(instance: MilpInstance
-                      ) -> tuple[DeductionSystem, EncodeConfig] | None:
-    """:func:`decode` of ``instance`` less its last row, when that row is
-    ``sum x{p}_c{nu} >= n`` over every proposition and the rows before it
-    are a max-sense encoding.
-
-    With that row the instance asks whether ``budget_k`` guesses cover
-    every proposition; it is no encoding itself, so :func:`decode` rejects
-    it.
-    """
-    variables = instance.variables
-    n = _guess_layer_size(variables)
-    if n == 0 or instance.sense != MAXIMIZE or not instance.constraints:
+    variables, constraints = instance.variables, instance.constraints
+    n = 0  # the guess layer x0_c0, x1_c0, ... leads the variables
+    while n < len(variables) and \
+            variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
+        n += 1
+    if n == 0 or not constraints or not variables[-1].copy:
         return None
-    last = instance.constraints[-1]
-    first = len(variables) - n  # the state copies of the last step
-    if last.rel != GREATER_EQUAL or last.rhs != n or \
-            last.terms != tuple((first + p, 1) for p in range(n)):
-        return None
-    return _decode(instance, len(instance.constraints) - 1)
-
-
-def _decode(instance: MilpInstance,
-            rows: int) -> tuple[DeductionSystem, EncodeConfig] | None:
-    """:func:`decode` of the instance's variables, objective and first
-    ``rows`` rows."""
-    variables = instance.variables
-    n = _guess_layer_size(variables)
-    if n == 0 or rows == 0 or not variables[-1].copy:
-        return None
-    # the last row is the budget (max) or the last proposition's coverage
-    # (min); checking its shape first spares an emission for most instances
-    # that are not encodings, such as one with an extra row appended
-    last = instance.constraints[rows - 1]
     maximize = instance.sense == MAXIMIZE
+    row = constraints[-1]
+    first = len(variables) - n  # the state copies of the last step
+    full_cover = (maximize and row.rel == GREATER_EQUAL and row.rhs == n
+                  and row.terms == tuple((first + p, 1) for p in range(n)))
+    rows = len(constraints) - full_cover  # the encoding's own rows
+    if rows == 0:
+        return None
+    last = constraints[rows - 1]
+    # the last encoding row is the budget (max) or the last proposition's
+    # coverage (min); checking its shape first spares an emission for most
+    # instances that are not encodings, such as one with an extra row
     if maximize:
         shaped = (last.rel == LESS_EQUAL
                   and last.terms == tuple((v, 1) for v in range(n)))
@@ -416,7 +385,7 @@ def _decode(instance: MilpInstance,
         return None
     paths: dict[tuple, tuple[int, ...]] = {}  # (prop, path number) -> premises
     compact = False
-    for c in islice(instance.constraints, rows):
+    for c in islice(constraints, rows):
         if not c.terms:
             return None
         lead, coef = variables[c.terms[0][0]], c.terms[0][1]
@@ -453,33 +422,31 @@ def _decode(instance: MilpInstance,
         return None
     if not checker.complete or objective != instance.objective:
         return None
-    return system, cfg
+    return system, cfg, full_cover
 
 
-def assignment_of(system: DeductionSystem, cfg: EncodeConfig,
+def assignment_of(instance: MilpInstance, system: DeductionSystem,
                   guesses: Iterable[int]) -> dict[str, int]:
-    """The one assignment of ``encode(system, cfg)`` with guess layer ``guesses``.
+    """The one assignment of ``instance`` with guess layer ``guesses``.
 
-    State copy ``c`` of a proposition is its bit after ``c`` closure sweeps
-    from the guesses, and a path variable of step ``c`` is 1 exactly when
-    all its premises are known at copy ``c``.  The names come in the
-    encoding's variable order.
+    ``instance`` is one :func:`decode` reads as an encoding of ``system``,
+    so each variable's ``kind``, ``prop``, ``copy`` and ``path`` are what
+    :func:`encode` gives them.  State copy ``c`` of a proposition is its
+    bit after ``c`` closure sweeps from the guesses, and a path variable
+    of step ``c`` is 1 exactly when all its path's premises are known at
+    copy ``c``.  The names come in the instance's variable order.
     """
     table = enumerate_paths(system)
-    plans = _fold_plans(table, cfg.mode)
-    rounds = sweeps(option_masks(system), mask_of(guesses), cfg.nu)
-    known = [rounds[min(c, len(rounds) - 1)] for c in range(cfg.nu + 1)]
-    n = system.n
-    values = {state_var_name(v, 0): known[0] >> v & 1 for v in range(n)}
-    for step in range(cfg.nu):
-        for v in range(n):
-            folded = plans[v]
-            for j, path in enumerate(table.row(v)):
-                if folded is None or j not in (0, folded):
-                    values[path_var_name(v, j + 1, step)] = int(all(
-                        known[step] >> p & 1 for p in path.premises))
-        for v in range(n):
-            values[state_var_name(v, step + 1)] = known[step + 1] >> v & 1
+    variables = instance.variables
+    rounds = sweeps(option_masks(system), mask_of(guesses), variables[-1].copy)
+    values = {}
+    for v in variables:
+        known = rounds[min(v.copy, len(rounds) - 1)]
+        if v.kind == STATE:
+            values[v.name] = known >> v.prop & 1
+        else:
+            premises = table.row(v.prop)[v.path - 1].premises
+            values[v.name] = int(all(known >> p & 1 for p in premises))
     return values
 
 

@@ -3,21 +3,21 @@
 The model (:class:`MilpInstance`) is a plain list of binary variables,
 integer-coefficient linear constraints and one linear objective.  The
 solver is branch-and-bound in one of two forms, chosen by
-:func:`~dedmin.encoder.decode` and :func:`~dedmin.encoder.decode_full_cover`:
+:func:`~dedmin.encoder.decode`:
 
-* an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``
-  is searched over guess sets.  Fixing the guess layer of an encoding
-  forces every other variable to its closure value
+* an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``,
+  possibly followed by a row demanding every proposition at the last step
+  of a max-sense encoding, is searched over guess sets.  Fixing the guess
+  layer of an encoding forces every other variable to its closure value
   (:func:`~dedmin.encoder.assignment_of`), so the search branches on the
   guess layer only and scores each node by closure sweeps of the decoded
   rules on bitmasks, pruning with the coverage of every guess still open.
   A seeded local search over guess sets of a fixed size, climbing their
   coverage, gives it its first incumbent, and the final incumbent's full
-  assignment is re-checked against the raw constraints;
-* so is an instance that ``decode_full_cover`` reads as a max-sense
-  encoding plus a last row demanding every proposition at the last step,
-  as the question whether ``budget_k`` guesses cover everything: a
-  size-limited search for one cover, with no root heuristic;
+  assignment is re-checked against the raw constraints.  With the
+  full-cover row the instance asks whether ``budget_k`` guesses cover
+  everything: a size-limited search for one cover, with no root
+  heuristic;
 * any other instance is searched over its rows: integer bounds
   propagation to a fixpoint after every decision (:func:`propagate`
   exposes the same engine on its own), with each variable's rows listed
@@ -638,21 +638,17 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     Returns ``optimal`` only when the search tree was exhausted within the
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
     and ``infeasible`` only with a completed proof.  An instance that
-    :func:`~dedmin.encoder.decode` or
-    :func:`~dedmin.encoder.decode_full_cover` rebuilds is searched over
-    guess sets, any other one over rows.
+    :func:`~dedmin.encoder.decode` rebuilds, with or without its full-cover
+    row, is searched over guess sets, any other one over rows.
     """
-    from .encoder import decode, decode_full_cover  # encoder imports milp
+    from .encoder import decode  # encoder imports milp
 
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
-    decoded, full_cover = decode(instance), False
-    if decoded is None:
-        decoded = decode_full_cover(instance)
-        full_cover = decoded is not None
+    decoded = decode(instance)
     if decoded is not None:
-        return _solve_encoding(instance, *decoded, full_cover, limits, start)
+        return _solve_encoding(instance, *decoded, limits, start)
     return _solve_rows(instance, limits, start)
 
 
@@ -675,8 +671,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
       would reach that on a partial cover, or when ``ones | rest`` does
       not cover everything;
     * full cover (``instance`` is the max-sense encoding plus its row
-      demanding every proposition, see
-      :func:`~dedmin.encoder.decode_full_cover`): the minimize search with
+      demanding every proposition, which :func:`~dedmin.encoder.decode`
+      flags as ``full_cover``): the minimize search with
       ``budget_k + 1`` as its bound instead of an incumbent, stopped at
       the first cover, which is optimal with objective ``n``; ``infeasible``
       once the tree is exhausted without one.
@@ -781,7 +777,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE if status == OPTIMAL else status, None,
                         None, stats)
-    assignment = assignment_of(system, cfg,
+    assignment = assignment_of(instance, system,
                                (v for v in range(n) if best >> v & 1))
     report = evaluate(instance, assignment)
     if not report.feasible or report.objective != best_obj:

@@ -147,11 +147,6 @@ def _fed_by(by_premise, props: int) -> list[tuple[int, int]]:
     return scan
 
 
-def closure_mask(options: OptionMasks, known: int) -> int:
-    """Fixpoint of the known-set bitmask; fast path shared by the searches."""
-    return sweeps(options, known)[-1]
-
-
 def mask_of(props: Iterable[int]) -> int:
     """Bitmask with the bit of every proposition in ``props`` set."""
     known = 0
@@ -225,7 +220,7 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
         return BruteForceMin(0, (), max_k)
     for size in range(max_k + 1):
         for subset in combinations(range(n), size):
-            if closure_mask(masks, mask_of(subset)) == target:
+            if sweeps(masks, mask_of(subset))[-1] == target:
                 return BruteForceMin(size, subset, max_k)
     return BruteForceMin(None, None, max_k)
 
@@ -233,7 +228,7 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
 def covers_all(system: DeductionSystem, guess: Iterable[int]) -> bool:
     """True when the closure of ``guess`` reaches every proposition."""
     known = mask_of(_check_guess(system, guess))
-    return closure_mask(option_masks(system), known) == (1 << system.n) - 1
+    return sweeps(option_masks(system), known)[-1] == (1 << system.n) - 1
 
 
 def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:

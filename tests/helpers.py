@@ -252,8 +252,8 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
       would reach that on a partial cover, or when ``ones | rest`` does
       not cover everything;
     * full cover (``instance`` is the max-sense encoding plus its row
-      demanding every proposition, see
-      :func:`~dedmin.encoder.decode_full_cover`): the minimize search with
+      demanding every proposition, which :func:`~dedmin.encoder.decode`
+      flags as ``full_cover``): the minimize search with
       ``budget_k + 1`` as its bound instead of an incumbent, stopped at
       the first cover, which is optimal with objective ``n``; ``infeasible``
       once the tree is exhausted without one.
@@ -350,7 +350,7 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE if status == OPTIMAL else status, None,
                         None, stats)
-    assignment = assignment_of(system, cfg,
+    assignment = assignment_of(instance, system,
                                (v for v in range(n) if best >> v & 1))
     report = evaluate(instance, assignment)
     if not report.feasible or report.objective != best_obj:

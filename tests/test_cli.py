@@ -259,9 +259,11 @@ def test_unreadable_input_exits_1(tmp_path, source):
     ("solve", "snow2", "--nu", "12", "--k", "9", "--node-limit", "-3"),
     ("minimize", str(TOY), "--time-limit", "-0.5"),
     ("minimize", str(TOY), "--node-limit", "-1"),
-    ("minimize", str(TOY), "--brute", "--max-k", "-2")])
+    ("minimize", str(TOY), "--brute", "--max-k", "-2"),
+    ("minimize", str(TOY), "--max-k", "0")])
 def test_negative_solver_limits_exit_1(args):
-    # a negative or NaN limit is a usage error, not an empty search
+    # a negative or NaN limit is a usage error, not an empty search, and
+    # so is a limit the solver would ignore
     out = run_cli(*args)
     assert out.returncode == 1
     assert out.stdout == ""

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from helpers import random_system, with_full_cover
+from helpers import random_system, with_full_cover, without_heuristic
 
 
 def single_state_system(premise_counts):
@@ -331,31 +331,43 @@ def test_decode_inverts_encode_through_lp_text(seed):
         budget = rng.randint(0, system.n) if sense == encoder.MAX_COVERAGE else 0
         cfg = encoder.EncodeConfig(rng.randint(1, system.n + 1), budget, mode,
                                    sense)
-        text = lpio.write_lp(encoder.encode(system, cfg))
-        decoded = encoder.decode(lpio.read_lp(text))
-        assert decoded is not None
-        got_system, got_cfg = decoded
-        # without a multi-premise rule nothing folds: both modes coincide
-        want_mode = mode if folds else encoder.PLAIN
-        assert got_cfg == encoder.EncodeConfig(cfg.nu, budget, want_mode, sense)
-        assert got_system.n == system.n
-        assert sorted(r.sort_key() for r in got_system.directed_rules) == \
-            sorted(r.sort_key() for r in system.directed_rules)
+        instance = encoder.encode(system, cfg)
+        variants = [(instance, False)]
+        if sense == encoder.MAX_COVERAGE:
+            variants.append((with_full_cover(instance, system.n, cfg.nu),
+                             True))
+        for variant, full_cover in variants:
+            decoded = encoder.decode(lpio.read_lp(lpio.write_lp(variant)))
+            assert decoded is not None
+            got_system, got_cfg, got_full_cover = decoded
+            # without a multi-premise rule nothing folds: both modes coincide
+            want_mode = mode if folds else encoder.PLAIN
+            assert got_cfg == encoder.EncodeConfig(cfg.nu, budget, want_mode,
+                                                   sense)
+            assert got_full_cover == full_cover
+            assert got_system.n == system.n
+            assert sorted(r.sort_key() for r in got_system.directed_rules) == \
+                sorted(r.sort_key() for r in system.directed_rules)
 
 
 def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1)
     instance = encoder.encode(toy, cfg)
-    refute = with_full_cover(instance, toy.n, cfg.nu)
+    full_row = with_full_cover(instance, toy.n, cfg.nu).constraints[-1]
+    short_row = milp.Constraint(full_row.terms, milp.GREATER_EQUAL, toy.n - 1)
     with monkeypatch.context() as patched:
-        # the full-cover row breaks the last row's shape, which decode
-        # checks before it emits an encoding to compare with the instance
+        # a last row that is neither the budget nor the full-cover row
+        # breaks the shape decode checks before it emits an encoding to
+        # compare with the instance
         def no_emit(*args):
             raise AssertionError("decode emitted for a non-encoding")
 
         patched.setattr(encoder, "encode", no_emit)
         patched.setattr(encoder, "_emit", no_emit)
-        assert encoder.decode(refute) is None
+        assert encoder.decode(without_heuristic(instance)) is None
+        assert encoder.decode(milp.MilpInstance(
+            instance.variables, instance.constraints + (short_row,),
+            instance.objective, instance.sense)) is None
     dropped = milp.MilpInstance(instance.variables, instance.constraints[1:],
                                 instance.objective, instance.sense)
     assert encoder.decode(dropped) is None
@@ -366,13 +378,14 @@ def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
     assert encoder.decode(milp.MilpInstance([], [], [])) is None
 
 
-def test_decode_full_cover_reads_an_encoding_plus_its_full_cover_row(toy):
+def test_decode_reads_an_encoding_plus_its_full_cover_row(toy):
     for mode in (encoder.PLAIN, encoder.COMPACT):
         cfg = encoder.EncodeConfig(nu=3, budget_k=2, mode=mode)
         instance = encoder.encode(toy, cfg)
         refute = with_full_cover(instance, toy.n, cfg.nu)
-        assert encoder.decode_full_cover(refute) == encoder.decode(instance)
-        assert encoder.decode_full_cover(instance) is None
+        system, got_cfg, full_cover = encoder.decode(instance)
+        assert not full_cover
+        assert encoder.decode(refute) == (system, got_cfg, True)
         row = refute.constraints[-1]
         for changed in (
                 milp.Constraint(row.terms, milp.GREATER_EQUAL, toy.n - 1),
@@ -381,13 +394,12 @@ def test_decode_full_cover_reads_an_encoding_plus_its_full_cover_row(toy):
             wrong = milp.MilpInstance(instance.variables,
                                       instance.constraints + (changed,),
                                       instance.objective, instance.sense)
-            assert encoder.decode_full_cover(wrong) is None
+            assert encoder.decode(wrong) is None
         # only a max-sense encoding takes the row
         minimize = encoder.encode(toy, encoder.EncodeConfig(
             nu=3, mode=mode, sense=encoder.MIN_GUESSES))
-        assert encoder.decode_full_cover(
-            with_full_cover(minimize, toy.n, 3)) is None
+        assert encoder.decode(with_full_cover(minimize, toy.n, 3)) is None
         # the rows before it must be an encoding
         dropped = milp.MilpInstance(refute.variables, refute.constraints[1:],
                                     refute.objective, refute.sense)
-        assert encoder.decode_full_cover(dropped) is None
+        assert encoder.decode(dropped) is None

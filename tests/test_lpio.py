@@ -73,7 +73,7 @@ def test_long_objective_wraps_and_parses():
 def test_read_solution_accepts_closure_assignment(toy):
     cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=encoder.PLAIN)
     instance = encoder.encode(toy, cfg)
-    assignment = encoder.assignment_of(toy, cfg, [toy.index_of("p2")])
+    assignment = encoder.assignment_of(instance, toy, [toy.index_of("p2")])
     solution = lpio.read_solution(json.dumps(assignment), instance)
     assert solution.objective == 4
     assert solution.status == milp.FEASIBLE

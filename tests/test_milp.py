@@ -154,7 +154,7 @@ def test_evaluate_closure_built_snow_solution():
     for mode in (encoder.PLAIN, encoder.COMPACT):
         cfg = encoder.EncodeConfig(nu=12, budget_k=9, mode=mode)
         instance = encoder.encode(system, cfg)
-        assignment = encoder.assignment_of(system, cfg, guess)
+        assignment = encoder.assignment_of(instance, system, guess)
         assert list(assignment) == [v.name for v in instance.variables]
         report = evaluate(instance, assignment)
         assert report.feasible
@@ -457,25 +457,29 @@ def random_encodings(rng, count, max_n, random_nu):
 def test_guess_layer_forces_the_closure_assignment():
     # the fact the guess-set search rests on: once the guess layer is
     # fixed, the rows force every other variable to its closure value, or
-    # conflict exactly when the guesses break the budget or the coverage
+    # conflict exactly when the guesses break the budget or the coverage;
+    # with the full-cover row, when they break either
     rng = random.Random(41)
     for system, cfg, instance in random_encodings(rng, 10, 7, True):
         options = oracle.option_masks(system)
         n = system.n
-        for mask in range(1 << n):
-            guesses = [v for v in range(n) if mask >> v & 1]
-            layer = {encoder.state_var_name(v, 0): mask >> v & 1
-                     for v in range(n)}
-            result = propagate(instance, layer)
-            if cfg.sense == encoder.MAX_COVERAGE:
-                broken = len(guesses) > cfg.budget_k
-            else:
-                broken = oracle.sweeps(options, mask, cfg.nu)[-1] != \
-                    (1 << n) - 1
-            assert (result.status == milp.CONFLICT) == broken
-            if not broken:
-                assert {**layer, **result.fixed} == \
-                    encoder.assignment_of(system, cfg, guesses)
+        variants = [(instance, cfg.sense == encoder.MAX_COVERAGE,
+                     cfg.sense == encoder.MIN_GUESSES)]
+        if cfg.sense == encoder.MAX_COVERAGE:
+            variants.append((with_full_cover(instance, n, cfg.nu), True, True))
+        for variant, budgeted, covering in variants:
+            for mask in range(1 << n):
+                guesses = [v for v in range(n) if mask >> v & 1]
+                layer = {encoder.state_var_name(v, 0): mask >> v & 1
+                         for v in range(n)}
+                result = propagate(variant, layer)
+                broken = (budgeted and len(guesses) > cfg.budget_k) or (
+                    covering and oracle.sweeps(options, mask, cfg.nu)[-1]
+                    != (1 << n) - 1)
+                assert (result.status == milp.CONFLICT) == broken
+                if not broken:
+                    assert {**layer, **result.fixed} == \
+                        encoder.assignment_of(variant, system, guesses)
 
 
 def exhaustive_coverage(system, cfg):
@@ -517,7 +521,7 @@ def test_guess_search_agrees_with_references(heuristic, monkeypatch):
             guesses = [v for v in range(system.n) if solution.assignment[
                 encoder.state_var_name(v, 0)]]
             assert solution.assignment == \
-                encoder.assignment_of(system, cfg, guesses)
+                encoder.assignment_of(instance, system, guesses)
             assert evaluate(instance, solution.assignment).objective == \
                 solution.objective
             rows = solve(without_heuristic(instance))
@@ -551,7 +555,8 @@ def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
     # the final incumbent is checked against the rows: a failed check is
     # an error, never an answer
     instance = encoder.encode(toy, encoder.EncodeConfig(nu=4, budget_k=1))
-    monkeypatch.setattr(encoder, "assignment_of", lambda system, cfg, guesses:
+    monkeypatch.setattr(encoder, "assignment_of",
+                        lambda instance, system, guesses:
                         {v.name: 0 for v in instance.variables})
     with pytest.raises(RuntimeError, match="broken rows"):
         solve(instance)
