@@ -201,20 +201,19 @@ def _solve_report(system, solution, trace) -> str:
     fixings of the row engine, which is 0 when the instance is searched
     over guess sets (an encoding, or one plus its full-cover row);
     ``heuristic``, the seconds of the root heuristic; ``evals``, its
-    closure evaluations; ``evals/s``, from the heuristic's seconds, ``-``
-    when no heuristic ran; ``wall``; then the guesses and the deduction
-    trace.
+    closure evaluations; ``evals/s``, from the heuristic's seconds; ``wall``;
+    then the guesses and the deduction trace.  A rate is the one
+    :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
+    phase took no time.
     """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats
-    rate = (f"{stats.nodes / stats.search_time:.0f}" if stats.search_time > 0
-            else "-")
-    eval_rate = (f"{stats.heuristic_evals / stats.heuristic_time:.0f}"
-                 if stats.heuristic_time > 0 else "-")
-    lines.append(f"nodes: {stats.nodes}  nodes/s: {rate}  "
+    lines.append(f"nodes: {stats.nodes}  "
+                 f"nodes/s: {_rate(stats.nodes_per_s)}  "
                  f"propagations: {stats.propagations}  "
                  f"heuristic: {stats.heuristic_time:.3f}s  "
-                 f"evals: {stats.heuristic_evals}  evals/s: {eval_rate}  "
+                 f"evals: {stats.heuristic_evals}  "
+                 f"evals/s: {_rate(stats.heuristic_evals_per_s)}  "
                  f"wall: {stats.wall_time:.3f}s")
     if system is not None and solution.assignment is not None:
         guess = _guess_names(system, solution)
@@ -223,6 +222,10 @@ def _solve_report(system, solution, trace) -> str:
         lines.append("")
         lines.append(oracle.render_trace(system, trace).rstrip("\n"))
     return "\n".join(lines) + "\n"
+
+
+def _rate(per_s: float | None) -> str:
+    return "-" if per_s is None else f"{per_s:.0f}"
 
 
 def _cmd_verify(args) -> int:

@@ -195,12 +195,25 @@ class SolveStats:
     # seconds of branch-and-bound, after the root pass and the heuristic
     search_time: float = 0.0
 
+    @property
+    def nodes_per_s(self) -> float | None:
+        """Decisions per second of search; None when it took no time."""
+        return self.nodes / self.search_time if self.search_time > 0 else None
+
+    @property
+    def heuristic_evals_per_s(self) -> float | None:
+        """Evaluations per heuristic second; None when it took no time."""
+        return (self.heuristic_evals / self.heuristic_time
+                if self.heuristic_time > 0 else None)
+
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "wall_time": round(self.wall_time, 6),
                 "heuristic_evals": self.heuristic_evals,
                 "heuristic_time": round(self.heuristic_time, 6),
-                "search_time": round(self.search_time, 6)}
+                "search_time": round(self.search_time, 6),
+                "nodes_per_s": self.nodes_per_s,
+                "heuristic_evals_per_s": self.heuristic_evals_per_s}
 
 
 @dataclass
@@ -479,16 +492,19 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     Nearly every evaluation adds one guess to a set the search holds
     still: the climb tries ``(sel - {out}) | {inn}`` for every ``inn``
     under one ``out``, and the greedy start ``sel | {v}`` for every ``v``.
-    That set is swept once, capped at one sweep, and each candidate is
-    scored from it as a base (:func:`~dedmin.oracle.sweeps`), which gives
-    the same coverage.  A base sweep is not an evaluation: it counts
-    against neither the eval budget nor ``heuristic_evals``.
+    Each such list is scored in one batch
+    (:func:`~dedmin.oracle.coverages`), and :func:`coverage` replays the
+    counts in order, so the evaluations, their budget and every incumbent
+    are those of scoring the candidates one by one.  The deadline is
+    checked once per batch and once per single evaluation.
     """
-    from .oracle import mask_of, sweeps
+    from .oracle import coverages, mask_of, sweeps
 
     inputs = list(range(n))  # variable v is the guess-layer state of prop v
 
-    # evaluations: a fixed 5e7 divided by nu x rules, within [3000, 60000]
+    # a count of evaluations, 5e7 over nu x rules within [3000, 60000]; an
+    # evaluation no longer costs nu x rules option tests, but the formula
+    # stays fixed because the tests and the benchmark pin what it gives
     tests_per_eval = max(1, cfg.nu * len(options.masks))
     eval_budget = max(3000, min(60000, 50_000_000 // tests_per_eval))
     # small guess layers have few distinct subsets; don't oversample
@@ -500,34 +516,40 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     best_sel: set[int] | None = None
     best_covered = -1
 
-    def coverage(selection: set[int], base: list[int] | None = None) -> int:
+    def coverage(selection: set[int], covered: int | None = None) -> int:
         """Propositions ``nu`` sweeps from ``selection`` know.
 
-        ``base`` is the first sweep of a subset of ``selection``, or None.
-        Every evaluation keeps the best selection for the sense (the most
-        covered, or the smallest full cover), so a search the budget cuts
-        short still leaves its best.
+        ``covered`` is that count when a batch already scored it, or None
+        to sweep ``selection`` here.  Every evaluation keeps the best
+        selection for the sense (the most covered, or the smallest full
+        cover), so a search the budget cuts short still leaves its best.
         """
         nonlocal evals, best_sel, best_covered
         if evals >= eval_budget:
             raise _HeuristicStop
-        if (evals & 63) == 0 and time.monotonic() > deadline:
-            raise _HeuristicStop
+        if covered is None:
+            if time.monotonic() > deadline:
+                raise _HeuristicStop
+            covered = sweeps(options, mask_of(selection),
+                             cfg.nu)[-1].bit_count()
         evals += 1
-        covered = sweeps(options, mask_of(selection), cfg.nu,
-                         base)[-1].bit_count()
         if (covered > best_covered if maximize else covered == n and (
                 best_sel is None or len(selection) < len(best_sel))):
             best_sel, best_covered = set(selection), covered
         return covered
 
+    def batch(kept: set[int], ins: list[int]) -> list[int]:
+        """The coverage of each ``kept | {inn}``, scored in one pass."""
+        if evals >= eval_budget or time.monotonic() > deadline:
+            raise _HeuristicStop
+        return coverages(options, mask_of(kept), ins, cfg.nu)
+
     def swaps(sel: set[int], ins: list[int]):
-        """Each ``(sel - {out}) | {inn}`` with the base of ``sel - {out}``."""
+        """Each ``(sel - {out}) | {inn}`` with its coverage."""
         for out in sorted(sel):
             kept = sel - {out}
-            base = sweeps(options, mask_of(kept), 1)
-            for inn in ins:
-                yield kept | {inn}, base
+            for inn, covered in zip(ins, batch(kept, ins)):
+                yield kept | {inn}, covered
 
     def climb(sel: set[int]) -> tuple[set[int], int]:
         """First-improvement swap ascent of coverage at fixed size."""
@@ -535,8 +557,8 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
         while current < n:
             ins = [v for v in by_score if v not in sel]
             rng.shuffle(ins)
-            for cand, base in swaps(sel, ins):
-                value = coverage(cand, base)
+            for cand, covered in swaps(sel, ins):
+                value = coverage(cand, covered)
                 if value > current:
                     sel, current = cand, value
                     break
@@ -576,9 +598,10 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
                 # greedy constructive start plus the raw occurrence ranking
                 sel: set[int] = set()
                 while len(sel) < k:
-                    base = sweeps(options, mask_of(sel), 1)
-                    sel.add(max((v for v in by_score if v not in sel),
-                                key=lambda v: coverage(sel | {v}, base)))
+                    ins = [v for v in by_score if v not in sel]
+                    scored = dict(zip(ins, batch(sel, ins)))
+                    sel.add(max(ins, key=lambda v: coverage(sel | {v},
+                                                            scored[v])))
                 search_size(k, [set(by_score[:k]), sel])
         else:
             sel = set(inputs)

@@ -20,12 +20,10 @@ the first sweep tests every rule, and each later sweep tests only the rules
 listed under the propositions the previous sweep learned
 (:class:`OptionMasks`).
 
-The same argument lets a guess set be scored from a subset already swept.
-Given the first sweep of a subset ``b`` of the known set (its *base*), a
-rule that fires from the known set but not from ``b`` has a premise outside
-``b``; so the first sweep takes the base's derivations as given and tests
-only the rules listed under the guesses ``b`` lacks.  The rounds are the
-same as without a base.
+:func:`coverages` scores many guess sets at once: every candidate added
+to one known set.  It runs the same sweeps bit-sliced, with one bitset
+over the candidates per proposition, so a sweep's cost is paid once for
+the whole batch instead of once per candidate.
 """
 
 from __future__ import annotations
@@ -82,26 +80,36 @@ class OptionMasks:
 
     ``masks`` lists them in id order; ``by_premise[p]`` lists, in id order,
     the same pairs for the options that have ``p`` among their premises.
+    ``rules`` and ``rules_by_premise`` list the same options the same ways
+    as ``(premises, conclusion)`` index pairs, for :func:`coverages`.
     """
 
     masks: tuple[tuple[int, int], ...]
     by_premise: tuple[tuple[tuple[int, int], ...], ...]
+    rules: tuple[tuple[tuple[int, ...], int], ...]
+    rules_by_premise: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
 
 
 def option_masks(system: DeductionSystem) -> OptionMasks:
     """The masks of every deduction option, indexed by premise for sweeps."""
+    rules = deduction_options(system)
     masks = []
     by_premise: list[list[tuple[int, int]]] = [[] for _ in range(system.n)]
-    for premises, conclusion in deduction_options(system):
+    rules_by_premise: list[list[tuple[tuple[int, ...], int]]] = [
+        [] for _ in range(system.n)]
+    for rule in rules:
+        premises, conclusion = rule
         option = (mask_of(premises), 1 << conclusion)
         masks.append(option)
         for p in premises:
             by_premise[p].append(option)
-    return OptionMasks(tuple(masks), tuple(map(tuple, by_premise)))
+            rules_by_premise[p].append(rule)
+    return OptionMasks(tuple(masks), tuple(map(tuple, by_premise)),
+                       tuple(rules), tuple(map(tuple, rules_by_premise)))
 
 
-def sweeps(options: OptionMasks, known: int, limit: int | None = None,
-           base: list[int] | None = None) -> list[int]:
+def sweeps(options: OptionMasks, known: int,
+           limit: int | None = None) -> list[int]:
     """Known-set bitmask before the first sweep and after each one.
 
     A sweep derives every proposition whose premises were known at its
@@ -112,20 +120,12 @@ def sweeps(options: OptionMasks, known: int, limit: int | None = None,
     sweep has a premise the previous sweep learned (had all its premises
     been known before that, it would have fired then), so a later sweep
     tests only the options listed under the newly learned propositions.
-
-    ``base``, when given, is ``sweeps(options, b, 1)`` for a subset ``b``
-    of ``known``.  An option that fires from ``known`` but not from ``b``
-    has a premise in ``known`` outside ``b``, so the first sweep keeps what
-    the base derived that ``known`` lacks and tests only the options listed
-    under those premises.  The rounds equal those without a base.
     """
     rounds = [known]
     by_premise = options.by_premise
-    if base is None:
-        scan, new = options.masks, 0
-    else:
-        scan, new = _fed_by(by_premise, known & ~base[0]), base[-1] & ~known
+    scan = options.masks
     while limit is None or len(rounds) <= limit:
+        new = 0
         for pmask, cbit in scan:
             if known & cbit == 0 and known & pmask == pmask:
                 new |= cbit
@@ -133,18 +133,80 @@ def sweeps(options: OptionMasks, known: int, limit: int | None = None,
             break
         known |= new
         rounds.append(known)
-        scan, new = _fed_by(by_premise, new), 0
+        scan = []
+        while new:
+            low = new & -new
+            scan += by_premise[low.bit_length() - 1]
+            new ^= low
     return rounds
 
 
-def _fed_by(by_premise, props: int) -> list[tuple[int, int]]:
-    """The options listed under the propositions of the bitmask ``props``."""
-    scan = []
-    while props:
-        low = props & -props
-        scan += by_premise[low.bit_length() - 1]
-        props ^= low
-    return scan
+def coverages(options: OptionMasks, known: int, candidates: list[int],
+              limit: int | None = None) -> list[int]:
+    """The coverage of ``known`` plus each candidate, in one pass.
+
+    Entry ``j`` equals ``sweeps(options, known | 1 << candidates[j],
+    limit)[-1].bit_count()``.  The sweeps run bit-sliced: ``knows[p]`` has
+    bit ``j`` set when candidate ``j`` knows ``p``.  Each sweep finds every
+    firing from the ``knows`` of its start before it applies any, and
+    tests, after the first, only the options listed under a proposition
+    some candidate learned in the previous sweep, as :func:`sweeps` does
+    for one set.  A count is what the candidate started with plus what it
+    learned; a vertical bit-plane counter sums the learned words (bit
+    ``j`` of ``planes[i]`` is bit ``i`` of what candidate ``j`` learned),
+    and each set bit of a plane adds its weight to its candidate's count.
+    """
+    m = len(candidates)
+    if not m:
+        return []
+    full = (1 << m) - 1
+    knows = [0] * len(options.rules_by_premise)
+    rest = known
+    while rest:
+        low = rest & -rest
+        knows[low.bit_length() - 1] = full
+        rest ^= low
+    alone = known.bit_count()
+    counts = [alone + (known >> c & 1 ^ 1) for c in candidates]
+    for j, c in enumerate(candidates):
+        knows[c] |= 1 << j
+    start = knows[:]
+    scan = options.rules
+    done = 0
+    while limit is None or done < limit:
+        gain: dict[int, int] = {}
+        for premises, q in scan:
+            fire = knows[q]
+            if fire == full:
+                continue
+            fire = ~fire
+            for p in premises:
+                fire &= knows[p]
+            if fire:
+                gain[q] = gain.get(q, 0) | fire
+        if not gain:
+            break
+        scan = []
+        for q, fire in gain.items():
+            knows[q] |= fire
+            scan += options.rules_by_premise[q]
+        done += 1
+    planes: list[int] = []
+    for word, before in zip(knows, start):
+        word ^= before
+        i = 0
+        while word:
+            if i == len(planes):
+                planes.append(word)
+                break
+            planes[i], word = planes[i] ^ word, planes[i] & word
+            i += 1
+    for i, plane in enumerate(planes):
+        while plane:
+            low = plane & -plane
+            counts[low.bit_length() - 1] += 1 << i
+            plane ^= low
+    return counts
 
 
 def mask_of(props: Iterable[int]) -> int:
@@ -174,16 +236,16 @@ def closure(system: DeductionSystem, guess: Iterable[int]) -> ClosureResult:
     """
     require_valid(system)
     start = _check_guess(system, guess)
-    options = deduction_options(system)
-    masks = option_masks(system)
-    rounds = sweeps(masks, mask_of(start))
+    options = option_masks(system)
+    rounds = sweeps(options, mask_of(start))
     trace: list[TraceStep] = []
     for frontier, after in zip(rounds, rounds[1:]):
         new = after & ~frontier
-        for rid, (pmask, cbit) in enumerate(masks.masks):
+        for rid, (pmask, cbit) in enumerate(options.masks):
             if new & cbit and frontier & pmask == pmask:
                 new &= ~cbit
-                trace.append(TraceStep(options[rid][0], rid, options[rid][1]))
+                premises, deduced = options.rules[rid]
+                trace.append(TraceStep(premises, rid, deduced))
     known = frozenset(v for v in range(system.n) if rounds[-1] >> v & 1)
     return ClosureResult(known, tuple(trace), len(rounds) - 1)
 

@@ -296,6 +296,44 @@ def test_solve_report_prints_the_evaluation_rate(toy):
             assert (evals, rate) == (0, "-")
 
 
+def test_solve_json_gives_the_rates_of_the_text_report(toy):
+    # nodes/s and evals/s come from SolveStats for both reports: the same
+    # number, or "-" in the text where --json has null
+    cfg = encoder.EncodeConfig(nu=4, budget_k=1)
+    instance = encoder.encode(toy, cfg)
+    solutions = [milp.solve(instance),
+                 milp.solve(with_full_cover(instance, toy.n, cfg.nu)),
+                 milp.Solution("optimal", None, 1, milp.SolveStats())]
+    for solution in solutions:
+        words = cli._solve_report(None, solution, None).splitlines()[2].split()
+        stats = json.loads(solution.to_json_text())["stats"]
+        for label, key in (("nodes/s:", "nodes_per_s"),
+                           ("evals/s:", "heuristic_evals_per_s")):
+            rate = stats[key]
+            assert words[words.index(label) + 1] == (
+                "-" if rate is None else f"{rate:.0f}")
+    assert solutions[0].to_json()["stats"]["heuristic_evals_per_s"] > 0
+    assert solutions[1].to_json()["stats"]["heuristic_evals_per_s"] is None
+    assert solutions[2].to_json()["stats"]["nodes_per_s"] is None
+    out = run_cli("solve", str(TOY), "--k", "1", "--json")
+    assert {"nodes_per_s", "heuristic_evals_per_s"} <= \
+        set(json.loads(out.stdout)["stats"])
+
+
+def test_python_m_dedmin_runs_the_cli(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "dedmin", *args],
+                              capture_output=True, text=True)
+
+    ok = run("verify", str(TOY), "--guess", "p2")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout == run_cli("verify", str(TOY), "--guess", "p2").stdout
+    missing = run("verify", str(tmp_path / "missing.rules"), "--guess", "p2")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("dedmin: ")
+    assert len(missing.stderr.splitlines()) == 1, missing.stderr
+
+
 @pytest.mark.parametrize("command", [("solve", "--k", "1"), ("minimize",)])
 def test_nu_zero_is_read_as_given(command):
     # --nu 0 is a depth, not "use the default", and encoding refuses it

@@ -397,19 +397,25 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
 # --- the closure sweep against its reference --------------------------------
 
 def solve_with_both_sweeps(instance, limits, monkeypatch):
-    # the reference ignores the base, so the heuristic's scores from a
-    # base are compared with sweeps from scratch
+    # the reference scores each batched candidate by its own sweeps from
+    # scratch, so the heuristic's batch scores are compared with them
     got = solve(instance, limits)
     with monkeypatch.context() as patched:
         patched.setattr(oracle, "sweeps",
-                        lambda options, known, limit=None, base=None:
+                        lambda options, known, limit=None:
                         reference_sweeps(options.masks, known, limit))
+        patched.setattr(oracle, "coverages",
+                        lambda options, known, candidates, limit=None: [
+                            reference_sweeps(options.masks, known | 1 << c,
+                                             limit)[-1].bit_count()
+                            for c in candidates])
         want = solve(instance, limits)
     assert want.stats.heuristic_evals > 0
     assert (got.status, got.objective, got.assignment, got.stats.nodes,
             got.stats.heuristic_evals) == \
         (want.status, want.objective, want.assignment, want.stats.nodes,
          want.stats.heuristic_evals)
+    return got
 
 
 def test_heuristic_agrees_with_reference_sweeps(monkeypatch):
@@ -435,6 +441,16 @@ def test_snow_solve_agrees_with_reference_sweeps(seed, monkeypatch):
     solve_with_both_sweeps(instance, SolveLimits(time_budget=1e9,
                                                  node_budget=1000, seed=seed),
                            monkeypatch)
+
+
+def test_enocoro_heuristic_agrees_with_reference_sweeps(monkeypatch):
+    # the largest batches: 90 swaps under each removed guess
+    system = preprocess.expand_rules(ciphers.build_enocoro(16))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=18, budget_k=18, mode=encoder.COMPACT))
+    got = solve_with_both_sweeps(instance, SolveLimits(
+        time_budget=1e9, node_budget=0, seed=0), monkeypatch)
+    assert (got.stats.heuristic_evals, got.objective) == (7716, 92)
 
 
 # --- the guess-set search of encodings --------------------------------------

@@ -112,6 +112,10 @@ def test_sweeps_agree_with_reference(seed, expand, data):
     options = oracle.option_masks(system)
     for p, listed in enumerate(options.by_premise):
         assert listed == tuple(m for m in options.masks if m[0] >> p & 1)
+        assert options.rules_by_premise[p] == tuple(
+            r for r in options.rules if p in r[0])
+    assert options.masks == tuple((oracle.mask_of(premises), 1 << q)
+                                  for premises, q in options.rules)
     known = oracle.mask_of(data.draw(st.sets(st.integers(0, n - 1))))
     limit = data.draw(st.sampled_from([None, *range(n + 2)]))
     assert oracle.sweeps(options, known, limit) == \
@@ -120,23 +124,26 @@ def test_sweeps_agree_with_reference(seed, expand, data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
-def test_sweeps_from_a_base_agree_with_reference(seed, expand, data):
-    # from the first sweep of a subset, the first sweep tests only the
-    # options under the guesses the subset lacks; the rounds must be those
-    # of sweeping the superset from scratch
+def test_coverages_agree_with_reference(seed, expand, data):
+    # one bit-sliced pass over every candidate must give each the count of
+    # sweeping its own known set from scratch, whether the candidate is
+    # new, already known or listed twice
     system = random_system(random.Random(seed), max_n=12, max_m=20)
     if expand:
         system = preprocess.expand_rules(system)
     n = system.n
     options = oracle.option_masks(system)
-    superset = data.draw(st.sets(st.integers(0, n - 1)))
-    subset = data.draw(st.sets(st.sampled_from(sorted(superset)))
-                       if superset else st.just(set()))
-    base = reference_sweeps(options.masks, oracle.mask_of(subset), 1)
-    known = oracle.mask_of(superset)
+    known = oracle.mask_of(data.draw(st.sets(st.integers(0, n - 1))))
+    candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
     limit = data.draw(st.sampled_from([None, *range(n + 2)]))
-    assert oracle.sweeps(options, known, limit, base) == \
-        reference_sweeps(options.masks, known, limit)
+    assert oracle.coverages(options, known, candidates, limit) == [
+        reference_sweeps(options.masks, known | 1 << c, limit)[-1].bit_count()
+        for c in candidates]
+    assert oracle.coverages(options, known, [], limit) == []
+    inside = [p for p in range(n) if known >> p & 1]
+    alone = reference_sweeps(options.masks, known, limit)[-1].bit_count()
+    assert oracle.coverages(options, known, inside, limit) == \
+        [alone] * len(inside)
 
 
 def test_closure_rounds_bound(toy):
