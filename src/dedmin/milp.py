@@ -12,6 +12,9 @@ solver is branch-and-bound in one of two forms, chosen by
   (:func:`~dedmin.encoder.assignment_of`), so the search branches on the
   guess layer only and scores each node by closure sweeps of the decoded
   rules on bitmasks, pruning with the coverage of every guess still open.
+  On the bottom level of the tree, where every take child is a leaf, a
+  node and its skip children are expanded as one walk: one bit-sliced
+  batch scores all its leaves, and bisection finds where it ends.
   A seeded local search over guess sets of a fixed size, climbing their
   coverage, gives it its first incumbent, and the final incumbent's full
   assignment is re-checked against the raw constraints.  With the
@@ -40,6 +43,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 LESS_EQUAL = "<="
@@ -711,11 +715,20 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
     covers, and maximizing it beat the incumbent, which no leaf has
     changed since, as the take child is popped right after its parent.
     The skip child's ``ones`` is its parent's, which does not cover
-    (minimize, full cover).  Nodes and answers are those of checking
-    every node in full.
+    (minimize, full cover).
+
+    A node is on the bottom level when its take child must be a leaf: it
+    holds ``budget_k - 1`` guesses (maximize), or two fewer than the
+    incumbent or the size limit (minimize, full cover).  It and its chain
+    of skip children are expanded as one walk: one
+    :func:`~dedmin.oracle.coverages` batch scores every take leaf.  Along
+    the chain the set ``ones | rest`` a skip check sweeps only shrinks and
+    the bar it must clear only rises, so bisection finds the first check
+    to fail, where the walk ends.  Nodes, budget checks, incumbents and
+    answers are those of checking every node in full, one at a time.
     """
     from .encoder import assignment_of
-    from .oracle import option_masks, sweeps
+    from .oracle import coverages, option_masks, sweeps
 
     stats = SolveStats()
     n, nu = system.n, cfg.nu
@@ -737,6 +750,51 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
 
     def coverage(guesses: int) -> int:
         return sweeps(options, guesses, nu)[-1].bit_count()
+
+    def walk(i: int, ones: int) -> bool:
+        """Expand the bottom-level node ``(i, ones)`` and its skip children
+        as one walk, replayed decision by decision; True when the search
+        ends.  Take child ``j`` is the leaf ``ones | 1 << order[j]``."""
+        nonlocal best_obj, best, status
+        leaves = coverages(options, ones, order[i:], nu)
+        # the skip check after leaf j fails when ones | rest[j + 1] covers
+        # at most bars[j - i]; the walk ends at the first failure, or at end
+        if maximize:
+            # the best leaf so far; the skip child at m - 1 is itself a leaf
+            bars = list(accumulate(leaves, max, initial=(
+                -1 if best_obj is None else best_obj)))[1:]
+            end = m - 2
+        else:
+            # anything short of a cover; a cover ends the walk too, and so
+            # does the check at m - 1, of ones alone
+            bars = [n - 1] * len(leaves)
+            end = next((j for j in range(i, m - 1) if leaves[j - i] == n),
+                       m - 1)
+        lo, hi = i, end
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if coverage(ones | rest[mid + 1]) <= bars[mid - i]:
+                hi = mid
+            else:
+                lo = mid + 1
+        for j in range(i, lo + 1):
+            if _out_of_budget(limits, stats, start):
+                status = TIME_LIMIT
+                return True
+            stats.nodes += 1
+            value = leaves[j - i]
+            if maximize:
+                if best_obj is None or value > best_obj:
+                    best_obj, best = value, ones | 1 << order[j]
+            elif value == n:  # a cover, the walk's last leaf
+                best = ones | 1 << order[j]
+                if full_cover:
+                    best_obj = n  # the instance's objective: all covered
+                    return True
+                best_obj = best.bit_count()
+        if maximize and lo == m - 2 and leaves[-1] > best_obj:
+            best_obj, best = leaves[-1], ones | rest[m - 1]
+        return False
 
     # every cover guesses the propositions no option concludes, so the
     # minimize and full-cover searches start with them guessed
@@ -788,6 +846,11 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
                 continue
             if not took and coverage(ones | rest[i]) < n:
                 continue
+        if taken == k - 1 if maximize else (best_obj is not None
+                                            and taken == best_obj - 2):
+            if walk(i, ones):
+                break
+            continue
         if _out_of_budget(limits, stats, start):
             status = TIME_LIMIT
             break

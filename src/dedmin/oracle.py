@@ -23,7 +23,9 @@ listed under the propositions the previous sweep learned
 :func:`coverages` scores many guess sets at once: every candidate added
 to one known set.  It runs the same sweeps bit-sliced, with one bitset
 over the candidates per proposition, so a sweep's cost is paid once for
-the whole batch instead of once per candidate.
+the whole batch instead of once per candidate.  The solver's root
+heuristic scores its swaps and additions with it, and its guess-set
+search every leaf of a walk along the bottom level of the tree.
 """
 
 from __future__ import annotations
@@ -237,7 +239,12 @@ def closure(system: DeductionSystem, guess: Iterable[int]) -> ClosureResult:
     require_valid(system)
     start = _check_guess(system, guess)
     options = option_masks(system)
-    rounds = sweeps(options, mask_of(start))
+    return _traced(system, options, sweeps(options, mask_of(start)))
+
+
+def _traced(system: DeductionSystem, options: OptionMasks,
+            rounds: list[int]) -> ClosureResult:
+    """The closure whose uncapped sweeps gave ``rounds``, with its trace."""
     trace: list[TraceStep] = []
     for frontier, after in zip(rounds, rounds[1:]):
         new = after & ~frontier
@@ -311,10 +318,13 @@ def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
         p.index for p in system.propositions
         if assignment.get(encoder.state_var_name(p.index, 0)) == 1
     ]
-    result = closure(system, guess)
-    per_round = sweeps(option_masks(system), mask_of(guess), cfg.nu)
+    require_valid(system)
+    options = option_masks(system)
+    rounds = sweeps(options, mask_of(guess))
+    result = _traced(system, options, rounds)
+    # sweeps capped at nu would be a prefix of these rounds
     for copy in range(0, cfg.nu + 1):
-        justified = per_round[min(copy, len(per_round) - 1)]
+        justified = rounds[min(copy, len(rounds) - 1)]
         for p in system.propositions:
             marked = assignment.get(encoder.state_var_name(p.index, copy))
             if marked == 1 and justified & (1 << p.index) == 0:

@@ -230,39 +230,18 @@ class ReferenceEngine:
 
 
 # The guess-set branch-and-bound as it was before a child skipped the checks
-# its parent settled, kept verbatim as the reference ``milp._solve_encoding``
-# must agree with, node for node (tests/test_milp.py).  Its names are
-# imported when it runs, so that a test's patches of ``milp`` reach it.
+# its parent settled, kept verbatim, apart from its docstring, as the
+# reference ``milp._solve_encoding`` must agree with, node for node
+# (tests/test_milp.py).  Its names are imported when it runs, so that a
+# test's patches of ``milp`` and ``oracle`` reach it.
 def reference_solve_encoding(instance, system, cfg, full_cover, limits,
                              start):
-    """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
+    """The per-node reference of the guess-set search.
 
-    The guess layer fixes every other variable to its closure value
-    (:func:`~dedmin.encoder.assignment_of`), so a node is a set of guesses
-    decided so far, evaluated by closure sweeps on bitmasks.  Decisions
-    follow the row search's order, most occurrences first, value 1 first.
-    With ``ones`` the guesses taken and ``rest`` those still undecided:
-
-    * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
-      once all of ``rest`` fits in the budget (then it takes them all);
-      it is pruned when the coverage of ``ones | rest`` is no better than
-      the incumbent;
-    * minimize: a node is a leaf once ``ones`` covers everything; it is
-      pruned when it has as many guesses as the incumbent, when one more
-      would reach that on a partial cover, or when ``ones | rest`` does
-      not cover everything;
-    * full cover (``instance`` is the max-sense encoding plus its row
-      demanding every proposition, which :func:`~dedmin.encoder.decode`
-      flags as ``full_cover``): the minimize search with
-      ``budget_k + 1`` as its bound instead of an incumbent, stopped at
-      the first cover, which is optimal with objective ``n``; ``infeasible``
-      once the tree is exhausted without one.
-
-    Minimize and full cover start with every proposition no option
-    concludes already guessed, since every cover holds it.  Coverage is
-    monotone in the guess set, so every pruned subtree holds nothing
-    better than the incumbent.  Full cover runs no root heuristic, and no
-    engine is built, so ``stats.propagations`` stays 0.
+    Every node's checks are swept on their own: no child inherits a check
+    from its parent, and no walk along the bottom level is batched.  The
+    production search must match it in status, objective, nodes,
+    heuristic evaluations and assignment, for every node budget.
     """
     from dedmin.encoder import assignment_of
     from dedmin.milp import (INFEASIBLE, MAXIMIZE, OPTIMAL, TIME_LIMIT,

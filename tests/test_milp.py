@@ -396,19 +396,24 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
 
 # --- the closure sweep against its reference --------------------------------
 
-def solve_with_both_sweeps(instance, limits, monkeypatch):
+def use_reference_sweeps(patched):
     # the reference scores each batched candidate by its own sweeps from
-    # scratch, so the heuristic's batch scores are compared with them
+    # scratch, so every batch score is compared with them: the heuristic's
+    # swaps and additions, and the leaves of the search's bottom-level walks
+    patched.setattr(oracle, "sweeps",
+                    lambda options, known, limit=None:
+                    reference_sweeps(options.masks, known, limit))
+    patched.setattr(oracle, "coverages",
+                    lambda options, known, candidates, limit=None: [
+                        reference_sweeps(options.masks, known | 1 << c,
+                                         limit)[-1].bit_count()
+                        for c in candidates])
+
+
+def solve_with_both_sweeps(instance, limits, monkeypatch):
     got = solve(instance, limits)
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "sweeps",
-                        lambda options, known, limit=None:
-                        reference_sweeps(options.masks, known, limit))
-        patched.setattr(oracle, "coverages",
-                        lambda options, known, candidates, limit=None: [
-                            reference_sweeps(options.masks, known | 1 << c,
-                                             limit)[-1].bit_count()
-                            for c in candidates])
+        use_reference_sweeps(patched)
         want = solve(instance, limits)
     assert want.stats.heuristic_evals > 0
     assert (got.status, got.objective, got.assignment, got.stats.nodes,
@@ -507,15 +512,18 @@ def exhaustive_coverage(system, cfg):
                for guess in combinations(range(system.n), size))
 
 
-def solve_with_both_loops(instance, monkeypatch):
-    # a check a child wrongly inherits prunes nothing or misses a cover, so
-    # the nodes are pinned as well as the answer
-    got = solve(instance)
+def solve_with_both_loops(instance, monkeypatch, limits=None):
+    # a check a child wrongly inherits, or a walk that ends at the wrong
+    # node, prunes nothing or misses a cover, so the nodes are pinned as
+    # well as the answer
+    got = solve(instance, limits)
     with monkeypatch.context() as patched:
         patched.setattr(milp, "_solve_encoding", reference_solve_encoding)
-        want = solve(instance)
-    assert (got.status, got.objective, got.stats.nodes, got.assignment) == \
-        (want.status, want.objective, want.stats.nodes, want.assignment)
+        want = solve(instance, limits)
+    assert (got.status, got.objective, got.stats.nodes,
+            got.stats.heuristic_evals, got.assignment) == \
+        (want.status, want.objective, want.stats.nodes,
+         want.stats.heuristic_evals, want.assignment)
     return got
 
 
@@ -564,6 +572,89 @@ def test_guess_search_stops_at_its_node_budget(monkeypatch):
         again = solve(instance, SolveLimits(node_budget=full.stats.nodes))
         assert (again.status, again.objective) == (milp.OPTIMAL,
                                                    full.objective)
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_bottom_level_walks_agree_with_reference_at_every_budget(
+        heuristic, monkeypatch):
+    # a node budget can cut a walk at any decision; the cut must fall where
+    # the per-node search stops, with the same incumbent
+    if not heuristic:
+        monkeypatch.setattr(milp, "_heuristic_incumbent",
+                            lambda *args: None)
+    rng = random.Random(59)
+    for system, cfg, instance in random_encodings(rng, 5, 10, False):
+        variants = [instance]
+        if cfg.sense == encoder.MAX_COVERAGE:
+            variants.append(with_full_cover(instance, system.n, cfg.nu))
+        for variant in variants:
+            full = solve_with_both_loops(variant, monkeypatch)
+            for budget in range(full.stats.nodes + 1):
+                solve_with_both_loops(variant, monkeypatch, SolveLimits(
+                    node_budget=budget))
+
+
+def snow(k):
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    cfg = encoder.EncodeConfig(nu=12, budget_k=k, mode=encoder.COMPACT)
+    return system, cfg, encoder.encode(system, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 63, 64, 65, 1000])
+def test_refutation_walks_agree_with_reference(budget, monkeypatch):
+    # the clock is read every 64 decisions, so the budgets straddle one read
+    system, cfg, instance = snow(8)
+    refute = with_full_cover(instance, system.n, cfg.nu)
+    solution = solve_with_both_loops(refute, monkeypatch, SolveLimits(
+        time_budget=1e9, node_budget=budget))
+    assert (solution.status, solution.stats.nodes) == (milp.TIME_LIMIT,
+                                                       budget)
+
+
+def test_cipher_walks_agree_with_reference(monkeypatch):
+    limits = SolveLimits(time_budget=1e9, node_budget=2000)
+    solution = solve_with_both_loops(snow(8)[2], monkeypatch, limits)
+    assert (solution.objective, solution.stats.nodes) == (19, 2000)
+    system = preprocess.expand_rules(ciphers.build_enocoro(16))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=18, budget_k=18, mode=encoder.COMPACT))
+    solution = solve_with_both_loops(instance, monkeypatch, SolveLimits(
+        time_budget=1e9, node_budget=200, seed=0))
+    assert (solution.objective, solution.stats.nodes) == (92, 200)
+    monkeypatch.setattr(milp, "_heuristic_incumbent", lambda *args: None)
+    solution = solve_with_both_loops(snow(9)[2], monkeypatch, limits)
+    assert solution.stats.nodes == 2000
+
+
+@pytest.mark.parametrize("full_cover", [True, False])
+def test_bottom_level_walks_sweep_less_than_once_per_decision(full_cover,
+                                                              monkeypatch):
+    # a search that fell back to checking its bottom level node by node
+    # would sweep about twice per decision; the reference kernels score
+    # the walks' batches one candidate at a time
+    system, cfg, instance = snow(8)
+    budget = 2000
+    if full_cover:
+        instance = with_full_cover(instance, system.n, cfg.nu)
+        budget = 1000
+    limits = SolveLimits(time_budget=1e9, node_budget=budget)
+    sweeps = oracle.sweeps
+    calls = 0
+
+    def counted(options, known, limit=None):
+        nonlocal calls
+        calls += 1
+        return sweeps(options, known, limit)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "sweeps", counted)
+        got = solve(instance, limits)
+    assert got.stats.nodes == budget and calls < budget
+    with monkeypatch.context() as patched:
+        use_reference_sweeps(patched)
+        want = solve(instance, limits)
+    assert (got.status, got.objective, got.stats.nodes, got.assignment) == \
+        (want.status, want.objective, want.stats.nodes, want.assignment)
 
 
 def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
