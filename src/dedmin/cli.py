@@ -200,17 +200,19 @@ def _solve_report(system, solution, trace) -> str:
     decisions; ``nodes/s``, from the search time; ``propagations``, the
     fixings of the row engine, which is 0 when the instance is searched
     over guess sets (an encoding, or one plus its full-cover row);
-    ``heuristic``, the seconds of the root heuristic; ``evals``, its
-    closure evaluations; ``evals/s``, from the heuristic's seconds; ``wall``;
-    then the guesses and the deduction trace.  A rate is the one
-    :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
-    phase took no time.
+    ``decode``, the seconds :func:`~dedmin.encoder.decode` took to pick
+    the search; ``heuristic``, the seconds of the root heuristic;
+    ``evals``, its closure evaluations; ``evals/s``, from the heuristic's
+    seconds; ``wall``; then the guesses and the deduction trace.  A rate
+    is the one :class:`~dedmin.milp.SolveStats` gives ``--json``, and
+    ``-`` when its phase took no time.
     """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats
     lines.append(f"nodes: {stats.nodes}  "
                  f"nodes/s: {_rate(stats.nodes_per_s)}  "
                  f"propagations: {stats.propagations}  "
+                 f"decode: {stats.decode_time:.3f}s  "
                  f"heuristic: {stats.heuristic_time:.3f}s  "
                  f"evals: {stats.heuristic_evals}  "
                  f"evals/s: {_rate(stats.heuristic_evals_per_s)}  "

@@ -31,6 +31,13 @@ where ``l_mid`` are the surviving paths and ``p`` the designated path's
 premises.  The admitted 0/1 combinations are identical, so both modes have
 the same optima.
 
+The guess layer ``x{p}_c0`` takes variable ids ``0 .. n-1``.  Each
+unrolling step then adds one block of ``stride`` variables, its path
+variables in proposition and path order followed by the ``n`` states of
+the next copy, so ``stride`` is a step's path variables plus ``n``.  Every
+row of step ``s`` is a row of step 0 with each variable id raised by
+``s * stride``.
+
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
 initial layer subject to full final coverage.  :func:`decode` inverts
@@ -187,6 +194,9 @@ def default_nu(system: DeductionSystem) -> int:
     return max(1, system.n)
 
 
+_Row = tuple[tuple[tuple[int, int], ...], str, int]  # (terms, rel, rhs)
+
+
 class _Builder:
     """Collects what :func:`_emit` emits into a new instance."""
 
@@ -194,12 +204,12 @@ class _Builder:
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
 
-    def add_var(self, variable: Variable) -> int:
-        self.variables.append(variable)
-        return len(self.variables) - 1
+    def add_vars(self, variables: list[tuple]) -> None:
+        """Appends ``Variable(*v)`` for each ``v``."""
+        self.variables += map(Variable._make, variables)
 
-    def add(self, terms: Iterable[tuple[int, int]], rel: str, rhs: int) -> None:
-        self.constraints.append(Constraint(tuple(terms), rel, rhs))
+    def add(self, rows: list[_Row]) -> None:
+        self.constraints += map(Constraint._make, rows)
 
 
 class _Mismatch(Exception):
@@ -208,8 +218,9 @@ class _Mismatch(Exception):
 
 class _Checker:
     """Compares what :func:`_emit` emits with the first ``rows`` rows and
-    the variables of an instance, one at a time, and raises
-    :class:`_Mismatch` at the first difference."""
+    the variables of an instance, one batch at a time, and raises
+    :class:`_Mismatch` at the first difference.  A named tuple equals the
+    plain tuple of its fields, so the batches are compared as emitted."""
 
     def __init__(self, instance: MilpInstance, rows: int):
         self.variables = instance.variables
@@ -218,21 +229,17 @@ class _Checker:
         self.nvars = 0
         self.nrows = 0
 
-    def add_var(self, variable: Variable) -> int:
-        i = self.nvars
-        if i == len(self.variables) or self.variables[i] != variable:
+    def add_vars(self, variables: list[tuple]) -> None:
+        i, j = self.nvars, self.nvars + len(variables)
+        if self.variables[i:j] != tuple(variables):
             raise _Mismatch
-        self.nvars = i + 1
-        return i
+        self.nvars = j
 
-    def add(self, terms: Iterable[tuple[int, int]], rel: str, rhs: int) -> None:
-        i = self.nrows
-        if i == self.rows:
+    def add(self, rows: list[_Row]) -> None:
+        i, j = self.nrows, self.nrows + len(rows)
+        if j > self.rows or self.constraints[i:j] != tuple(rows):
             raise _Mismatch
-        c = self.constraints[i]
-        if c.rhs != rhs or c.rel != rel or c.terms != tuple(terms):
-            raise _Mismatch
-        self.nrows = i + 1
+        self.nrows = j
 
     @property
     def complete(self) -> bool:
@@ -242,90 +249,97 @@ class _Checker:
 def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
           ) -> tuple[tuple[tuple[int, int], ...], str]:
     """Emit the variables and rows of the unrolled instance into ``b``, in
-    order; returns its objective and sense."""
+    order; returns its objective and sense.
+
+    The layout is the step block of the module docstring: step 0's rows
+    are built once, with ids as at step 0, and step ``s`` emits them with
+    every id raised by ``s * stride``, after its variables, which come
+    from one ``(prop, path)`` list.  The budget row, or the coverage
+    rows, close the instance.
+    """
     table = enumerate_paths(system)  # validates the system
     cfg.check(system.n)
     n = system.n
 
-    state_ids = [[-1] * n for _ in range(cfg.nu + 1)]
-    for v in range(n):
-        state_ids[0][v] = b.add_var(Variable(state_var_name(v, 0), STATE, v, 0))
+    b.add_vars([(state_var_name(v, 0), STATE, v, 0, None) for v in range(n)])
 
-    # which path, per proposition, compact mode folds into the state link:
-    # the last multi-premise one; None keeps the full per-path form
-    plans: list[int | None] = []
-    for paths in table.rows:
-        multi = [j for j in range(1, len(paths)) if len(paths[j].premises) >= 2]
-        plans.append(multi[-1] if cfg.mode == COMPACT and multi else None)
+    # one step's path variables, as (prop, path number); compact mode folds
+    # each proposition's carry-over and its last multi-premise path, if it
+    # has one, into the state link, and they get no variable
+    paths: list[tuple[int, int]] = []
+    folds: list[int | None] = []
+    for v, row in enumerate(table.rows):
+        multi = [j for j in range(1, len(row)) if len(row[j].premises) >= 2]
+        folded = multi[-1] if cfg.mode == COMPACT and multi else None
+        folds.append(folded)
+        paths.extend((v, j + 1) for j in range(len(row))
+                     if folded is None or j not in (0, folded))
+    stride = len(paths) + n
+    # step 0's ids: states of copy 0 are 0 .. n-1, the path variables
+    # follow in order, then the states of copy 1 from stride on
+    path_id = {key: n + i for i, key in enumerate(paths)}
 
-    for step in range(cfg.nu):
-        path_ids: list[dict[int, int]] = [dict() for _ in range(n)]
-        for v in range(n):
-            folded = plans[v]
-            for j, path in enumerate(table.row(v)):
-                if folded is not None and (j == 0 or j == folded):
-                    continue  # folded into the state link below
-                path_ids[v][j] = b.add_var(
-                    Variable(path_var_name(v, j + 1, step), PATH, v, step, j + 1))
-        for v in range(n):
-            state_ids[step + 1][v] = b.add_var(
-                Variable(state_var_name(v, step + 1), STATE, v, step + 1))
-
-        for v in range(n):
-            paths = table.row(v)
-            folded = plans[v]
-            x_new = state_ids[step + 1][v]
-            x_old = state_ids[step][v]
-
-            for j, path in enumerate(paths):
-                if j not in path_ids[v]:
-                    continue
-                lvar = path_ids[v][j]
-                premises = ([x_old] if path.is_copy else
-                            [state_ids[step][p] for p in path.premises])
-                kappa = len(premises)
-                if kappa == 1:
-                    b.add(((lvar, 1), (premises[0], -1)), EQUAL, 0)
-                else:
-                    b.add(((lvar, 1),) + tuple((p, -1) for p in premises),
-                          GREATER_EQUAL, 1 - kappa)
-                    b.add(((lvar, -kappa),) + tuple((p, 1) for p in premises),
-                          GREATER_EQUAL, 0)
-
-            if folded is None:
-                tau = len(paths)
-                lvars = [path_ids[v][j] for j in range(tau)]
-                if tau == 1:
-                    b.add(((x_new, 1), (lvars[0], -1)), EQUAL, 0)
-                else:
-                    b.add(((x_new, -2),) + tuple((l, 1) for l in lvars),
-                          GREATER_EQUAL, -1)
-                    b.add(((x_new, tau),) + tuple((l, -1) for l in lvars),
-                          GREATER_EQUAL, 0)
+    rows: list[_Row] = []
+    for v, row in enumerate(table.rows):
+        folded = folds[v]
+        x_new = stride + v
+        for j, path in enumerate(row):
+            lvar = path_id.get((v, j + 1))
+            if lvar is None:
+                continue  # folded into the state link below
+            premises = path.premises
+            kappa = len(premises)
+            if kappa == 1:
+                rows.append((((lvar, 1), (premises[0], -1)), EQUAL, 0))
             else:
-                tau = len(paths)
-                group = [x_old] + [path_ids[v][j] for j in range(1, tau)
-                                   if j != folded]
-                premises = [state_ids[step][p] for p in paths[folded].premises]
-                kappa = len(premises)
-                b.add(((x_new, (tau - 1) * kappa + 1),)
-                      + tuple((g, -kappa) for g in group)
-                      + tuple((p, -1) for p in premises),
-                      GREATER_EQUAL, 1 - kappa)
-                b.add(((x_new, -kappa),)
-                      + tuple((g, kappa) for g in group)
-                      + tuple((p, 1) for p in premises),
-                      GREATER_EQUAL, 0)
+                rows.append((((lvar, 1),) + tuple((p, -1) for p in premises),
+                             GREATER_EQUAL, 1 - kappa))
+                rows.append((((lvar, -kappa),) + tuple((p, 1) for p in premises),
+                             GREATER_EQUAL, 0))
+        tau = len(row)
+        if folded is None:
+            lvars = [path_id[v, j + 1] for j in range(tau)]
+            if tau == 1:
+                rows.append((((x_new, 1), (lvars[0], -1)), EQUAL, 0))
+            else:
+                rows.append((((x_new, -2),) + tuple((l, 1) for l in lvars),
+                             GREATER_EQUAL, -1))
+                rows.append((((x_new, tau),) + tuple((l, -1) for l in lvars),
+                             GREATER_EQUAL, 0))
+        else:
+            group = [v] + [path_id[v, j + 1] for j in range(1, tau)
+                           if j != folded]
+            premises = row[folded].premises
+            kappa = len(premises)
+            rows.append((((x_new, (tau - 1) * kappa + 1),)
+                         + tuple((g, -kappa) for g in group)
+                         + tuple((p, -1) for p in premises),
+                         GREATER_EQUAL, 1 - kappa))
+            rows.append((((x_new, -kappa),)
+                         + tuple((g, kappa) for g in group)
+                         + tuple((p, 1) for p in premises),
+                         GREATER_EQUAL, 0))
 
+    # one int object per variable id, shared by every row that names it
+    ids = list(range(n + cfg.nu * stride))
+    for step in range(cfg.nu):
+        b.add_vars([(path_var_name(prop, path, step), PATH, prop, step, path)
+                    for prop, path in paths])
+        b.add_vars([(state_var_name(v, step + 1), STATE, v, step + 1, None)
+                    for v in range(n)])
+        # the rows name step 0's ids; at[var] is var + step * stride
+        at = ids[step * stride:(step + 1) * stride + n]
+        b.add([(tuple([(at[var], a) for var, a in terms]), rel, rhs)
+               for terms, rel, rhs in rows])
+
+    last = cfg.nu * stride  # the id of x0_c{nu}
     if cfg.sense == MAX_COVERAGE:
-        b.add(((state_ids[0][v], 1) for v in range(n)), LESS_EQUAL,
-              cfg.budget_k)
-        objective = tuple((state_ids[cfg.nu][v], 1) for v in range(n))
+        b.add([(tuple([(v, 1) for v in range(n)]), LESS_EQUAL, cfg.budget_k)])
+        objective = tuple((last + v, 1) for v in range(n))
         sense = MAXIMIZE
     else:
-        for v in range(n):
-            b.add(((state_ids[cfg.nu][v], 1),), EQUAL, 1)
-        objective = tuple((state_ids[0][v], 1) for v in range(n))
+        b.add([(((last + v, 1),), EQUAL, 1) for v in range(n)])
+        objective = tuple((v, 1) for v in range(n))
         sense = MINIMIZE
 
     return objective, sense
@@ -346,9 +360,10 @@ def decode(instance: MilpInstance
     Reads ``n``, ``nu``, the sense and the budget from the variables and
     the last row, and each proposition's paths from the rows of the first
     unrolling step.  Returns None unless the encoding of the result, as it
-    is emitted, matches the instance's variables, rows and objective
-    exactly; no second instance is built.  Encodings keep no proposition
-    names, so the rebuilt ones are ``p0``, ``p1``, ...
+    is emitted step by step, matches the instance's variables, the rows of
+    every step, and the objective exactly; no second instance is built.
+    Encodings keep no proposition names, so the rebuilt ones are ``p0``,
+    ``p1``, ...
 
     ``full_cover`` is True when the last row is ``sum x{p}_c{nu} >= n``
     over every proposition and the rows before it are a max-sense

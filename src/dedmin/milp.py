@@ -44,7 +44,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -66,13 +66,13 @@ class IncompleteAssignment(ValueError):
     """evaluate() needs a value for every variable."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A binary decision variable with its structured name.
 
     ``kind``/``prop``/``copy``/``path`` mirror the naming contract
     (``x{prop}_c{copy}`` for states, ``l{prop}_p{path}_c{copy}`` for
-    paths) so tools never have to re-parse names.
+    paths) so tools never have to re-parse names.  A named tuple: cheap
+    to build, and compared field by field in C.
     """
 
     name: str
@@ -82,16 +82,18 @@ class Variable:
     path: int | None = None
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """``sum(coef * var) rel rhs`` with integer coefficients."""
+class Constraint(NamedTuple):
+    """``sum(coef * var) rel rhs`` with integer coefficients.
+
+    A named tuple, so it equals the plain tuple ``(terms, rel, rhs)``.
+    """
 
     terms: tuple[tuple[int, int], ...]  # (variable id, coefficient)
     rel: str
     rhs: int
 
     def lhs_value(self, values: Sequence[int]) -> int:
-        return sum(coef * values[var] for var, coef in self.terms)
+        return sum([coef * values[var] for var, coef in self.terms])
 
     def satisfied_by(self, values: Sequence[int]) -> bool:
         lhs = self.lhs_value(values)
@@ -194,6 +196,8 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
     heuristic_evals: int = 0
+    # seconds in encoder.decode, which picks the search
+    decode_time: float = 0.0
     # seconds in the root heuristic; 0 when the instance gets none
     heuristic_time: float = 0.0
     # seconds of branch-and-bound, after the root pass and the heuristic
@@ -214,6 +218,7 @@ class SolveStats:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "wall_time": round(self.wall_time, 6),
                 "heuristic_evals": self.heuristic_evals,
+                "decode_time": round(self.decode_time, 6),
                 "heuristic_time": round(self.heuristic_time, 6),
                 "search_time": round(self.search_time, 6),
                 "nodes_per_s": self.nodes_per_s,
@@ -674,13 +679,14 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
         limits = SolveLimits()
     start = time.monotonic()
     decoded = decode(instance)
+    stats = SolveStats(decode_time=time.monotonic() - start)
     if decoded is not None:
-        return _solve_encoding(instance, *decoded, limits, start)
-    return _solve_rows(instance, limits, start)
+        return _solve_encoding(instance, *decoded, limits, start, stats)
+    return _solve_rows(instance, limits, start, stats)
 
 
-def _solve_encoding(instance, system, cfg, full_cover, limits,
-                    start) -> Solution:
+def _solve_encoding(instance, system, cfg, full_cover, limits, start,
+                    stats) -> Solution:
     """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
 
     The guess layer fixes every other variable to its closure value
@@ -730,7 +736,6 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
     from .encoder import assignment_of
     from .oracle import coverages, option_masks, sweeps
 
-    stats = SolveStats()
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
@@ -756,27 +761,32 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
         as one walk, replayed decision by decision; True when the search
         ends.  Take child ``j`` is the leaf ``ones | 1 << order[j]``."""
         nonlocal best_obj, best, status
-        leaves = coverages(options, ones, order[i:], nu)
         # the skip check after leaf j fails when ones | rest[j + 1] covers
-        # at most bars[j - i]; the walk ends at the first failure, or at end
+        # at most bars[j - i]; the walk ends at the first failure, or at hi
         if maximize:
-            # the best leaf so far; the skip child at m - 1 is itself a leaf
+            # the best leaf so far, so every leaf is scored first; the skip
+            # child at m - 1 is itself a leaf
+            leaves = coverages(options, ones, order[i:], nu)
             bars = list(accumulate(leaves, max, initial=(
                 -1 if best_obj is None else best_obj)))[1:]
-            end = m - 2
+            hi = m - 2
         else:
-            # anything short of a cover; a cover ends the walk too, and so
-            # does the check at m - 1, of ones alone
-            bars = [n - 1] * len(leaves)
-            end = next((j for j in range(i, m - 1) if leaves[j - i] == n),
-                       m - 1)
-        lo, hi = i, end
+            # anything short of a cover, whatever the leaves; the check at
+            # m - 1, of ones alone, ends the walk too
+            bars = [n - 1] * (m - i)
+            hi = m - 1
+        lo = i
         while lo < hi:
             mid = (lo + hi) // 2
             if coverage(ones | rest[mid + 1]) <= bars[mid - i]:
                 hi = mid
             else:
                 lo = mid + 1
+        if not maximize:
+            # score only the leaves the walk can reach; a cover among them
+            # ends it there
+            leaves = coverages(options, ones, order[i:lo + 1], nu)
+            lo = next((j for j in range(i, lo) if leaves[j - i] == n), lo)
         for j in range(i, lo + 1):
             if _out_of_budget(limits, stats, start):
                 status = TIME_LIMIT
@@ -874,9 +884,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits,
     return Solution(status, assignment, best_obj, stats)
 
 
-def _solve_rows(instance, limits, start) -> Solution:
+def _solve_rows(instance, limits, start, stats) -> Solution:
     """Branch-and-bound over the rows, with propagation after each decision."""
-    stats = SolveStats()
     engine = _Engine(instance)
     maximize = instance.sense == MAXIMIZE
     obj_terms = list(instance.objective)

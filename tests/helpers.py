@@ -235,7 +235,7 @@ class ReferenceEngine:
 # (tests/test_milp.py).  Its names are imported when it runs, so that a
 # test's patches of ``milp`` and ``oracle`` reach it.
 def reference_solve_encoding(instance, system, cfg, full_cover, limits,
-                             start):
+                             start, stats):
     """The per-node reference of the guess-set search.
 
     Every node's checks are swept on their own: no child inherits a check
@@ -245,11 +245,10 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     """
     from dedmin.encoder import assignment_of
     from dedmin.milp import (INFEASIBLE, MAXIMIZE, OPTIMAL, TIME_LIMIT,
-                             Solution, SolveStats, _heuristic_incumbent,
-                             _occurrences, _out_of_budget, evaluate)
+                             Solution, _heuristic_incumbent, _occurrences,
+                             _out_of_budget, evaluate)
     from dedmin.oracle import option_masks, sweeps
 
-    stats = SolveStats()
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover

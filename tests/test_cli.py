@@ -312,6 +312,8 @@ def test_solve_json_gives_the_rates_of_the_text_report(toy):
             rate = stats[key]
             assert words[words.index(label) + 1] == (
                 "-" if rate is None else f"{rate:.0f}")
+        assert words[words.index("decode:") + 1] == \
+            f"{solution.stats.decode_time:.3f}s"
     assert solutions[0].to_json()["stats"]["heuristic_evals_per_s"] > 0
     assert solutions[1].to_json()["stats"]["heuristic_evals_per_s"] is None
     assert solutions[2].to_json()["stats"]["nodes_per_s"] is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -252,6 +253,31 @@ def test_encode_deterministic(toy):
     assert a.objective == b.objective
 
 
+# the sha256 of the LP texts below, joined in order; any change to the order
+# or the content of an encoding's variables or rows changes it
+ENCODING_DIGEST = (
+    "0b6aea2e4863c49ff6016c5ca8773611a6be8635263b2d30f5a93d6d5d34b39b")
+
+
+def test_encodings_keep_their_lp_text_byte_for_byte():
+    systems = [(preprocess.expand_rules(ciphers.build_snow2(13)), 12, 9),
+               (preprocess.expand_rules(ciphers.build_enocoro(16)), 18, 18)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        system = preprocess.expand_rules(random_system(rng))
+        systems.append((system, rng.randint(1, system.n + 1),
+                        rng.randint(0, system.n)))
+    digest = hashlib.sha256()
+    for system, nu, k in systems:
+        for mode in (encoder.PLAIN, encoder.COMPACT):
+            for sense, budget in ((encoder.MAX_COVERAGE, k),
+                                  (encoder.MIN_GUESSES, 0)):
+                instance = encoder.encode(
+                    system, encoder.EncodeConfig(nu, budget, mode, sense))
+                digest.update(lpio.write_lp(instance).encode())
+    assert digest.hexdigest() == ENCODING_DIGEST
+
+
 # --- reduction accounting ---------------------------------------------------
 
 def test_reduction_zero_when_nothing_to_fold():
@@ -376,6 +402,27 @@ def test_decode_rejects_what_encode_cannot_make(toy, monkeypatch):
         [milp.Constraint(((0, 1), (1, -1)), milp.GREATER_EQUAL, 0)], ((1, 1),))
     assert encoder.decode(hand_built) is None
     assert encoder.decode(milp.MilpInstance([], [], [])) is None
+    # decode reads the rules from step 0 and compares every step's rows
+    for mode in (encoder.PLAIN, encoder.COMPACT):
+        cfg = encoder.EncodeConfig(nu=4, budget_k=1, mode=mode)
+        instance = encoder.encode(toy, cfg)
+        assert encoder.decode(instance) is not None
+        rows = instance.constraints
+        per_step = (len(rows) - 1) // cfg.nu  # the budget row closes it
+        for step in (0, cfg.nu // 2, cfg.nu - 1):
+            ci = step * per_step + per_step // 2
+            (*kept, (var, coef)) = rows[ci].terms
+            changed = milp.Constraint((*kept, (var, 2 * coef)), rows[ci].rel,
+                                      rows[ci].rhs)
+            assert encoder.decode(milp.MilpInstance(
+                instance.variables, rows[:ci] + (changed,) + rows[ci + 1:],
+                instance.objective, instance.sense)) is None
+        renamed = list(instance.variables)
+        first = len(renamed) - toy.n  # x0 at the last copy
+        renamed[first] = milp.Variable(
+            encoder.state_var_name(toy.n, cfg.nu), milp.STATE, toy.n, cfg.nu)
+        assert encoder.decode(milp.MilpInstance(
+            renamed, rows, instance.objective, instance.sense)) is None
 
 
 def test_decode_reads_an_encoding_plus_its_full_cover_row(toy):

@@ -292,8 +292,17 @@ def test_search_time_is_part_of_wall_time():
     assert stats.heuristic_time == 0
     stats = solve(instance).stats
     assert stats.heuristic_evals > 0 and stats.heuristic_time > 0
-    assert stats.heuristic_time + stats.search_time <= stats.wall_time
+    assert stats.decode_time > 0
+    assert (stats.decode_time + stats.heuristic_time + stats.search_time
+            <= stats.wall_time)
     assert stats.to_json()["heuristic_time"] == round(stats.heuristic_time, 6)
+    assert stats.to_json()["decode_time"] == round(stats.decode_time, 6)
+    # an instance decode rejects is searched over its rows, after the
+    # decode that rejected it
+    stats = solve(MilpInstance(instance.variables, instance.constraints[1:],
+                               instance.objective, instance.sense)).stats
+    assert stats.propagations > 0 and stats.decode_time > 0
+    assert stats.decode_time + stats.search_time <= stats.wall_time
 
 
 # --- the engine against its reference ---------------------------------------
