@@ -7,8 +7,8 @@ independent closure oracle.
 """
 
 from .core import (DeductionSystem, Diagnostic, DirectedRule, Proposition,
-                   SymmetricRule, validate)
-from .dsl import ParseError, ValidationError, parse_system, render_system
+                   SymmetricRule, ValidationError, validate)
+from .dsl import ParseError, parse_system, render_system
 from .encoder import (COMPACT, EncodeConfig, MAX_COVERAGE, MIN_GUESSES, PLAIN,
                       Path, PathTable, ConfigError, count_reduction,
                       default_nu, decode, encode, enumerate_paths)
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeductionSystem", "Diagnostic", "DirectedRule", "Proposition",
-    "SymmetricRule", "validate",
-    "ParseError", "ValidationError", "parse_system", "render_system",
+    "SymmetricRule", "ValidationError", "validate",
+    "ParseError", "parse_system", "render_system",
     "COMPACT", "EncodeConfig", "MAX_COVERAGE", "MIN_GUESSES", "PLAIN",
     "Path", "PathTable", "ConfigError", "count_reduction", "default_nu",
     "decode", "encode", "enumerate_paths",

@@ -159,6 +159,9 @@ def _solution_exit(solution: milp.Solution) -> int:
 def _cmd_solve(args) -> int:
     limits = _limits(args)
     if args.input not in ("snow2", "enocoro") and args.input.endswith(".lp"):
+        if (args.nu, args.k, args.T) != (None, None, None):
+            raise CliError("an .lp input fixes its own k and nu; "
+                           "--nu, --k and --T do not apply")
         instance = lpio.read_lp(_read_input(args.input))
         solution = milp.solve(instance, limits)
         if args.json:

@@ -1,4 +1,4 @@
-"""Domain types for deduction systems and well-formedness checks.
+"""Domain types for deduction systems, checked when they are built.
 
 A deduction system is a set of named propositions plus rules stating which
 propositions follow from which others.  Two rule shapes exist:
@@ -10,7 +10,9 @@ propositions follow from which others.  Two rule shapes exist:
 
 Rules reference propositions by integer index; the system owns the
 index-to-name mapping.  All types are immutable after construction, so they
-can be shared freely across threads.
+can be shared freely across threads.  Building a :class:`DeductionSystem`
+runs :func:`validate` and raises :class:`ValidationError` with every
+diagnostic at once, so code that takes a system can trust it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,15 @@ class Diagnostic:
         return f"{self.where}: {self.message}"
 
 
+class ValidationError(ValueError):
+    """A system breaks a well-formedness rule; carries every diagnostic."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        listing = "; ".join(str(d) for d in self.diagnostics)
+        super().__init__(f"invalid system: {listing}")
+
+
 class DeductionSystem:
     """Propositions plus symmetric and directed rules.
 
@@ -110,6 +121,9 @@ class DeductionSystem:
         self.symmetric_rules = tuple(symmetric_rules)
         self.directed_rules = tuple(directed_rules)
         self._index_by_name = {p.name: p.index for p in self.propositions}
+        problems = validate(self)
+        if problems:
+            raise ValidationError(problems)
 
     @staticmethod
     def from_names(
@@ -167,9 +181,8 @@ class DeductionSystem:
 def validate(system: DeductionSystem) -> list[Diagnostic]:
     """Check every type invariant; an empty result means the system is sound.
 
-    Diagnostics, not exceptions: callers that assemble systems mechanically
-    can collect all problems in one pass.  A system with no diagnostics is
-    safe for every downstream module.
+    :class:`DeductionSystem` runs this when it is built and raises every
+    diagnostic at once, so a built system always gives an empty list.
     """
     out: list[Diagnostic] = []
     n = system.n
@@ -217,12 +230,3 @@ def validate(system: DeductionSystem) -> list[Diagnostic]:
                                       f"proposition index {m} out of range"))
 
     return out
-
-
-def require_valid(system: DeductionSystem) -> DeductionSystem:
-    """Raise ``ValueError`` listing all diagnostics unless the system is sound."""
-    problems = validate(system)
-    if problems:
-        listing = "; ".join(str(d) for d in problems)
-        raise ValueError(f"invalid deduction system: {listing}")
-    return system

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .core import (DeductionSystem, DirectedRule, SymmetricRule, validate)
+from .core import DeductionSystem, DirectedRule, SymmetricRule, ValidationError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -35,15 +35,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-class ValidationError(ValueError):
-    """Parsed text produced a system that fails core validation."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        listing = "; ".join(str(d) for d in self.diagnostics)
-        super().__init__(f"invalid system: {listing}")
-
-
 def _split_names(text: str, lineno: int, offset: int) -> list[str]:
     names = []
     for raw in text.replace(",", " ").split():
@@ -55,11 +46,10 @@ def _split_names(text: str, lineno: int, offset: int) -> list[str]:
 
 
 def parse_system(text: str) -> DeductionSystem:
-    """Parse ``.rules`` text into a validated :class:`DeductionSystem`.
+    """Parse ``.rules`` text into a :class:`DeductionSystem`.
 
-    Raises :class:`ParseError` for malformed lines and
-    :class:`ValidationError` when the parsed system breaks a core invariant
-    (unknown names surface as ``ParseError`` since resolution happens here).
+    Raises :class:`ParseError` for malformed lines, unknown names included,
+    and :class:`ValidationError` when the system breaks a core invariant.
     """
     system_name = ""
     names: list[str] = []
@@ -118,12 +108,8 @@ def parse_system(text: str) -> DeductionSystem:
 
         raise ParseError(lineno, 1, f"unrecognized line {stripped!r}")
 
-    system = DeductionSystem.from_names(names, symmetric, directed,
-                                        name=system_name)
-    problems = validate(system)
-    if problems:
-        raise ValidationError(problems)
-    return system
+    return DeductionSystem.from_names(names, symmetric, directed,
+                                      name=system_name)
 
 
 def render_system(system: DeductionSystem) -> str:

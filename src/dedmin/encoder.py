@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from .core import DeductionSystem, DirectedRule, require_valid
+from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
                    MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
 from .oracle import mask_of, option_masks, sweeps
@@ -131,7 +131,6 @@ class PathTable:
 def enumerate_paths(system: DeductionSystem) -> PathTable:
     """All paths per proposition: carry-over first, then concluding rules
     in declaration order."""
-    require_valid(system)
     if not is_expanded(system):
         raise NotExpandedError("system still has symmetric rules; expand first")
     rows: list[list[Path]] = [[Path((p.index,), None)]
@@ -257,7 +256,7 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     from one ``(prop, path)`` list.  The budget row, or the coverage
     rows, close the instance.
     """
-    table = enumerate_paths(system)  # validates the system
+    table = enumerate_paths(system)
     cfg.check(system.n)
     n = system.n
 
@@ -481,16 +480,6 @@ class ReductionReport:
     @property
     def constraints_removed(self) -> int:
         return self.plain_constraints - self.compact_constraints
-
-    def to_json(self) -> dict:
-        return {
-            "plain": {"variables": self.plain_variables,
-                      "constraints": self.plain_constraints},
-            "compact": {"variables": self.compact_variables,
-                        "constraints": self.compact_constraints},
-            "variables_removed": self.variables_removed,
-            "constraints_removed": self.constraints_removed,
-        }
 
 
 def count_reduction(system: DeductionSystem, cfg: EncodeConfig) -> ReductionReport:

@@ -87,9 +87,11 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _integer(token: str, where: str) -> int:
-    """``token`` as an integer: an optional ``-``, then decimal digits."""
+    """``token`` as an integer: an optional ``-``, then ASCII digits
+    (``isdecimal`` alone also takes the digits of other scripts)."""
+    digits = token.removeprefix("-")
     try:
-        if token.removeprefix("-").isdecimal():
+        if digits.isascii() and digits.isdecimal():
             return int(token)
     except ValueError:  # more digits than int() converts
         pass

@@ -40,6 +40,7 @@ limits (modulo a wall-clock budget that cuts a run short).
 from __future__ import annotations
 
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -49,6 +50,8 @@ from typing import Mapping, NamedTuple, Sequence
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "="
+_RELATIONS = {LESS_EQUAL: operator.le, GREATER_EQUAL: operator.ge,
+              EQUAL: operator.eq}
 
 STATE = "state"
 PATH = "path"
@@ -96,12 +99,7 @@ class Constraint(NamedTuple):
         return sum([coef * values[var] for var, coef in self.terms])
 
     def satisfied_by(self, values: Sequence[int]) -> bool:
-        lhs = self.lhs_value(values)
-        if self.rel == LESS_EQUAL:
-            return lhs <= self.rhs
-        if self.rel == GREATER_EQUAL:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return _RELATIONS[self.rel](self.lhs_value(values), self.rhs)
 
 
 class MilpInstance:
@@ -131,7 +129,7 @@ class MilpInstance:
     def _check_refs(self) -> None:
         n = len(self.variables)
         for ci, c in enumerate(self.constraints):
-            if c.rel not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
+            if c.rel not in _RELATIONS:
                 raise MalformedInstance(f"constraint {ci}: bad relation {c.rel!r}")
             if not isinstance(c.rhs, int):
                 raise MalformedInstance(f"constraint {ci}: non-integer rhs")
@@ -265,11 +263,13 @@ def _checked_items(instance: MilpInstance,
     values raise :class:`MalformedInstance`."""
     items = []
     for name, value in assignment.items():
-        if not instance.has_variable(name):
-            raise MalformedInstance(f"unknown variable {name!r}")
+        try:
+            var = instance.index_of(name)
+        except KeyError:
+            raise MalformedInstance(f"unknown variable {name!r}") from None
         if value not in (0, 1):
             raise MalformedInstance(f"{name}: non-binary value {value!r}")
-        items.append((instance.index_of(name), value))
+        items.append((var, value))
     return items
 
 
@@ -294,9 +294,9 @@ def evaluate(instance: MilpInstance, assignment: Mapping[str, int]) -> EvalRepor
             f"{len(missing)} variables unassigned (first: {missing[0]})")
     violations = []
     for ci, c in enumerate(instance.constraints):
-        if not c.satisfied_by(values):
-            violations.append(Violation(ci, c.lhs_value(values),
-                                        instance.constraint_text(ci)))
+        lhs = c.lhs_value(values)
+        if not _RELATIONS[c.rel](lhs, c.rhs):
+            violations.append(Violation(ci, lhs, instance.constraint_text(ci)))
     return EvalReport(instance.objective_value(values), tuple(violations))
 
 
@@ -433,6 +433,8 @@ class _Engine:
         return None
 
     def undo_to(self, mark: int) -> None:
+        """Unfix every variable fixed after ``mark``.  The queue is empty
+        here: each caller first propagates to a fixpoint or a conflict."""
         ub = self.ub
         val = self.val
         trail = self.trail
@@ -442,9 +444,6 @@ class _Engine:
                 ub[ri] += w
             val[var] = -1
         del trail[mark:]
-        for r in self.queue:
-            self.inq[r] = False
-        self.queue.clear()
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import DeductionSystem, require_valid
+from .core import DeductionSystem
 
 
 class UnknownProposition(KeyError):
@@ -236,7 +236,6 @@ def closure(system: DeductionSystem, guess: Iterable[int]) -> ClosureResult:
     several can derive the same proposition.  Replaying the trace from the
     guess set reproduces ``known`` exactly.
     """
-    require_valid(system)
     start = _check_guess(system, guess)
     options = option_masks(system)
     return _traced(system, options, sweeps(options, mask_of(start)))
@@ -278,7 +277,6 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
     propositions.  ``max_k`` defaults to ``n`` (where a solution always
     exists: guess everything).
     """
-    require_valid(system)
     n = system.n
     if max_k is None:
         max_k = n
@@ -318,7 +316,6 @@ def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
         p.index for p in system.propositions
         if assignment.get(encoder.state_var_name(p.index, 0)) == 1
     ]
-    require_valid(system)
     options = option_masks(system)
     rounds = sweeps(options, mask_of(guess))
     result = _traced(system, options, rounds)

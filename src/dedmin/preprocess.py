@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (DeductionSystem, DirectedRule, SymmetricRule, require_valid)
+from .core import DeductionSystem, DirectedRule, SymmetricRule
 
 
 def _unique(rules: Iterable, key=lambda rule: rule) -> list:
@@ -52,7 +52,6 @@ def expand_rules(system: DeductionSystem) -> DeductionSystem:
     follow in declaration order.  Exact duplicates are dropped (first
     occurrence wins) so mechanically generated models stay clean.
     """
-    require_valid(system)
     rules = list(system.directed_rules)
     for rule in system.symmetric_rules:
         rules.extend(rule.readings())
@@ -100,7 +99,6 @@ def merge_equalities(system: DeductionSystem) -> tuple[DeductionSystem, MergeMap
     readings, so the result has no two-member symmetric rule left.  With
     none to begin with, the input comes back unchanged.
     """
-    require_valid(system)
     pairs = [r for r in system.symmetric_rules if len(r.members) == 2]
     if not pairs:
         return system, MergeMap({p.name: p.name for p in system.propositions},
@@ -198,7 +196,6 @@ def eliminate_independent(
     distinct rules; premise rewrites can mint new duplicates, hence the
     dedup runs every round.
     """
-    require_valid(system)
     names = list(system.names())
     symmetric = list(system.symmetric_rules)
     directed = list(system.directed_rules)

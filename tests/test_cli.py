@@ -233,6 +233,20 @@ def test_bad_cipher_window_exits_1(args):
     assert len(out.stderr.splitlines()) == 1, out.stderr
 
 
+@pytest.mark.parametrize("flags", [("--k", "3"), ("--nu", "9"), ("--T", "5"),
+                                   ("--k", "3", "--nu", "9", "--T", "5")])
+def test_encode_flags_on_an_lp_input_exit_1(tmp_path, flags):
+    # an .lp file fixes its own k and nu, so solve refuses to ignore them
+    lp = tmp_path / "toy.lp"
+    lp.write_text(TOY_LP)
+    assert run_cli("solve", str(lp)).returncode == 0
+    out = run_cli("solve", str(lp), *flags)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("dedmin: ")
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+
+
 @pytest.mark.parametrize("source", ["file", "directory", "stdin"])
 def test_unreadable_input_exits_1(tmp_path, source):
     stdin = None

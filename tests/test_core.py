@@ -1,5 +1,7 @@
+import pytest
+
 from dedmin.core import (DeductionSystem, DirectedRule, Proposition,
-                         SymmetricRule, validate)
+                         SymmetricRule, ValidationError, validate)
 
 
 def system(names, sym=(), dirr=()):
@@ -13,34 +15,71 @@ def test_toy_system_validates_clean(toy):
 
 
 def test_empty_premises_is_diagnosed():
-    s = system(["a", "b"], dirr=[DirectedRule((), 0)])
-    diags = validate(s)
+    with pytest.raises(ValidationError) as err:
+        system(["a", "b"], dirr=[DirectedRule((), 0)])
+    diags = err.value.diagnostics
     assert len(diags) == 1
     assert diags[0].code == "empty-premises"
 
 
 def test_out_of_range_reference_is_diagnosed():
-    s = system(["a", "b"], dirr=[DirectedRule((2,), 0)])
-    assert any(d.code == "out-of-range" for d in validate(s))
+    with pytest.raises(ValidationError) as err:
+        system(["a", "b"], dirr=[DirectedRule((2,), 0)])
+    assert any(d.code == "out-of-range" for d in err.value.diagnostics)
 
 
 def test_duplicate_member_and_self_conclusion():
-    s = system(["a", "b", "c"],
+    with pytest.raises(ValidationError) as err:
+        system(["a", "b", "c"],
                sym=[SymmetricRule((0, 0))],
                dirr=[DirectedRule((0, 1), 1)])
-    codes = {d.code for d in validate(s)}
+    codes = {d.code for d in err.value.diagnostics}
     assert "duplicate-member" in codes
     assert "self-conclusion" in codes
 
 
 def test_duplicate_names_diagnosed():
-    s = DeductionSystem([Proposition(0, "a"), Proposition(1, "a")])
-    assert any(d.code == "duplicate-name" for d in validate(s))
+    with pytest.raises(ValidationError) as err:
+        DeductionSystem([Proposition(0, "a"), Proposition(1, "a")])
+    assert any(d.code == "duplicate-name" for d in err.value.diagnostics)
 
 
 def test_validate_is_deterministic(toy):
-    bad = system(["a", "b"], dirr=[DirectedRule((), 0), DirectedRule((3,), 1)])
-    assert validate(bad) == validate(bad)
+    def diagnostics():
+        with pytest.raises(ValidationError) as err:
+            system(["a", "b"],
+                   dirr=[DirectedRule((), 0), DirectedRule((3,), 1)])
+        return err.value.diagnostics
+
+    first = diagnostics()
+    assert [d.code for d in first] == ["empty-premises", "out-of-range"]
+    assert diagnostics() == first
+
+
+@pytest.mark.parametrize("build, code", [
+    (lambda: DeductionSystem([Proposition(1, "a")]), "index"),
+    (lambda: system(["a", "a"]), "duplicate-name"),
+    (lambda: system(["a", ""]), "empty-name"),
+    (lambda: system(["a", "b"], sym=[SymmetricRule((0,))]), "too-few-members"),
+    (lambda: system(["a", "b"], sym=[SymmetricRule((1, 1))]),
+     "duplicate-member"),
+    (lambda: system(["a", "b"], sym=[SymmetricRule((0, 2))]), "out-of-range"),
+    (lambda: system(["a", "b"], dirr=[DirectedRule((0,), -1)]),
+     "out-of-range"),
+    (lambda: system(["a", "b"], dirr=[DirectedRule((), 1)]), "empty-premises"),
+    (lambda: system(["a", "b"], dirr=[DirectedRule((0, 1), 0)]),
+     "self-conclusion"),
+], ids=["index", "duplicate-name", "empty-name", "too-few-members",
+        "duplicate-member", "out-of-range-symmetric", "out-of-range-directed",
+        "empty-premises", "self-conclusion"])
+def test_building_a_bad_system_raises_each_code(build, code):
+    # the constructor is the one check: it raises every diagnostic at once,
+    # and the error is the ValueError the command line reports in one line
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert [d.code for d in err.value.diagnostics] == [code]
+    assert isinstance(err.value, ValueError)
+    assert str(err.value).startswith("invalid system: ")
 
 
 def test_equality_ignores_rule_order():

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedmin import dsl
+import dedmin
+from dedmin import core, dsl
 from dedmin.core import DirectedRule, SymmetricRule
 from helpers import random_system
 
@@ -68,6 +69,8 @@ def test_duplicate_declaration_rejected():
 
 
 def test_validation_error_for_bad_rule():
+    # the parser re-exports the constructor's error, which the CLI catches
+    assert dsl.ValidationError is core.ValidationError is dedmin.ValidationError
     with pytest.raises(dsl.ValidationError):
         dsl.parse_system("props: a\n[a, a]\n")  # member repeated
     with pytest.raises(dsl.ValidationError):

@@ -184,12 +184,15 @@ LONG = "1" * 5000  # more digits than int() converts
     (">= 1", ">= 1.5", "c0: '1.5' is not an integer"),
     (">= 1", ">= " + LONG, "c0: '1+' is not an integer"),
     ("2 y", LONG + " y", "c0: '1+' is not an integer"),
+    (">= 1", ">= \u0663", "c0: '\u0663' is not an integer"),
+    ("2 y", "\u0662 y", "c0: '\u0662' is not an integer"),
     ("x + 2 y", "x 2 y", "c0: no sign before '2'"),
     ("x + 2 y", "x + 2", "c0: dangling sign or coefficient"),
     ("obj: x", "obj: z", "objective: 'z' is not declared Binary"),
 ], ids=["header", "no-subject-to", "no-end", "objective-label", "row-label",
         "binary-name", "binary-line", "binary-twice", "relation", "rhs",
-        "rhs-digits", "coefficient-digits", "sign", "dangling", "undeclared"])
+        "rhs-digits", "coefficient-digits", "rhs-non-ascii",
+        "coefficient-non-ascii", "sign", "dangling", "undeclared"])
 def test_each_rejection_exits_1(tmp_path, capsys, old, new, message):
     assert lpio.read_lp(LP).sense == milp.MAXIMIZE
     text = LP.replace(old, new, 1)
