@@ -10,8 +10,8 @@ from .core import (DeductionSystem, Diagnostic, DirectedRule, Proposition,
                    SymmetricRule, ValidationError, validate)
 from .dsl import ParseError, parse_system, render_system
 from .encoder import (COMPACT, EncodeConfig, MAX_COVERAGE, MIN_GUESSES, PLAIN,
-                      Path, PathTable, ConfigError, count_reduction,
-                      default_nu, decode, encode, enumerate_paths)
+                      ConfigError, count_reduction, default_nu, decode,
+                      encode, enumerate_paths)
 from .milp import (MilpInstance, Solution, SolveLimits, evaluate, propagate,
                    solve)
 from .oracle import (BruteForceMin, ClosureResult, TraceMismatch,
@@ -28,8 +28,8 @@ __all__ = [
     "SymmetricRule", "ValidationError", "validate",
     "ParseError", "parse_system", "render_system",
     "COMPACT", "EncodeConfig", "MAX_COVERAGE", "MIN_GUESSES", "PLAIN",
-    "Path", "PathTable", "ConfigError", "count_reduction", "default_nu",
-    "decode", "encode", "enumerate_paths",
+    "ConfigError", "count_reduction", "default_nu", "decode", "encode",
+    "enumerate_paths",
     "MilpInstance", "Solution", "SolveLimits", "evaluate", "propagate",
     "solve",
     "BruteForceMin", "ClosureResult", "TraceMismatch", "UnknownProposition",

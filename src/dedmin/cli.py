@@ -133,9 +133,8 @@ def _guess_names(system: DeductionSystem, solution: milp.Solution) -> list[str]:
 def _cmd_generate(args) -> int:
     system = _build_cipher(args.cipher, args)
     if args.paths:
-        expanded = preprocess.expand_rules(system)
-        table = encoder.enumerate_paths(expanded)
-        _write_output(args, encoder.render_path_table(expanded, table))
+        _write_output(args, encoder.render_path_table(
+            preprocess.expand_rules(system)))
     else:
         _write_output(args, dsl.render_system(system))
     return EXIT_OK
@@ -158,28 +157,23 @@ def _solution_exit(solution: milp.Solution) -> int:
 
 def _cmd_solve(args) -> int:
     limits = _limits(args)
+    system = cfg = trace = None
     if args.input not in ("snow2", "enocoro") and args.input.endswith(".lp"):
         if (args.nu, args.k, args.T) != (None, None, None):
             raise CliError("an .lp input fixes its own k and nu; "
                            "--nu, --k and --T do not apply")
         instance = lpio.read_lp(_read_input(args.input))
-        solution = milp.solve(instance, limits)
-        if args.json:
-            _write_output(args, solution.to_json_text())
-        else:
-            _write_output(args, _solve_report(None, solution, None))
-        return _solution_exit(solution)
-
-    system = preprocess.expand_rules(_load_system(args))
-    cfg = _encode_config(system, args)
-    instance = encoder.encode(system, cfg)
+    else:
+        system = preprocess.expand_rules(_load_system(args))
+        cfg = _encode_config(system, args)
+        instance = encoder.encode(system, cfg)
     solution = milp.solve(instance, limits)
-    trace = None
-    if solution.assignment is not None:
+    if system is not None and solution.assignment is not None:
         trace = oracle.extract_trace(system, solution, cfg)
     if args.json:
         payload = solution.to_json()
-        payload["guess"] = _guess_names(system, solution)
+        if system is not None:
+            payload["guess"] = _guess_names(system, solution)
         if trace is not None:
             payload["known"] = len(trace.known)
             payload["trace"] = _trace_json(system, trace)

@@ -99,11 +99,13 @@ class ValidationError(ValueError):
 class DeductionSystem:
     """Propositions plus symmetric and directed rules.
 
-    Equality compares propositions in declaration order and rules as
-    multisets, so two systems that list the same rules in different order
-    are considered the same system.  Declaration order still matters
-    operationally: it fixes proposition indices and the deterministic
-    ordering used by the encoder.
+    Read-only once built: assigning or deleting an attribute raises
+    :class:`AttributeError`, so the check run at construction holds for
+    the system's whole life.  Equality compares propositions in
+    declaration order and rules as multisets, so two systems that list the
+    same rules in different order are considered the same system.
+    Declaration order still matters operationally: it fixes proposition
+    indices and the deterministic ordering used by the encoder.
     """
 
     __slots__ = ("name", "propositions", "symmetric_rules", "directed_rules",
@@ -116,14 +118,22 @@ class DeductionSystem:
         directed_rules: Sequence[DirectedRule] = (),
         name: str = "",
     ):
-        self.name = name
-        self.propositions = tuple(propositions)
-        self.symmetric_rules = tuple(symmetric_rules)
-        self.directed_rules = tuple(directed_rules)
-        self._index_by_name = {p.name: p.index for p in self.propositions}
+        propositions = tuple(propositions)
+        for slot, value in (
+                ("name", name), ("propositions", propositions),
+                ("symmetric_rules", tuple(symmetric_rules)),
+                ("directed_rules", tuple(directed_rules)),
+                ("_index_by_name", {p.name: p.index for p in propositions})):
+            object.__setattr__(self, slot, value)
         problems = validate(self)
         if problems:
             raise ValidationError(problems)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DeductionSystem is read-only: {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DeductionSystem is read-only: {name!r}")
 
     @staticmethod
     def from_names(

@@ -3,8 +3,10 @@
 One unrolling step (a "copy") models one round of deduction.  Copy ``i+1``
 of a proposition is known exactly when one of its *paths* fires at copy
 ``i``: path 1 is always the carry-over of the proposition's own previous
-value, and every further path is one directed rule concluding it.  Two
-small inequality groups make that exact over binaries:
+value, and every further path is one directed rule concluding it.  A path
+is just its premise tuple, and :func:`enumerate_paths` gives the path
+table, each proposition's premise tuples.  Two small inequality groups
+make that exact over binaries:
 
 * state link (``tau`` paths feeding state ``x``)::
 
@@ -58,12 +60,11 @@ from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
                    MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
 from .oracle import mask_of, option_masks, sweeps
-from .preprocess import is_expanded
 
 PLAIN = "plain"
 COMPACT = "compact"
-MAX_COVERAGE = "max"
-MIN_GUESSES = "min"
+MAX_COVERAGE = MAXIMIZE
+MIN_GUESSES = MINIMIZE
 
 
 class ConfigError(ValueError):
@@ -98,54 +99,25 @@ def variable_from_name(name: str) -> Variable:
     return Variable(name, OTHER)
 
 
-@dataclass(frozen=True)
-class Path:
-    """One way to learn a proposition: ``premises`` at the previous copy.
-
-    ``rule`` is the index of the directed rule behind the path, or None
-    for the carry-over path.
-    """
-
-    premises: tuple[int, ...]
-    rule: int | None
-
-    @property
-    def is_copy(self) -> bool:
-        return self.rule is None
-
-
-@dataclass(frozen=True)
-class PathTable:
-    """Per-proposition list of paths; row order follows proposition order."""
-
-    rows: tuple[tuple[Path, ...], ...]
-
-    def row(self, prop: int) -> tuple[Path, ...]:
-        return self.rows[prop]
-
-    @property
-    def total_paths(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-
-def enumerate_paths(system: DeductionSystem) -> PathTable:
-    """All paths per proposition: carry-over first, then concluding rules
-    in declaration order."""
-    if not is_expanded(system):
+def enumerate_paths(system: DeductionSystem
+                    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The path table: for each proposition, in proposition order, the
+    premise tuples of its paths, the carry-over ``(p,)`` first, then the
+    premises of each rule that concludes it, in declaration order."""
+    if system.symmetric_rules:
         raise NotExpandedError("system still has symmetric rules; expand first")
-    rows: list[list[Path]] = [[Path((p.index,), None)]
-                              for p in system.propositions]
-    for ri, rule in enumerate(system.directed_rules):
-        rows[rule.conclusion].append(Path(rule.premises, ri))
-    return PathTable(tuple(tuple(r) for r in rows))
+    rows: list[list[tuple[int, ...]]] = [[(p,)] for p in range(system.n)]
+    for rule in system.directed_rules:
+        rows[rule.conclusion].append(rule.premises)
+    return tuple(map(tuple, rows))
 
 
-def render_path_table(system: DeductionSystem, table: PathTable) -> str:
+def render_path_table(system: DeductionSystem) -> str:
     """Text form used by the committed fixtures: ``name: set; set; ...``."""
     lines = []
-    for p in system.propositions:
-        sets = ["{" + ", ".join(system.name_of(m) for m in path.premises) + "}"
-                for path in table.row(p.index)]
+    for p, row in zip(system.propositions, enumerate_paths(system)):
+        sets = ["{" + ", ".join(map(system.name_of, premises)) + "}"
+                for premises in row]
         lines.append(f"{p.name}: " + "; ".join(sets))
     return "\n".join(lines) + "\n"
 
@@ -246,9 +218,9 @@ class _Checker:
 
 
 def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
-          ) -> tuple[tuple[tuple[int, int], ...], str]:
+          ) -> tuple[tuple[int, int], ...]:
     """Emit the variables and rows of the unrolled instance into ``b``, in
-    order; returns its objective and sense.
+    order; returns its objective.
 
     The layout is the step block of the module docstring: step 0's rows
     are built once, with ids as at step 0, and step ``s`` emits them with
@@ -267,8 +239,8 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     # has one, into the state link, and they get no variable
     paths: list[tuple[int, int]] = []
     folds: list[int | None] = []
-    for v, row in enumerate(table.rows):
-        multi = [j for j in range(1, len(row)) if len(row[j].premises) >= 2]
+    for v, row in enumerate(table):
+        multi = [j for j in range(1, len(row)) if len(row[j]) >= 2]
         folded = multi[-1] if cfg.mode == COMPACT and multi else None
         folds.append(folded)
         paths.extend((v, j + 1) for j in range(len(row))
@@ -279,14 +251,13 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     path_id = {key: n + i for i, key in enumerate(paths)}
 
     rows: list[_Row] = []
-    for v, row in enumerate(table.rows):
+    for v, row in enumerate(table):
         folded = folds[v]
         x_new = stride + v
-        for j, path in enumerate(row):
+        for j, premises in enumerate(row):
             lvar = path_id.get((v, j + 1))
             if lvar is None:
                 continue  # folded into the state link below
-            premises = path.premises
             kappa = len(premises)
             if kappa == 1:
                 rows.append((((lvar, 1), (premises[0], -1)), EQUAL, 0))
@@ -308,7 +279,7 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
         else:
             group = [v] + [path_id[v, j + 1] for j in range(1, tau)
                            if j != folded]
-            premises = row[folded].premises
+            premises = row[folded]
             kappa = len(premises)
             rows.append((((x_new, (tau - 1) * kappa + 1),)
                          + tuple((g, -kappa) for g in group)
@@ -335,20 +306,18 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     if cfg.sense == MAX_COVERAGE:
         b.add([(tuple([(v, 1) for v in range(n)]), LESS_EQUAL, cfg.budget_k)])
         objective = tuple((last + v, 1) for v in range(n))
-        sense = MAXIMIZE
     else:
         b.add([(((last + v, 1),), EQUAL, 1) for v in range(n)])
         objective = tuple((v, 1) for v in range(n))
-        sense = MINIMIZE
 
-    return objective, sense
+    return objective
 
 
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     """Build the unrolled instance; deterministic down to variable order."""
     b = _Builder()
-    objective, sense = _emit(system, cfg, b)
-    return MilpInstance(b.variables, b.constraints, objective, sense)
+    objective = _emit(system, cfg, b)
+    return MilpInstance(b.variables, b.constraints, objective, cfg.sense)
 
 
 def decode(instance: MilpInstance
@@ -425,13 +394,12 @@ def decode(instance: MilpInstance
             rules.append(DirectedRule(paths[v, j], v))
             j += 1
     cfg = EncodeConfig(variables[-1].copy, last.rhs if maximize else 0,
-                       COMPACT if compact else PLAIN,
-                       MAX_COVERAGE if maximize else MIN_GUESSES)
+                       COMPACT if compact else PLAIN, instance.sense)
     checker = _Checker(instance, rows)
     try:
         system = DeductionSystem.from_names(
             [f"p{i}" for i in range(n)], directed_rules=rules)
-        objective, _ = _emit(system, cfg, checker)
+        objective = _emit(system, cfg, checker)
     except (_Mismatch, ValueError):
         return None
     if not checker.complete or objective != instance.objective:
@@ -459,7 +427,7 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
         if v.kind == STATE:
             values[v.name] = known >> v.prop & 1
         else:
-            premises = table.row(v.prop)[v.path - 1].premises
+            premises = table[v.prop][v.path - 1]
             values[v.name] = int(all(known >> p & 1 for p in premises))
     return values
 

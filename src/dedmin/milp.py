@@ -39,7 +39,6 @@ limits (modulo a wall-clock budget that cuts a run short).
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 import time
@@ -238,9 +237,6 @@ class Solution:
                            else dict(sorted(self.assignment.items()))),
             "stats": self.stats.to_json(),
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n"
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ def expand_rules(system: DeductionSystem) -> DeductionSystem:
                            name=system.name)
 
 
-def is_expanded(system: DeductionSystem) -> bool:
-    return not system.symmetric_rules
-
-
 @dataclass(frozen=True)
 class MergeMap:
     """Name-level record of equality merging.

@@ -58,8 +58,8 @@ def path_table_as_name_sets(system: DeductionSystem) -> dict[str, set[frozenset[
     out = {}
     for p in system.propositions:
         out[p.name] = {
-            frozenset(system.name_of(m) for m in path.premises)
-            for path in table.row(p.index)
+            frozenset(system.name_of(m) for m in premises)
+            for premises in table[p.index]
         }
     return out
 

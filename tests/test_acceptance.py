@@ -171,8 +171,8 @@ def test_criterion_3_snow_reproduction(snow):
     for name in want:
         assert got[name] == set(want[name]), name
     table = encoder.enumerate_paths(snow)
-    assert len(table.row(snow.index_of("s_11"))) == 6
-    assert table.total_paths == 178
+    assert len(table[snow.index_of("s_11")]) == 6
+    assert sum(map(len, table)) == 178
 
     guess = [snow.index_of(n) for n in PAPER_SNOW_GUESS]
     closure = oracle.closure(snow, guess)

@@ -1,7 +1,7 @@
 import pytest
 
 from dedmin import ciphers, encoder, oracle, preprocess
-from dedmin.core import DeductionSystem, validate
+from dedmin.core import DeductionSystem
 from helpers import (PAPER_ENOCORO_GUESS, PAPER_SNOW_GUESS, load_course,
                      load_paths_fixture, path_table_as_name_sets,
                      replay_course)
@@ -13,7 +13,6 @@ def test_snow_proposition_count_formula():
     for t in (1, 5, 13, 20):
         system = ciphers.build_snow2(t)
         assert system.n == 2 * t + 16
-        assert validate(system) == []
 
 
 def test_snow_rule_family_counts():
@@ -42,12 +41,12 @@ def test_snow_paths_match_committed_fixture():
     assert set(got) == set(want)
     for name in want:
         assert got[name] == set(want[name]), name
-    assert encoder.enumerate_paths(system).total_paths == 178
+    assert sum(map(len, encoder.enumerate_paths(system))) == 178
 
 
 def test_snow_r13_has_three_paths():
     system = preprocess.expand_rules(ciphers.build_snow2(13))
-    assert len(encoder.enumerate_paths(system).row(system.index_of("R_13"))) == 3
+    assert len(encoder.enumerate_paths(system)[system.index_of("R_13")]) == 3
 
 
 def test_snow_closure_of_paper_guess():
@@ -79,7 +78,6 @@ def test_snow_trace_covers_course_conclusions():
 
 def test_snow_raw_merge_removes_eleven():
     raw = ciphers.build_snow2_raw(13)
-    assert validate(raw) == []
     assert raw.n == 53
     merged, mm = preprocess.merge_equalities(raw)
     assert len(mm.removed) == 11
@@ -117,7 +115,6 @@ def test_enocoro_proposition_count_formula():
     for t in (2, 5, 16):
         system = ciphers.build_enocoro(t)
         assert system.n == 7 * t - 4
-        assert validate(system) == []
     assert ciphers.build_enocoro(16, ciphers.EXTENDED).n == 7 * 16 + 3
 
 
@@ -146,9 +143,9 @@ def test_enocoro_paths_match_committed_fixture():
     for name in want:
         assert got[name] == set(want[name]), name
     table = encoder.enumerate_paths(system)
-    assert table.total_paths == 468
-    assert len(table.row(system.index_of("b_3"))) == 4
-    assert len(table.row(system.index_of("g_14"))) == 5
+    assert sum(map(len, table)) == 468
+    assert len(table[system.index_of("b_3")]) == 4
+    assert len(table[system.index_of("g_14")]) == 5
 
 
 def test_enocoro_declared_closure_reaches_92():
@@ -183,6 +180,8 @@ def test_enocoro_course_fixture_replays():
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         ciphers.build_snow2(0)
+    with pytest.raises(ValueError):
+        ciphers.build_snow2_raw(1)
     with pytest.raises(ValueError):
         ciphers.build_enocoro(1)
     with pytest.raises(ValueError):

@@ -320,7 +320,7 @@ def test_solve_json_gives_the_rates_of_the_text_report(toy):
                  milp.Solution("optimal", None, 1, milp.SolveStats())]
     for solution in solutions:
         words = cli._solve_report(None, solution, None).splitlines()[2].split()
-        stats = json.loads(solution.to_json_text())["stats"]
+        stats = solution.to_json()["stats"]
         for label, key in (("nodes/s:", "nodes_per_s"),
                            ("evals/s:", "heuristic_evals_per_s")):
             rate = stats[key]

@@ -1,7 +1,7 @@
 import pytest
 
 from dedmin.core import (DeductionSystem, DirectedRule, Proposition,
-                         SymmetricRule, ValidationError, validate)
+                         SymmetricRule, ValidationError)
 
 
 def system(names, sym=(), dirr=()):
@@ -9,9 +9,23 @@ def system(names, sym=(), dirr=()):
 
 
 def test_toy_system_validates_clean(toy):
-    assert validate(toy) == []
     assert toy.n == 4
     assert toy.rule_count == 5
+
+
+def test_built_system_is_read_only():
+    s = system(["a", "b"], dirr=[DirectedRule((0,), 1)])
+    with pytest.raises(AttributeError, match="read-only"):
+        s.directed_rules = (DirectedRule((), 5),)
+    with pytest.raises(AttributeError, match="read-only"):
+        del s.propositions
+    assert s.directed_rules == (DirectedRule((0,), 1),)
+    assert s.names() == ("a", "b")
+
+
+def test_index_of_an_unknown_name_raises_key_error(toy):
+    with pytest.raises(KeyError, match="unknown proposition 'zz'"):
+        toy.index_of("zz")
 
 
 def test_empty_premises_is_diagnosed():

@@ -63,6 +63,14 @@ def test_parse_error_carries_position():
     assert "undeclared" in str(err.value)
 
 
+def test_one_member_rule_is_a_parse_error_at_its_line():
+    # the parser names the line; the constructor's too-few-members
+    # diagnostic would only name the rule's position among the rules
+    with pytest.raises(dsl.ParseError, match="needs >= 2 members") as err:
+        dsl.parse_system("props: a b\na => b\n[a]\n")
+    assert err.value.line == 3
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(dsl.ParseError):
         dsl.parse_system("props: a a\n")

@@ -120,8 +120,7 @@ def test_paths_of_variable_without_rules():
     system = DeductionSystem.from_names(["a", "b"], (),
                                         [DirectedRule((0,), 1)])
     table = encoder.enumerate_paths(system)
-    assert table.row(0) == (encoder.Path((0,), None),)
-    assert table.row(1) == (encoder.Path((1,), None), encoder.Path((0,), 0))
+    assert table == (((0,),), ((1,), (0,)))
 
 
 def test_paths_require_expanded_system():
@@ -136,8 +135,9 @@ def test_paths_require_expanded_system():
 def test_snow_s11_paths():
     system = preprocess.expand_rules(ciphers.build_snow2(13))
     table = encoder.enumerate_paths(system)
-    row = table.row(system.index_of("s_11"))
-    got = {frozenset(system.name_of(p) for p in path.premises) for path in row}
+    v = system.index_of("s_11")
+    row = table[v]
+    got = {frozenset(system.name_of(p) for p in premises) for premises in row}
     assert got == {
         frozenset({"s_11"}),
         frozenset({"R_6", "R_8"}),
@@ -146,7 +146,7 @@ def test_snow_s11_paths():
         frozenset({"s_9", "s_20", "s_25"}),
         frozenset({"s_0", "s_2", "s_16"}),
     }
-    assert row[0].is_copy
+    assert row[0] == (v,)
 
 
 # --- instance shape ---------------------------------------------------------
@@ -213,7 +213,7 @@ def test_snow_counts_per_copy():
     system = preprocess.expand_rules(ciphers.build_snow2(13))
     table = encoder.enumerate_paths(system)
     assert system.n == 42  # 2T+16 state variables per copy
-    assert table.total_paths == 178
+    assert sum(map(len, table)) == 178
     cfg = encoder.EncodeConfig(nu=12, budget_k=9, mode=encoder.PLAIN)
     instance = encoder.encode(system, cfg)
     assert len(instance.variables) == 42 * 13 + 178 * 12
@@ -239,6 +239,10 @@ def test_config_validation(toy):
         encoder.encode(toy, encoder.EncodeConfig(nu=1, budget_k=5))
     with pytest.raises(encoder.ConfigError):
         encoder.encode(toy, encoder.EncodeConfig(nu=1, budget_k=1, mode="x"))
+    with pytest.raises(encoder.ConfigError, match="unknown sense 'avg'"):
+        encoder.EncodeConfig(nu=1, sense="avg").check(toy.n)
+    with pytest.raises(encoder.ConfigError, match="budget must be >= 0"):
+        encoder.EncodeConfig(nu=1, budget_k=-1).check(toy.n)
     # a budget beyond n is fine when minimizing guesses (it is ignored)
     encoder.encode(toy, encoder.EncodeConfig(
         nu=1, budget_k=5, sense=encoder.MIN_GUESSES))
@@ -450,3 +454,18 @@ def test_decode_reads_an_encoding_plus_its_full_cover_row(toy):
         dropped = milp.MilpInstance(refute.variables, refute.constraints[1:],
                                     refute.objective, refute.sense)
         assert encoder.decode(dropped) is None
+
+
+def test_decode_rejects_a_lone_full_cover_row_and_an_empty_row(toy):
+    cfg = encoder.EncodeConfig(nu=1, budget_k=1)
+    instance = encoder.encode(toy, cfg)
+    row = with_full_cover(instance, toy.n, cfg.nu).constraints[-1]
+    alone = milp.MilpInstance(instance.variables, (row,),
+                              instance.objective, instance.sense)
+    assert encoder.decode(alone) is None
+    # step 0's row 0 with no terms left
+    empty = milp.Constraint((), milp.GREATER_EQUAL, 0)
+    emptied = milp.MilpInstance(instance.variables,
+                                (empty,) + instance.constraints[1:],
+                                instance.objective, instance.sense)
+    assert encoder.decode(emptied) is None

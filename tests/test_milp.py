@@ -67,6 +67,23 @@ def test_malformed_instance_rejected():
                      [Constraint(((0, 1.5),), "<=", 0)], [])  # type: ignore
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: simple_instance([], sense="maximize"), "bad sense"),
+    (lambda: simple_instance([], names=("x", "x")), "duplicate variable"),
+    (lambda: simple_instance([Constraint(((0, 1),), "<", 0)]),
+     "bad relation"),
+    (lambda: simple_instance([Constraint(((0, 1),), "<=", 0.5)]),
+     "non-integer rhs"),
+    (lambda: simple_instance([], objective=((1, 1),)),
+     "objective: undeclared variable id 1"),
+    (lambda: simple_instance([], objective=((0, 0.5),)),
+     "objective: non-integer coefficient"),
+])
+def test_malformed_instance_names_its_fault(build, message):
+    with pytest.raises(milp.MalformedInstance, match=message):
+        build()
+
+
 # --- propagate --------------------------------------------------------------
 
 def conjunction_pair(kappa):
@@ -211,6 +228,19 @@ def test_time_limit_reports_incumbent():
     if solution.status == milp.TIME_LIMIT:
         assert solution.assignment is not None
         assert evaluate(instance, solution.assignment).feasible
+
+
+@pytest.mark.parametrize("sense", [encoder.MAX_COVERAGE,
+                                   encoder.MIN_GUESSES])
+def test_zero_time_budget_stops_before_the_first_evaluation(sense):
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    instance = encoder.encode(system, encoder.EncodeConfig(
+        nu=12, budget_k=9 if sense == encoder.MAX_COVERAGE else 0,
+        sense=sense))
+    solution = solve(instance, SolveLimits(time_budget=0))
+    assert solution.status == milp.TIME_LIMIT
+    assert solution.assignment is None
+    assert solution.stats.heuristic_evals == 0
 
 
 def test_node_budget_halts_search(toy):

@@ -57,6 +57,9 @@ def test_brute_force_no_rules():
     found = oracle.brute_force_min(s, 3)
     assert found.k_min == 3
     assert found.witness == (0, 1, 2)
+    # no propositions: the empty guess set covers them all
+    empty = oracle.brute_force_min(DeductionSystem.from_names([]))
+    assert (empty.k_min, empty.witness) == (0, ())
 
 
 def test_brute_force_respects_max_k(toy):
@@ -181,6 +184,12 @@ def test_extract_trace_flags_unjustified_knowledge(toy):
     bad = milp.Solution(milp.FEASIBLE, corrupt, None)
     with pytest.raises(oracle.TraceMismatch):
         oracle.extract_trace(toy, bad, cfg)
+
+
+def test_extract_trace_needs_an_assignment(toy):
+    solution = milp.Solution(milp.TIME_LIMIT, None, None)
+    with pytest.raises(oracle.TraceMismatch, match="no assignment"):
+        oracle.extract_trace(toy, solution, encoder.EncodeConfig(nu=4))
 
 
 def test_render_trace_table(toy):
