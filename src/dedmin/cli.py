@@ -198,11 +198,13 @@ def _solve_report(system, solution, trace) -> str:
     fixings of the row engine, which is 0 when the instance is searched
     over guess sets (an encoding, or one plus its full-cover row);
     ``decode``, the seconds :func:`~dedmin.encoder.decode` took to pick
-    the search; ``heuristic``, the seconds of the root heuristic;
-    ``evals``, its closure evaluations; ``evals/s``, from the heuristic's
-    seconds; ``wall``; then the guesses and the deduction trace.  A rate
-    is the one :class:`~dedmin.milp.SolveStats` gives ``--json``, and
-    ``-`` when its phase took no time.
+    the search, ``0.000s`` when the instance carries its encoding (a
+    ``.rules`` input, or the ``.lp`` text of an encoding); ``heuristic``,
+    the seconds of the root heuristic; ``evals``, its closure evaluations;
+    ``evals/s``, from the heuristic's seconds; ``wall``; then the guesses
+    and the deduction trace.  A rate is the one
+    :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
+    phase took no time.
     """
     lines = [f"status: {solution.status}", f"objective: {solution.objective}"]
     stats = solution.stats

@@ -44,9 +44,12 @@ The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
 objective maximizes the final layer; the alternative sense minimizes the
 initial layer subject to full final coverage.  :func:`decode` inverts
 :func:`encode` exactly, with or without a last row demanding full final
-coverage after a max-sense encoding; :func:`assignment_of` is the one
-assignment an encoding admits for a given guess layer, and this module owns
-the variable naming contract.
+coverage after a max-sense encoding, and :func:`rebuild` inverts
+:func:`decode`.  :func:`encode` records on the instance what
+:func:`decode` would read from it, so that an instance built as an
+encoding is never decoded.  :func:`assignment_of` is the one assignment an
+encoding admits for a given guess layer, and this module owns the variable
+naming contract.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
@@ -313,47 +316,82 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     return objective
 
 
+Encoding = tuple[DeductionSystem, EncodeConfig, bool]  # decode's answer
+
+
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
-    """Build the unrolled instance; deterministic down to variable order."""
+    """Build the unrolled instance; deterministic down to variable order.
+
+    The instance records its ``encoding``, the triple :func:`decode` reads
+    from it: :func:`read_first_step` of the rows just emitted, which pass
+    :func:`decode`'s check by construction.  Its system has the names
+    ``p0``, ``p1``, ... and its rules in path-table order, and its
+    configuration is the one the rows tell: no budget when minimizing, and
+    compact only when a path was folded.  A system without propositions
+    gives rows that no encoding has, and records None.
+    """
     b = _Builder()
     objective = _emit(system, cfg, b)
-    return MilpInstance(b.variables, b.constraints, objective, cfg.sense)
+    rows = b.constraints
+    return MilpInstance(b.variables, rows, objective, cfg.sense,
+                        read_first_step(b.variables, cfg.sense, rows,
+                                        len(rows), rows[-2:]))
 
 
-def decode(instance: MilpInstance
-           ) -> tuple[DeductionSystem, EncodeConfig, bool] | None:
-    """The system and configuration :func:`encode` turns into ``instance``,
-    and whether a full-cover row follows the encoding.
+def _full_cover_row(nvars: int, n: int) -> Constraint:
+    """``sum x{p}_c{nu} >= n``, the last step's ``n`` states being the last
+    of ``nvars`` variables."""
+    return Constraint(tuple((nvars - n + p, 1) for p in range(n)),
+                      GREATER_EQUAL, n)
 
-    Reads ``n``, ``nu``, the sense and the budget from the variables and
-    the last row, and each proposition's paths from the rows of the first
-    unrolling step.  Returns None unless the encoding of the result, as it
-    is emitted step by step, matches the instance's variables, the rows of
-    every step, and the objective exactly; no second instance is built.
-    Encodings keep no proposition names, so the rebuilt ones are ``p0``,
-    ``p1``, ...
+
+def rebuild(encoding: Encoding) -> MilpInstance:
+    """The instance :func:`decode` reads as ``encoding``: the rows
+    :func:`encode` emits, followed by the full-cover row when
+    ``full_cover`` is set, and recording ``encoding``."""
+    system, cfg, full_cover = encoding
+    b = _Builder()
+    objective = _emit(system, cfg, b)
+    if full_cover:
+        b.add([_full_cover_row(len(b.variables), system.n)])
+    return MilpInstance(b.variables, b.constraints, objective, cfg.sense,
+                        encoding)
+
+
+def read_first_step(variables: Sequence[Variable], sense: str,
+                    rows: Iterable[Constraint], count: int,
+                    tail: Sequence[Constraint]) -> Encoding | None:
+    """The one ``(system, cfg, full_cover)`` an instance can be an encoding
+    of, read from its first unrolling step, or None when it can be none.
+
+    ``variables`` are the instance's variables, of which only the guess
+    layer, the first step's and the last one are read; ``rows`` are its
+    ``count`` rows in order, read up to the end of the first step; and
+    ``tail`` holds its last two rows (its only row, when it has one).
+    ``n``, ``nu``, the sense and the budget come from the variables and the
+    last rows, and each proposition's paths from the rows of the first
+    unrolling step.  Whether the instance is that encoding is
+    :func:`decode`'s check; :func:`~dedmin.lpio.read_lp` makes the same
+    check on the text it reads.
 
     ``full_cover`` is True when the last row is ``sum x{p}_c{nu} >= n``
-    over every proposition and the rows before it are a max-sense
-    encoding: the instance then asks whether ``budget_k`` guesses cover
-    every proposition, and that row is left out of the comparison.
+    over every proposition and the instance maximizes: it then asks
+    whether ``budget_k`` guesses cover every proposition, and the
+    encoding's own rows are the ones before it.
     """
-    variables, constraints = instance.variables, instance.constraints
     n = 0  # the guess layer x0_c0, x1_c0, ... leads the variables
     while n < len(variables) and \
             variables[n] == Variable(state_var_name(n, 0), STATE, n, 0):
         n += 1
-    if n == 0 or not constraints or not variables[-1].copy:
+    if n == 0 or not count or not variables[-1].copy:
         return None
-    maximize = instance.sense == MAXIMIZE
-    row = constraints[-1]
-    first = len(variables) - n  # the state copies of the last step
-    full_cover = (maximize and row.rel == GREATER_EQUAL and row.rhs == n
-                  and row.terms == tuple((first + p, 1) for p in range(n)))
-    rows = len(constraints) - full_cover  # the encoding's own rows
-    if rows == 0:
+    maximize = sense == MAXIMIZE
+    full_cover = (maximize
+                  and tail[-1] == _full_cover_row(len(variables), n))
+    rows_own = count - full_cover  # the encoding's own rows
+    if rows_own == 0:
         return None
-    last = constraints[rows - 1]
+    last = tail[-1 - full_cover]
     # the last encoding row is the budget (max) or the last proposition's
     # coverage (min); checking its shape first spares an emission for most
     # instances that are not encodings, such as one with an extra row
@@ -368,7 +406,7 @@ def decode(instance: MilpInstance
         return None
     paths: dict[tuple, tuple[int, ...]] = {}  # (prop, path number) -> premises
     compact = False
-    for c in islice(constraints, rows):
+    for c in islice(rows, rows_own):
         if not c.terms:
             return None
         lead, coef = variables[c.terms[0][0]], c.terms[0][1]
@@ -394,17 +432,51 @@ def decode(instance: MilpInstance
             rules.append(DirectedRule(paths[v, j], v))
             j += 1
     cfg = EncodeConfig(variables[-1].copy, last.rhs if maximize else 0,
-                       COMPACT if compact else PLAIN, instance.sense)
-    checker = _Checker(instance, rows)
+                       COMPACT if compact else PLAIN, sense)
     try:
         system = DeductionSystem.from_names(
             [f"p{i}" for i in range(n)], directed_rules=rules)
+        cfg.check(n)
+    except ValueError:
+        return None
+    # the guess layer and nu step blocks: each proposition has its paths'
+    # variables, two fewer when compact mode folds two of them, and its
+    # next state; this also keeps the encoding the size of the instance
+    folded = {r.conclusion for r in rules if len(r.premises) >= 2}
+    stride = 2 * n + len(rules) - (2 * len(folded) if compact else 0)
+    if len(variables) != n + cfg.nu * stride:
+        return None
+    return system, cfg, full_cover
+
+
+def decode(instance: MilpInstance) -> Encoding | None:
+    """The system and configuration :func:`encode` turns into ``instance``,
+    and whether a full-cover row follows the encoding.
+
+    :func:`read_first_step` names the one triple the instance can be; it is
+    the answer when the encoding of its system and configuration, as it is
+    emitted step by step, matches the instance's variables, the rows of
+    every step, and the objective exactly, and None otherwise.  No second
+    instance is built.  Encodings keep no proposition names, so the rebuilt
+    ones are ``p0``, ``p1``, ...  ``full_cover`` is True when a full-cover
+    row follows a max-sense encoding; that row is left out of the
+    comparison.
+    """
+    constraints = instance.constraints
+    encoding = read_first_step(instance.variables, instance.sense,
+                               constraints, len(constraints),
+                               constraints[-2:])
+    if encoding is None:
+        return None
+    system, cfg, full_cover = encoding
+    checker = _Checker(instance, len(constraints) - full_cover)
+    try:
         objective = _emit(system, cfg, checker)
-    except (_Mismatch, ValueError):
+    except _Mismatch:
         return None
     if not checker.complete or objective != instance.objective:
         return None
-    return system, cfg, full_cover
+    return encoding
 
 
 def assignment_of(instance: MilpInstance, system: DeductionSystem,

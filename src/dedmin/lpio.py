@@ -10,6 +10,18 @@ and ``End``.  A term is ``[+|-] [coefficient] name``, and only the first
 term may omit its sign.  A line that would pass 240 characters goes on,
 after a break between terms, on a line that starts with three spaces.
 
+:func:`read_lp` reads in one of two ways, with the same result:
+
+* the text of an encoding is read by re-encoding it.  Its first unrolling
+  step and its last rows name the one encoding it can be
+  (:func:`~dedmin.encoder.read_first_step`, the reading
+  :func:`~dedmin.encoder.decode` makes); that encoding is built
+  (:func:`~dedmin.encoder.rebuild`), and it is the answer, recording its
+  ``encoding``, when :func:`write_lp` writes the text back line for line.
+  No other row is parsed, and the solver need not decode it;
+* any other text, including an encoding's with other whitespace or line
+  ends or an extra row, is parsed line by line and token by token.
+
 :func:`read_assignment` reads a JSON object ``{"name": 0/1, ...}``, that
 object under ``"assignment"`` as ``solve --json`` writes it, or ``name
 value`` lines, the shape of a Gurobi ``.sol`` file.  :func:`read_solution`
@@ -21,11 +33,12 @@ checked constraint by constraint) and only then wraps it as a
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
-from .encoder import variable_from_name
+from .encoder import read_first_step, rebuild, variable_from_name
 from .milp import (Constraint, EQUAL, FEASIBLE, GREATER_EQUAL, LESS_EQUAL,
                    MAXIMIZE, MINIMIZE, MilpInstance, Solution, SolveStats,
-                   evaluate)
+                   Variable, evaluate)
 
 _MAX_LINE = 240
 
@@ -53,48 +66,65 @@ class InfeasibleImport(ValueError):
             f"{len(self.violations)} constraints violated (first: {first})")
 
 
-def _emit(label: str, tokens: list[str], tail: str = "") -> list[str]:
-    lines = []
-    line = f" {label}:"
-    for token in tokens:
-        if len(line) + len(token) + 1 > _MAX_LINE:
-            lines.append(line)
-            line = "   " + token
-        else:
-            line += " " + token
-    if tail:
-        line += f" {tail}"
-    lines.append(line)
-    return lines
+def _line(label: str, tokens: list[str], tail: str = "") -> str:
+    """`` label: token ... tail``, each piece after a space, with its line
+    end.
+
+    It is joined once.  Only a line that would pass ``_MAX_LINE``
+    characters before its tail is broken, between tokens, onto lines that
+    start with three spaces; the tail stays on the last of them.
+    """
+    line = " ".join([f" {label}:", *tokens])
+    if len(line) > _MAX_LINE:
+        lines = [f" {label}:"]
+        for token in tokens:
+            if len(lines[-1]) + len(token) + 1 > _MAX_LINE:
+                lines.append("   " + token)
+            else:
+                lines[-1] += " " + token
+        line = "\n".join(lines)
+    return f"{line} {tail}\n" if tail else line + "\n"
+
+
+def _lines(instance: MilpInstance) -> Iterator[str]:
+    """The text of :func:`write_lp`, one line at a time with its line end;
+    a wrapped line comes with the lines it goes on on."""
+    yield "Maximize\n" if instance.sense == MAXIMIZE else "Minimize\n"
+    yield _line("obj", instance.term_tokens(instance.objective))
+    yield "Subject To\n"
+    for ci, c in enumerate(instance.constraints):
+        yield _line(f"c{ci}", instance.term_tokens(c.terms),
+                    f"{c.rel} {c.rhs}")
+    yield "Binary\n"
+    for v in instance.variables:
+        yield f" {v.name}\n"
+    yield "End\n"
 
 
 def write_lp(instance: MilpInstance) -> str:
     """Deterministic LP text for the instance; one constraint per ``cN:``."""
-    lines = ["Maximize" if instance.sense == MAXIMIZE else "Minimize"]
-    lines.extend(_emit("obj", instance.term_tokens(instance.objective)))
-    lines.append("Subject To")
-    for ci, c in enumerate(instance.constraints):
-        lines.extend(_emit(f"c{ci}", instance.term_tokens(c.terms),
-                           tail=f"{c.rel} {c.rhs}"))
-    lines.append("Binary")
-    for v in instance.variables:
-        lines.append(f" {v.name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(instance))
 
 
 _SIGNS = {"+": 1, "-": -1}
 
 
 def _integer(token: str, where: str) -> int:
-    """``token`` as an integer: an optional ``-``, then ASCII digits
-    (``isdecimal`` alone also takes the digits of other scripts)."""
-    digits = token.removeprefix("-")
-    try:
-        if digits.isascii() and digits.isdecimal():
+    """``token`` as an integer: an optional ``-``, then ASCII digits."""
+    if not token.removeprefix("-").isdecimal():
+        raise LpParseError(f"{where}: {token!r} is not an integer")
+    return _decimal(token, where)
+
+
+def _decimal(token: str, where: str) -> int:
+    """``token``, whose digits are decimal, as an integer.  They must also
+    be ASCII (``isdecimal`` alone takes the digits of other scripts) and
+    few enough for ``int()``."""
+    if token.isascii():
+        try:
             return int(token)
-    except ValueError:  # more digits than int() converts
-        pass
+        except ValueError:  # more digits than int() converts
+            pass
     raise LpParseError(f"{where}: {token!r} is not an integer")
 
 
@@ -113,7 +143,7 @@ def _terms(tokens: list[str], index: dict[str, int],
             token = next(rest, None)
         coefficient = 1
         if token is not None and token.isdecimal():
-            coefficient = _integer(token, where)
+            coefficient = _decimal(token, where)
             token = next(rest, None)
         if token is None:
             raise LpParseError(f"{where}: dangling sign or coefficient")
@@ -131,11 +161,90 @@ def _body(line: str, label: str) -> list[str]:
     return tokens[1:]
 
 
+def _row(line: str, ci: int, index: dict[str, int]) -> Constraint:
+    """Row ``ci`` from its line (its wrapped lines, joined)."""
+    where = f"c{ci}"
+    body = _body(line, where)
+    if len(body) < 2 or body[-2] not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
+        raise LpParseError(f"{where}: missing relation")
+    return Constraint(_terms(body[:-2], index, where), body[-2],
+                      _integer(body[-1], where))
+
+
+class _Named:
+    """The variables of a list of names, each built when it is read."""
+
+    def __init__(self, names: list[str]):
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int) -> Variable:
+        return variable_from_name(self.names[i])
+
+
+def _read_encoding(text: str) -> MilpInstance | None:
+    """The encoding whose :func:`write_lp` is ``text``, or None.
+
+    Only the rows of the first unrolling step and the last two are
+    parsed: :func:`~dedmin.encoder.read_first_step` reads from them the
+    one encoding the text can be, and :func:`~dedmin.encoder.rebuild`
+    builds it.  It is the answer when :func:`write_lp` writes ``text``,
+    compared line by line as the lines are written, so that no second
+    copy of the text is made.
+    """
+    sense = {"Maximize\n": MAXIMIZE, "Minimize\n": MINIMIZE}.get(text[:9])
+    subject = text.find("\nSubject To\n")
+    binary = text.rfind("\nBinary\n")  # the line end of the last row
+    start = subject + 12  # where row c0 starts
+    if (sense is None or subject < 0 or binary < start
+            or not text.endswith("\nEnd\n")):
+        return None
+    names = text[binary + 9:-5].split("\n ")
+    index = dict(zip(names, range(len(names))))
+    # a row starts after a line end and " c", which no wrapped line has
+    count = text.count("\n c", start - 1, binary)
+
+    def rows() -> Iterator[Constraint]:
+        at = start
+        for ci in range(count):
+            end = text.find("\n c", at, binary)
+            yield _row(text[at:end if end >= 0 else binary], ci, index)
+            at = end + 1
+
+    try:
+        last = text.rfind("\n c", start - 1, binary) + 1
+        tail = [_row(text[last:binary], count - 1, index)]
+        if count > 1:
+            before = text.rfind("\n c", start - 1, last - 1) + 1
+            tail.insert(0, _row(text[before:last - 1], count - 2, index))
+        encoding = read_first_step(_Named(names), sense, rows(), count, tail)
+    except ValueError:  # an LpParseError, or a name's number int() refuses
+        return None
+    if encoding is None:
+        return None
+    instance = rebuild(encoding)
+    at = 0
+    for line in _lines(instance):
+        if not text.startswith(line, at):
+            return None
+        at += len(line)
+    return instance if at == len(text) else None
+
+
 def read_lp(text: str) -> MilpInstance:
     """The instance :func:`write_lp` turns into ``text``.
 
     Anything :func:`write_lp` does not write is an :class:`LpParseError`.
+    The text of an encoding gives an instance that records it.
     """
+    instance = _read_encoding(text)
+    return _parse(text) if instance is None else instance
+
+
+def _parse(text: str) -> MilpInstance:
+    """:func:`read_lp` by parsing every line; records no encoding."""
     lines: list[str] = []
     for line in text.splitlines():
         if line.startswith("   ") and lines:  # a wrapped line goes on
@@ -158,14 +267,8 @@ def read_lp(text: str) -> MilpInstance:
             raise LpParseError(f"variable {name!r} declared Binary twice")
         index[name] = len(index)
 
-    constraints = []
-    for ci, line in enumerate(lines[3:binary]):
-        where = f"c{ci}"
-        body = _body(line, where)
-        if len(body) < 2 or body[-2] not in (LESS_EQUAL, GREATER_EQUAL, EQUAL):
-            raise LpParseError(f"{where}: missing relation")
-        constraints.append(Constraint(_terms(body[:-2], index, where),
-                                      body[-2], _integer(body[-1], where)))
+    constraints = [_row(line, ci, index)
+                   for ci, line in enumerate(lines[3:binary])]
     return MilpInstance(map(variable_from_name, index),
                         constraints,
                         _terms(_body(lines[1], "obj"), index, "objective"),

@@ -1,9 +1,11 @@
 """0-1 integer linear programs and a deterministic solver for them.
 
 The model (:class:`MilpInstance`) is a plain list of binary variables,
-integer-coefficient linear constraints and one linear objective.  The
-solver is branch-and-bound in one of two forms, chosen by
-:func:`~dedmin.encoder.decode`:
+integer-coefficient linear constraints and one linear objective, plus the
+encoding it was built as, when the code that built it recorded one.  The
+solver is branch-and-bound in one of two forms, chosen by that recorded
+encoding, so that ``SolveStats.decode_time`` reads 0, or, for an instance
+built any other way, by :func:`~dedmin.encoder.decode`:
 
 * an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``,
   possibly followed by a row demanding every proposition at the last step
@@ -102,9 +104,18 @@ class Constraint(NamedTuple):
 
 
 class MilpInstance:
-    """Binary variables, linear constraints, one linear objective."""
+    """Binary variables, linear constraints, one linear objective.
 
-    __slots__ = ("variables", "constraints", "objective", "sense",
+    ``encoding`` is the ``(system, cfg, full_cover)`` triple
+    :func:`~dedmin.encoder.decode` returns for the instance, recorded by
+    the code that built it as an encoding (:func:`~dedmin.encoder.encode`,
+    :func:`~dedmin.lpio.read_lp`), or None; it is taken as given, not
+    checked.  Read-only once built: assigning or deleting an attribute
+    raises :class:`AttributeError`, so the checks run at construction, and
+    the recorded encoding, hold for the instance's whole life.
+    """
+
+    __slots__ = ("variables", "constraints", "objective", "sense", "encoding",
                  "_index_by_name")
 
     def __init__(
@@ -113,17 +124,26 @@ class MilpInstance:
         constraints: Sequence[Constraint],
         objective: Sequence[tuple[int, int]],
         sense: str = MAXIMIZE,
+        encoding: tuple | None = None,
     ):
         if sense not in (MAXIMIZE, MINIMIZE):
             raise MalformedInstance(f"bad sense {sense!r}")
-        self.variables = tuple(variables)
-        self.constraints = tuple(constraints)
-        self.objective = tuple(objective)
-        self.sense = sense
-        self._index_by_name = {v.name: i for i, v in enumerate(self.variables)}
+        variables = tuple(variables)
+        index = {v.name: i for i, v in enumerate(variables)}
+        for slot, value in (
+                ("variables", variables), ("constraints", tuple(constraints)),
+                ("objective", tuple(objective)), ("sense", sense),
+                ("encoding", encoding), ("_index_by_name", index)):
+            object.__setattr__(self, slot, value)
         if len(self._index_by_name) != len(self.variables):
             raise MalformedInstance("duplicate variable name")
         self._check_refs()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MilpInstance is read-only: {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MilpInstance is read-only: {name!r}")
 
     def _check_refs(self) -> None:
         n = len(self.variables)
@@ -193,7 +213,8 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
     heuristic_evals: int = 0
-    # seconds in encoder.decode, which picks the search
+    # seconds in encoder.decode, which picks the search; 0 when the instance
+    # carries its encoding, which then picks it
     decode_time: float = 0.0
     # seconds in the root heuristic; 0 when the instance gets none
     heuristic_time: float = 0.0
@@ -666,15 +687,20 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
     and ``infeasible`` only with a completed proof.  An instance that
     :func:`~dedmin.encoder.decode` rebuilds, with or without its full-cover
-    row, is searched over guess sets, any other one over rows.
+    row, is searched over guess sets, any other one over rows.  The
+    instance's recorded ``encoding`` stands for ``decode``'s answer, which
+    is computed only for an instance that carries none.
     """
     from .encoder import decode  # encoder imports milp
 
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
-    decoded = decode(instance)
-    stats = SolveStats(decode_time=time.monotonic() - start)
+    stats = SolveStats()
+    decoded = instance.encoding
+    if decoded is None:
+        decoded = decode(instance)
+        stats.decode_time = time.monotonic() - start
     if decoded is not None:
         return _solve_encoding(instance, *decoded, limits, start, stats)
     return _solve_rows(instance, limits, start, stats)

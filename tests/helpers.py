@@ -7,7 +7,7 @@ import random
 import time
 from pathlib import Path
 
-from dedmin import encoder
+from dedmin import ciphers, encoder, preprocess
 from dedmin.milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL,
                          MilpInstance)
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
@@ -91,6 +91,34 @@ def with_full_cover(instance: MilpInstance, n: int,
                            for p in range(n)), GREATER_EQUAL, n)
     return MilpInstance(instance.variables, instance.constraints + (row,),
                         instance.objective, instance.sense)
+
+
+def encoding_cases() -> list[tuple[DeductionSystem, encoder.EncodeConfig]]:
+    """The encodings ``test_encodings_keep_their_lp_text_byte_for_byte``
+    hashes, as ``(system, cfg)``: SNOW T=13 at nu 12 and k 9, Enocoro T=16
+    at nu 18 and k 18, and 40 seeded random systems, each in both modes
+    and both senses (no budget when minimizing)."""
+    systems = [(preprocess.expand_rules(ciphers.build_snow2(13)), 12, 9),
+               (preprocess.expand_rules(ciphers.build_enocoro(16)), 18, 18)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        system = preprocess.expand_rules(random_system(rng))
+        systems.append((system, rng.randint(1, system.n + 1),
+                        rng.randint(0, system.n)))
+    return [(system, encoder.EncodeConfig(nu, budget, mode, sense))
+            for system, nu, k in systems
+            for mode in (encoder.PLAIN, encoder.COMPACT)
+            for sense, budget in ((encoder.MAX_COVERAGE, k),
+                                  (encoder.MIN_GUESSES, 0))]
+
+
+def refutation_cases() -> list[MilpInstance]:
+    """SNOW T=13 at nu 12 and k 8 plus its full-cover row (acceptance
+    criterion 4), in both modes, built by hand: they record no encoding."""
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    return [with_full_cover(encoder.encode(system, encoder.EncodeConfig(
+                12, 8, mode)), system.n, 12)
+            for mode in (encoder.PLAIN, encoder.COMPACT)]
 
 
 def without_heuristic(instance: MilpInstance) -> MilpInstance:

@@ -336,6 +336,28 @@ def test_solve_json_gives_the_rates_of_the_text_report(toy):
         set(json.loads(out.stdout)["stats"])
 
 
+def test_solve_of_rules_and_of_its_lp_give_the_same_answer(tmp_path, capsys):
+    # both instances carry their encoding, so neither is decoded
+    lp = tmp_path / "toy.lp"
+    flags = ("--nu", "4", "--k", "1")
+    assert cli.main(["encode", str(TOY), *flags, "-o", str(lp)]) == 0
+    payloads = []
+    for args in ((str(TOY), *flags), (str(lp),)):
+        capsys.readouterr()
+        assert cli.main(["solve", *args, "--json"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    timings = ("wall_time", "decode_time", "heuristic_time", "search_time",
+               "nodes_per_s", "heuristic_evals_per_s")
+    for payload in payloads:
+        assert payload["stats"]["decode_time"] == 0
+        for key in timings:
+            del payload["stats"][key]
+    rules, lp_payload = payloads
+    # guess, known and trace need the names only the .rules input has
+    assert set(rules) - set(lp_payload) == {"guess", "known", "trace"}
+    assert lp_payload == {key: rules[key] for key in lp_payload}
+
+
 def test_python_m_dedmin_runs_the_cli(tmp_path):
     def run(*args):
         return subprocess.run([sys.executable, "-m", "dedmin", *args],

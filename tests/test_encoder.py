@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from helpers import random_system, with_full_cover, without_heuristic
+from helpers import (encoding_cases, random_system, refutation_cases,
+                     with_full_cover, without_heuristic)
 
 
 def single_state_system(premise_counts):
@@ -454,6 +455,62 @@ def test_decode_reads_an_encoding_plus_its_full_cover_row(toy):
         dropped = milp.MilpInstance(refute.variables, refute.constraints[1:],
                                     refute.objective, refute.sense)
         assert encoder.decode(dropped) is None
+
+
+def outcome(solution):
+    """What a solve answers and how much work it took, timings aside."""
+    return (solution.status, solution.objective, solution.stats.nodes,
+            solution.stats.heuristic_evals, solution.assignment)
+
+
+def test_a_recorded_encoding_is_what_decode_reads():
+    instances = [encoder.encode(system, cfg)
+                 for system, cfg in encoding_cases()]
+    # read_lp records the full-cover row, which encode never emits
+    instances += [lpio.read_lp(lpio.write_lp(refute))
+                  for refute in refutation_cases()]
+    limits = milp.SolveLimits(node_budget=100)
+    for instance in instances:
+        copy = milp.MilpInstance(instance.variables, instance.constraints,
+                                 instance.objective, instance.sense)
+        assert copy.encoding is None
+        decoded = encoder.decode(copy)
+        assert decoded == instance.encoding
+        # the rules in the same order too, which the search depends on
+        assert decoded[0].directed_rules == instance.encoding[0].directed_rules
+        assert encoder.rebuild(decoded).constraints == instance.constraints
+        solution = milp.solve(instance, limits)
+        assert solution.stats.decode_time == 0
+        assert outcome(solution) == outcome(milp.solve(copy, limits))
+    assert [i.encoding[2] for i in instances].count(True) == 2
+
+
+def test_a_claimed_depth_the_variables_cannot_hold_is_never_emitted(
+        toy, monkeypatch):
+    # the last variable names copy 10**9: decode and read_lp must see from
+    # the variable count that no encoding fits, not unroll 10**9 steps
+    instance = encoder.encode(toy, encoder.EncodeConfig(nu=3, budget_k=1))
+    deep = encoder.state_var_name(toy.n - 1, 10**9)
+    variables = instance.variables[:-1] + (encoder.variable_from_name(deep),)
+    claimed = milp.MilpInstance(variables, instance.constraints,
+                                instance.objective, instance.sense)
+    text = lpio.write_lp(claimed)
+
+    def no_emit(*args):
+        raise AssertionError("an encoding was emitted")
+
+    monkeypatch.setattr(encoder, "_emit", no_emit)
+    assert encoder.decode(claimed) is None
+    read = lpio.read_lp(text)
+    assert read.encoding is None
+    assert read.variables[-1].name == deep
+
+
+def test_a_system_without_propositions_records_no_encoding():
+    instance = encoder.encode(DeductionSystem.from_names([]),
+                              encoder.EncodeConfig(nu=1))
+    assert instance.encoding is None
+    assert encoder.decode(instance) is None
 
 
 def test_decode_rejects_a_lone_full_cover_row_and_an_empty_row(toy):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, cli, encoder, lpio, milp, preprocess
 from dedmin.milp import Constraint, MilpInstance
-from helpers import random_system, with_full_cover, without_heuristic
+from helpers import (encoding_cases, random_system, refutation_cases,
+                     with_full_cover, without_heuristic)
 
 TOY = Path(__file__).parent / "data" / "toy.rules"
 
@@ -212,3 +213,66 @@ def test_read_solution_reads_solve_json(toy, capsys):
         nu=4, budget_k=1, mode=encoder.PLAIN))
     solution = lpio.read_solution(capsys.readouterr().out, instance)
     assert solution.objective == 4
+
+
+# --- the two ways of reading ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def encoding_texts():
+    """The LP text of every encoding case and of the SNOW refutation."""
+    instances = [encoder.encode(system, cfg) for system, cfg in
+                 encoding_cases()] + refutation_cases()
+    return [lpio.write_lp(instance) for instance in instances]
+
+
+def test_an_encoding_is_read_as_the_generic_parser_reads_it(encoding_texts):
+    for text in encoding_texts:
+        instance = lpio.read_lp(text)
+        parsed = lpio._parse(text)
+        assert fields(instance) == fields(parsed)
+        assert parsed.encoding is None
+        assert instance.encoding is not None
+        assert instance.encoding == encoder.decode(parsed)
+    full_cover = [lpio.read_lp(text).encoding[2] for text in encoding_texts]
+    assert full_cover.count(True) == 2  # the refutation, in both modes
+
+
+def variants(text):
+    """Texts :func:`lpio.write_lp` does not write, each with what makes it
+    one: the generic parser reads each as the parent commit did."""
+    lines = text.splitlines(keepends=True)
+    binary = lines.index("Binary\n")
+    rows = binary - 3
+    swapped = lines[:binary + 1] + [lines[binary + 2], lines[binary + 1]] + \
+        lines[binary + 3:]
+    extra = lines[:binary] + [f" c{rows}: x0_c0 >= 0\n"] + lines[binary:]
+    return {"extra spaces": text.replace(" c0: ", " c0:  ", 1),
+            "trailing space": text.replace("\nBinary", " \nBinary"),
+            "CRLF": text.replace("\n", "\r\n"),
+            "extra row": "".join(extra),
+            "Binary lines swapped": "".join(swapped),
+            "header": " " + text}
+
+
+def test_any_other_text_takes_the_generic_path(encoding_texts):
+    # every text of a random system, and both ciphers' first texts
+    for text in encoding_texts[8:] + encoding_texts[:1] + encoding_texts[4:5]:
+        for what, variant in variants(text).items():
+            assert variant != text, what
+            try:
+                want = lpio._parse(variant)
+            except lpio.LpParseError as err:
+                with pytest.raises(lpio.LpParseError) as got:
+                    lpio.read_lp(variant)
+                assert str(got.value) == str(err), what
+                continue
+            instance = lpio.read_lp(variant)
+            assert fields(instance) == fields(want), what
+            assert instance.encoding is None, what
+    # the spacing and line ends change nothing the generic parser keeps
+    text = encoding_texts[0]
+    for what in ("extra spaces", "trailing space", "CRLF"):
+        assert fields(lpio.read_lp(variants(text)[what])) == \
+            fields(lpio.read_lp(text)), what
+    with pytest.raises(lpio.LpParseError, match="header"):
+        lpio.read_lp(variants(text)["header"])

@@ -67,6 +67,23 @@ def test_malformed_instance_rejected():
                      [Constraint(((0, 1.5),), "<=", 0)], [])  # type: ignore
 
 
+def test_built_instance_is_read_only():
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    instance = encoder.encode(system, encoder.EncodeConfig(nu=2, budget_k=9))
+    variables = instance.variables
+    for name, value in (("variables", variables[:5]), ("encoding", None),
+                        ("sense", milp.MINIMIZE)):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(instance, name, value)
+    with pytest.raises(AttributeError, match="read-only"):
+        del instance.constraints
+    assert instance.variables == variables and instance.has_variable("x41_c2")
+    assert instance.encoding is not None
+    solution = solve(instance, SolveLimits(node_budget=10))
+    assert solution.assignment is not None
+    assert len(solution.assignment) == len(variables)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: simple_instance([], sense="maximize"), "bad sense"),
     (lambda: simple_instance([], names=("x", "x")), "duplicate variable"),
@@ -320,7 +337,10 @@ def test_search_time_is_part_of_wall_time():
     assert 0 < stats.search_time <= stats.wall_time
     assert stats.to_json()["search_time"] == round(stats.search_time, 6)
     assert stats.heuristic_time == 0
-    stats = solve(instance).stats
+    # the encoding the instance records picks the search, and no decode runs
+    assert solve(instance).stats.decode_time == 0
+    stats = solve(MilpInstance(instance.variables, instance.constraints,
+                               instance.objective, instance.sense)).stats
     assert stats.heuristic_evals > 0 and stats.heuristic_time > 0
     assert stats.decode_time > 0
     assert (stats.decode_time + stats.heuristic_time + stats.search_time
