@@ -40,16 +40,21 @@ the next copy, so ``stride`` is a step's path variables plus ``n``.  Every
 row of step ``s`` is a row of step 0 with each variable id raised by
 ``s * stride``.
 
-The initial layer is budgeted (``sum(x at copy 0) <= k``) and the
-objective maximizes the final layer; the alternative sense minimizes the
-initial layer subject to full final coverage.  :func:`decode` inverts
-:func:`encode` exactly, with or without a last row demanding full final
-coverage after a max-sense encoding, and :func:`rebuild` inverts
-:func:`decode`.  :func:`encode` records on the instance what
-:func:`decode` would read from it, so that an instance built as an
-encoding is never decoded.  :func:`assignment_of` is the one assignment an
-encoding admits for a given guess layer, and this module owns the variable
-naming contract.
+The initial layer is budgeted (``sum(x at copy 0) <= k``) and the objective
+maximizes the final layer; the alternative sense minimizes the initial
+layer subject to full final coverage.  :func:`_emit` writes that layout
+once, as batches of plain tuples, and :func:`rebuild` is the one builder of
+an instance from them: it builds the encoding of a ``(system, cfg,
+full_cover)`` triple, with a last row demanding full final coverage after a
+max-sense encoding when ``full_cover`` is set, and records the triple on
+the instance.  :func:`encode` is :func:`rebuild` without that row, so an
+instance built as an encoding records what it was built from and is never
+decoded.  :func:`decode` is for an instance built any other way: it reads
+the one triple the instance can be from its first step
+(:func:`read_first_step`) and compares the instance with :func:`_emit`'s
+batches of that triple as they are emitted.  :func:`assignment_of` is the
+one assignment an encoding admits for a given guess layer, and this module
+owns the variable naming contract.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
@@ -171,59 +176,13 @@ def default_nu(system: DeductionSystem) -> int:
 _Row = tuple[tuple[tuple[int, int], ...], str, int]  # (terms, rel, rhs)
 
 
-class _Builder:
-    """Collects what :func:`_emit` emits into a new instance."""
-
-    def __init__(self):
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-
-    def add_vars(self, variables: list[tuple]) -> None:
-        """Appends ``Variable(*v)`` for each ``v``."""
-        self.variables += map(Variable._make, variables)
-
-    def add(self, rows: list[_Row]) -> None:
-        self.constraints += map(Constraint._make, rows)
-
-
-class _Mismatch(Exception):
-    """Internal: an emitted variable or row differs from the instance's."""
-
-
-class _Checker:
-    """Compares what :func:`_emit` emits with the first ``rows`` rows and
-    the variables of an instance, one batch at a time, and raises
-    :class:`_Mismatch` at the first difference.  A named tuple equals the
-    plain tuple of its fields, so the batches are compared as emitted."""
-
-    def __init__(self, instance: MilpInstance, rows: int):
-        self.variables = instance.variables
-        self.constraints = instance.constraints
-        self.rows = rows
-        self.nvars = 0
-        self.nrows = 0
-
-    def add_vars(self, variables: list[tuple]) -> None:
-        i, j = self.nvars, self.nvars + len(variables)
-        if self.variables[i:j] != tuple(variables):
-            raise _Mismatch
-        self.nvars = j
-
-    def add(self, rows: list[_Row]) -> None:
-        i, j = self.nrows, self.nrows + len(rows)
-        if j > self.rows or self.constraints[i:j] != tuple(rows):
-            raise _Mismatch
-        self.nrows = j
-
-    @property
-    def complete(self) -> bool:
-        return self.nvars == len(self.variables) and self.nrows == self.rows
-
-
-def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
-          ) -> tuple[tuple[int, int], ...]:
-    """Emit the variables and rows of the unrolled instance into ``b``, in
-    order; returns its objective.
+def _emit(system: DeductionSystem, cfg: EncodeConfig
+          ) -> Iterator[tuple[list[tuple], list[_Row]]]:
+    """The variables and rows of the unrolled instance, in order, as
+    ``(variables, rows)`` batches of plain tuples, the fields of
+    :class:`~dedmin.milp.Variable` and :class:`~dedmin.milp.Constraint`:
+    the guess layer; for each unrolling step its path variables, then the
+    next copy's states with the step's rows; then the closing rows.
 
     The layout is the step block of the module docstring: step 0's rows
     are built once, with ids as at step 0, and step ``s`` emits them with
@@ -235,7 +194,7 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     cfg.check(system.n)
     n = system.n
 
-    b.add_vars([(state_var_name(v, 0), STATE, v, 0, None) for v in range(n)])
+    yield [(state_var_name(v, 0), STATE, v, 0, None) for v in range(n)], []
 
     # one step's path variables, as (prop, path number); compact mode folds
     # each proposition's carry-over and its last multi-premise path, if it
@@ -296,66 +255,68 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig, b: _Builder | _Checker
     # one int object per variable id, shared by every row that names it
     ids = list(range(n + cfg.nu * stride))
     for step in range(cfg.nu):
-        b.add_vars([(path_var_name(prop, path, step), PATH, prop, step, path)
-                    for prop, path in paths])
-        b.add_vars([(state_var_name(v, step + 1), STATE, v, step + 1, None)
-                    for v in range(n)])
+        yield [(path_var_name(prop, path, step), PATH, prop, step, path)
+               for prop, path in paths], []
         # the rows name step 0's ids; at[var] is var + step * stride
         at = ids[step * stride:(step + 1) * stride + n]
-        b.add([(tuple([(at[var], a) for var, a in terms]), rel, rhs)
-               for terms, rel, rhs in rows])
+        yield ([(state_var_name(v, step + 1), STATE, v, step + 1, None)
+                for v in range(n)],
+               [(tuple([(at[var], a) for var, a in terms]), rel, rhs)
+                for terms, rel, rhs in rows])
 
     last = cfg.nu * stride  # the id of x0_c{nu}
     if cfg.sense == MAX_COVERAGE:
-        b.add([(tuple([(v, 1) for v in range(n)]), LESS_EQUAL, cfg.budget_k)])
-        objective = tuple((last + v, 1) for v in range(n))
+        yield [], [(tuple([(v, 1) for v in range(n)]), LESS_EQUAL,
+                    cfg.budget_k)]
     else:
-        b.add([(((last + v, 1),), EQUAL, 1) for v in range(n)])
-        objective = tuple((v, 1) for v in range(n))
-
-    return objective
+        yield [], [(((last + v, 1),), EQUAL, 1) for v in range(n)]
 
 
-Encoding = tuple[DeductionSystem, EncodeConfig, bool]  # decode's answer
+def _objective(n: int, nvars: int, sense: str) -> tuple[tuple[int, int], ...]:
+    """The objective of an encoding of ``n`` propositions in ``nvars``
+    variables: the last copy's states, the last ``n`` variables, when
+    maximizing, and the guess layer, the first ``n``, when minimizing."""
+    first = nvars - n if sense == MAX_COVERAGE else 0
+    return tuple((first + v, 1) for v in range(n))
+
+
+def _full_cover_row(n: int, nvars: int) -> Constraint:
+    """``sum x{p}_c{nu} >= n``, the last step's ``n`` states being the last
+    of ``nvars`` variables."""
+    return Constraint(_objective(n, nvars, MAX_COVERAGE), GREATER_EQUAL, n)
+
+
+# (system, cfg, full_cover): what an encoding's instance is built from
+Encoding = tuple[DeductionSystem, EncodeConfig, bool]
 
 
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     """Build the unrolled instance; deterministic down to variable order.
 
-    The instance records its ``encoding``, the triple :func:`decode` reads
-    from it: :func:`read_first_step` of the rows just emitted, which pass
-    :func:`decode`'s check by construction.  Its system has the names
-    ``p0``, ``p1``, ... and its rules in path-table order, and its
-    configuration is the one the rows tell: no budget when minimizing, and
-    compact only when a path was folded.  A system without propositions
-    gives rows that no encoding has, and records None.
+    It is :func:`rebuild` of ``(system, cfg, False)``, so the instance
+    records that triple as its ``encoding``, ``system`` and ``cfg`` as
+    given, unless ``system`` has no propositions.
     """
-    b = _Builder()
-    objective = _emit(system, cfg, b)
-    rows = b.constraints
-    return MilpInstance(b.variables, rows, objective, cfg.sense,
-                        read_first_step(b.variables, cfg.sense, rows,
-                                        len(rows), rows[-2:]))
-
-
-def _full_cover_row(nvars: int, n: int) -> Constraint:
-    """``sum x{p}_c{nu} >= n``, the last step's ``n`` states being the last
-    of ``nvars`` variables."""
-    return Constraint(tuple((nvars - n + p, 1) for p in range(n)),
-                      GREATER_EQUAL, n)
+    return rebuild((system, cfg, False))
 
 
 def rebuild(encoding: Encoding) -> MilpInstance:
-    """The instance :func:`decode` reads as ``encoding``: the rows
-    :func:`encode` emits, followed by the full-cover row when
-    ``full_cover`` is set, and recording ``encoding``."""
+    """The instance of ``encoding``, a ``(system, cfg, full_cover)``
+    triple: the rows :func:`_emit` emits for ``system`` and ``cfg``,
+    followed by the full-cover row when ``full_cover`` is set.  It records
+    ``encoding``, or None when ``system`` has no propositions, whose rows
+    no encoding has."""
     system, cfg, full_cover = encoding
-    b = _Builder()
-    objective = _emit(system, cfg, b)
+    variables: list[Variable] = []
+    constraints: list[Constraint] = []
+    for batch, rows in _emit(system, cfg):
+        variables += map(Variable._make, batch)
+        constraints += map(Constraint._make, rows)
     if full_cover:
-        b.add([_full_cover_row(len(b.variables), system.n)])
-    return MilpInstance(b.variables, b.constraints, objective, cfg.sense,
-                        encoding)
+        constraints.append(_full_cover_row(system.n, len(variables)))
+    return MilpInstance(variables, constraints,
+                        _objective(system.n, len(variables), cfg.sense),
+                        cfg.sense, encoding if system.n else None)
 
 
 def read_first_step(variables: Sequence[Variable], sense: str,
@@ -387,7 +348,7 @@ def read_first_step(variables: Sequence[Variable], sense: str,
         return None
     maximize = sense == MAXIMIZE
     full_cover = (maximize
-                  and tail[-1] == _full_cover_row(len(variables), n))
+                  and tail[-1] == _full_cover_row(n, len(variables)))
     rows_own = count - full_cover  # the encoding's own rows
     if rows_own == 0:
         return None
@@ -450,31 +411,32 @@ def read_first_step(variables: Sequence[Variable], sense: str,
 
 
 def decode(instance: MilpInstance) -> Encoding | None:
-    """The system and configuration :func:`encode` turns into ``instance``,
-    and whether a full-cover row follows the encoding.
+    """The ``(system, cfg, full_cover)`` triple whose :func:`rebuild` has
+    the variables, rows and objective of ``instance``, or None.
 
-    :func:`read_first_step` names the one triple the instance can be; it is
-    the answer when the encoding of its system and configuration, as it is
-    emitted step by step, matches the instance's variables, the rows of
-    every step, and the objective exactly, and None otherwise.  No second
-    instance is built.  Encodings keep no proposition names, so the rebuilt
-    ones are ``p0``, ``p1``, ...  ``full_cover`` is True when a full-cover
-    row follows a max-sense encoding; that row is left out of the
-    comparison.
+    :func:`read_first_step` names the one triple the instance can be, with
+    the names ``p0``, ``p1``, ..., the rules in path-table order and the
+    configuration the rows tell (no budget when minimizing, compact only
+    when a path was folded).  The instance is compared with :func:`_emit`'s
+    batches for it as they are emitted; a full-cover row after a max-sense
+    encoding is left out of the comparison and sets ``full_cover``.
     """
-    constraints = instance.constraints
-    encoding = read_first_step(instance.variables, instance.sense,
-                               constraints, len(constraints),
-                               constraints[-2:])
+    variables, constraints = instance.variables, instance.constraints
+    encoding = read_first_step(variables, instance.sense, constraints,
+                               len(constraints), constraints[-2:])
     if encoding is None:
         return None
     system, cfg, full_cover = encoding
-    checker = _Checker(instance, len(constraints) - full_cover)
-    try:
-        objective = _emit(system, cfg, checker)
-    except _Mismatch:
-        return None
-    if not checker.complete or objective != instance.objective:
+    nvars = nrows = 0
+    for batch, rows in _emit(system, cfg):
+        # a named tuple equals the plain tuple of its fields
+        if (variables[nvars:nvars + len(batch)] != tuple(batch)
+                or constraints[nrows:nrows + len(rows)] != tuple(rows)):
+            return None
+        nvars += len(batch)
+        nrows += len(rows)
+    if (nvars != len(variables) or nrows != len(constraints) - full_cover
+            or instance.objective != _objective(system.n, nvars, cfg.sense)):
         return None
     return encoding
 
@@ -483,9 +445,9 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
                   guesses: Iterable[int]) -> dict[str, int]:
     """The one assignment of ``instance`` with guess layer ``guesses``.
 
-    ``instance`` is one :func:`decode` reads as an encoding of ``system``,
-    so each variable's ``kind``, ``prop``, ``copy`` and ``path`` are what
-    :func:`encode` gives them.  State copy ``c`` of a proposition is its
+    ``instance`` is an encoding of ``system``, one that it records or that
+    :func:`decode` reads, so each variable's ``kind``, ``prop``, ``copy``
+    and ``path`` are what :func:`_emit` gives them.  State copy ``c`` of a proposition is its
     bit after ``c`` closure sweeps from the guesses, and a path variable
     of step ``c`` is 1 exactly when all its path's premises are known at
     copy ``c``.  The names come in the instance's variable order.

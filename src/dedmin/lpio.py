@@ -1,14 +1,18 @@
 """LP-format export and solution import.
 
 :func:`write_lp` emits the classic sectioned text format, so that instances
-can be handed to any external solver, and :func:`read_lp` is its exact
-inverse, raising :class:`LpParseError` on any other text.  The dialect is a
-``Maximize`` or ``Minimize`` line; an ``obj:`` line of the objective's terms;
-``Subject To``; rows labelled ``c0``, ``c1``, ... in order, each ending in
-its relation and integer right-hand side; ``Binary`` and one name per line;
-and ``End``.  A term is ``[+|-] [coefficient] name``, and only the first
-term may omit its sign.  A line that would pass 240 characters goes on,
-after a break between terms, on a line that starts with three spaces.
+can be handed to any external solver, and :func:`read_lp` is its inverse.
+The dialect is a ``Maximize`` or ``Minimize`` line; an ``obj:`` line of the
+objective's terms; ``Subject To``; rows labelled ``c0``, ``c1``, ... in
+order, each ending in its relation and integer right-hand side; ``Binary``
+and one name per line; and ``End``.  A term is ``[+|-] [coefficient]
+name``, and only the first term may omit its sign.  A line that would pass
+240 characters goes on, after a break between terms, on a line that starts
+with three spaces.  :func:`read_lp` reads the same tokens on the same
+lines, with any spacing between and around the tokens of the objective and
+the rows and with any line ends that ``str.splitlines`` splits on; the
+section lines, and each name line (one space, then the name), are read
+only as written.  Any other text is an :class:`LpParseError`.
 
 :func:`read_lp` reads in one of two ways, with the same result:
 
@@ -236,8 +240,11 @@ def _read_encoding(text: str) -> MilpInstance | None:
 def read_lp(text: str) -> MilpInstance:
     """The instance :func:`write_lp` turns into ``text``.
 
-    Anything :func:`write_lp` does not write is an :class:`LpParseError`.
-    The text of an encoding gives an instance that records it.
+    ``text`` has the tokens and lines :func:`write_lp` writes, in any
+    spacing within the objective and the rows and with any line ends that
+    ``str.splitlines`` splits on; anything else is an
+    :class:`LpParseError`.  The text of an encoding gives an instance that
+    records it.
     """
     instance = _read_encoding(text)
     return _parse(text) if instance is None else instance

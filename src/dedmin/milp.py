@@ -106,11 +106,11 @@ class Constraint(NamedTuple):
 class MilpInstance:
     """Binary variables, linear constraints, one linear objective.
 
-    ``encoding`` is the ``(system, cfg, full_cover)`` triple
-    :func:`~dedmin.encoder.decode` returns for the instance, recorded by
-    the code that built it as an encoding (:func:`~dedmin.encoder.encode`,
-    :func:`~dedmin.lpio.read_lp`), or None; it is taken as given, not
-    checked.  Read-only once built: assigning or deleting an attribute
+    ``encoding`` is the ``(system, cfg, full_cover)`` triple the instance
+    was built from, recorded by the code that built it as an encoding
+    (:func:`~dedmin.encoder.rebuild`, which :func:`~dedmin.encoder.encode`
+    and :func:`~dedmin.lpio.read_lp` call), or None; it is taken as given,
+    not checked.  Read-only once built: assigning or deleting an attribute
     raises :class:`AttributeError`, so the checks run at construction, and
     the recorded encoding, hold for the instance's whole life.
     """
@@ -150,20 +150,22 @@ class MilpInstance:
         for ci, c in enumerate(self.constraints):
             if c.rel not in _RELATIONS:
                 raise MalformedInstance(f"constraint {ci}: bad relation {c.rel!r}")
-            if not isinstance(c.rhs, int):
-                raise MalformedInstance(f"constraint {ci}: non-integer rhs")
+            if type(c.rhs) is not int:
+                raise MalformedInstance(
+                    f"constraint {ci}: non-integer rhs {c.rhs!r}")
             for var, coef in c.terms:
                 if not 0 <= var < n:
                     raise MalformedInstance(
                         f"constraint {ci}: undeclared variable id {var}")
-                if not isinstance(coef, int):
+                if type(coef) is not int:
                     raise MalformedInstance(
                         f"constraint {ci}: non-integer coefficient {coef!r}")
         for var, coef in self.objective:
             if not 0 <= var < n:
                 raise MalformedInstance(f"objective: undeclared variable id {var}")
-            if not isinstance(coef, int):
-                raise MalformedInstance(f"objective: non-integer coefficient")
+            if type(coef) is not int:
+                raise MalformedInstance(
+                    f"objective: non-integer coefficient {coef!r}")
 
     def index_of(self, name: str) -> int:
         try:
@@ -503,16 +505,16 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
                          score):
     """Seeded local search for a strong feasible start.
 
-    Runs on an instance :func:`~dedmin.encoder.decode` rebuilt as
-    ``encode(system, cfg)``, where ``options`` are the system's option
-    masks.  State copy ``c`` of a proposition is then known exactly when
-    ``c`` closure sweeps from the guess layer know it, so a guess set is
-    scored by its coverage: how many propositions ``nu`` sweeps of the
-    decoded rules know.  Both senses climb coverage over guess sets of one
-    fixed size: maximize at the axiom budget, minimize at one guess fewer
-    than its best full cover, until a size finds none.  Returns the
-    objective and guess mask of the best selection, or None when the
-    budget ran out before the first evaluation.
+    Runs on an instance that is ``encode(system, cfg)``, where
+    ``options`` are the system's option masks.  State copy ``c`` of a
+    proposition is then known exactly when ``c`` closure sweeps from the
+    guess layer know it, so a guess set is scored by its coverage: how
+    many propositions ``nu`` sweeps of the system's rules know.  Both
+    senses climb coverage over guess sets of one fixed size: maximize at
+    the axiom budget, minimize at one guess fewer than its best full
+    cover, until a size finds none.  Returns the objective and guess mask
+    of the best selection, or None when the budget ran out before the
+    first evaluation.
 
     Nearly every evaluation adds one guess to a set the search holds
     still: the climb tries ``(sel - {out}) | {inn}`` for every ``inn``
@@ -685,11 +687,11 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
 
     Returns ``optimal`` only when the search tree was exhausted within the
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
-    and ``infeasible`` only with a completed proof.  An instance that
-    :func:`~dedmin.encoder.decode` rebuilds, with or without its full-cover
-    row, is searched over guess sets, any other one over rows.  The
-    instance's recorded ``encoding`` stands for ``decode``'s answer, which
-    is computed only for an instance that carries none.
+    and ``infeasible`` only with a completed proof.  An encoding, with or
+    without its full-cover row, is searched over guess sets, any other
+    instance over rows.  The instance's recorded ``encoding``, the triple
+    it was built from, says which it is; :func:`~dedmin.encoder.decode`
+    reads that triple only for an instance that records none.
     """
     from .encoder import decode  # encoder imports milp
 

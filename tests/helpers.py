@@ -84,8 +84,11 @@ def with_full_cover(instance: MilpInstance, n: int,
                     nu: int) -> MilpInstance:
     """The instance plus a row demanding all ``n`` propositions at step ``nu``.
 
-    It is not an encoding; with a guess budget below the minimum it is
-    infeasible, which is how acceptance criterion 4 states the refutation.
+    Built by hand, it records no encoding, but :func:`encoder.decode` reads
+    a max-sense encoding plus this row as that encoding with ``full_cover``
+    set, the instance :func:`encoder.rebuild` builds from it.  With a guess
+    budget below the minimum it is infeasible, which is how acceptance
+    criterion 4 states the refutation.
     """
     row = Constraint(tuple((instance.index_of(encoder.state_var_name(p, nu)), 1)
                            for p in range(n)), GREATER_EQUAL, n)
@@ -119,6 +122,12 @@ def refutation_cases() -> list[MilpInstance]:
     return [with_full_cover(encoder.encode(system, encoder.EncodeConfig(
                 12, 8, mode)), system.n, 12)
             for mode in (encoder.PLAIN, encoder.COMPACT)]
+
+
+def fields(instance: MilpInstance) -> tuple:
+    """An instance's variables, rows, objective and sense."""
+    return (instance.variables, instance.constraints, instance.objective,
+            instance.sense)
 
 
 def without_heuristic(instance: MilpInstance) -> MilpInstance:

@@ -1,8 +1,11 @@
-"""Every function, method and class in ``src/dedmin`` is named somewhere.
+"""Every function, method, class and module-level name in ``src/dedmin`` is
+named somewhere.
 
 A definition counts as used when its name occurs, other than in its own
-``def`` or ``class`` line, as a name, an attribute, an imported name or a
-string constant anywhere under ``src/``, ``tests/`` or ``perfbench/``.
+``def`` or ``class`` line or as the target of an assignment, as a name, an
+attribute, an imported name or a string constant anywhere under ``src/``,
+``tests/`` or ``perfbench/``.  The module-level names are those a
+statement at the top of a module assigns: constants and aliases.
 """
 
 import ast
@@ -21,7 +24,7 @@ def _trees(*dirs):
 def _mentions(tree) -> set[str]:
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -32,16 +35,30 @@ def _mentions(tree) -> set[str]:
     return out
 
 
+def _definitions(tree):
+    """``(line, name)`` of every def and class, and of every name a
+    module-level assignment binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            yield node.lineno, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
 def test_every_definition_is_used():
     used = set()
     for _, tree in _trees("src", "tests", "perfbench"):
         used |= _mentions(tree)
     unused = []
     for path, tree in _trees("src/dedmin"):
-        for node in ast.walk(tree):
-            if (isinstance(node, DEFINITIONS) and node.name not in used
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
-                              f"{node.name}")
+        for lineno, name in _definitions(tree):
+            if name not in used and not (name.startswith("__")
+                                         and name.endswith("__")):
+                unused.append(f"{path.relative_to(ROOT)}:{lineno} {name}")
     assert not unused, unused

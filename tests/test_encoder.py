@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from helpers import (encoding_cases, random_system, refutation_cases,
-                     with_full_cover, without_heuristic)
+from helpers import (encoding_cases, fields, random_system,
+                     refutation_cases, with_full_cover, without_heuristic)
 
 
 def single_state_system(premise_counts):
@@ -463,26 +463,47 @@ def outcome(solution):
             solution.stats.heuristic_evals, solution.assignment)
 
 
-def test_a_recorded_encoding_is_what_decode_reads():
-    instances = [encoder.encode(system, cfg)
-                 for system, cfg in encoding_cases()]
+def test_an_instance_records_what_it_was_built_from():
+    built = [(system, cfg, False) for system, cfg in encoding_cases()]
+    instances = [encoder.encode(system, cfg) for system, cfg, _ in built]
     # read_lp records the full-cover row, which encode never emits
-    instances += [lpio.read_lp(lpio.write_lp(refute))
-                  for refute in refutation_cases()]
+    for refute in refutation_cases():
+        instances.append(lpio.read_lp(lpio.write_lp(refute)))
+        built.append(instances[-1].encoding)
     limits = milp.SolveLimits(node_budget=100)
-    for instance in instances:
-        copy = milp.MilpInstance(instance.variables, instance.constraints,
-                                 instance.objective, instance.sense)
+    for encoding, instance in zip(built, instances):
+        assert instance.encoding == encoding
+        rebuilt = encoder.rebuild(instance.encoding)
+        assert fields(rebuilt) == fields(instance)
+        assert rebuilt.encoding == instance.encoding
+        copy = milp.MilpInstance(*fields(instance))
         assert copy.encoding is None
         decoded = encoder.decode(copy)
-        assert decoded == instance.encoding
-        # the rules in the same order too, which the search depends on
-        assert decoded[0].directed_rules == instance.encoding[0].directed_rules
-        assert encoder.rebuild(decoded).constraints == instance.constraints
+        assert decoded is not None
+        assert fields(encoder.rebuild(decoded)) == fields(instance)
         solution = milp.solve(instance, limits)
         assert solution.stats.decode_time == 0
         assert outcome(solution) == outcome(milp.solve(copy, limits))
     assert [i.encoding[2] for i in instances].count(True) == 2
+
+
+def test_an_encoded_instance_is_never_read_back(toy, monkeypatch):
+    def no_reading(*args):
+        raise AssertionError("an encoded instance was read back")
+
+    monkeypatch.setattr(encoder, "read_first_step", no_reading)
+    monkeypatch.setattr(encoder, "decode", no_reading)
+    limits = milp.SolveLimits(node_budget=50)
+    for mode in (encoder.PLAIN, encoder.COMPACT):
+        maximize = encoder.EncodeConfig(nu=3, budget_k=2, mode=mode)
+        minimize = encoder.EncodeConfig(nu=3, mode=mode,
+                                        sense=encoder.MIN_GUESSES)
+        for instance in (encoder.encode(toy, maximize),
+                         encoder.encode(toy, minimize),
+                         encoder.rebuild((toy, maximize, True))):
+            assert instance.encoding[0] is toy
+            solution = milp.solve(instance, limits)
+            assert solution.status in (milp.OPTIMAL, milp.INFEASIBLE)
 
 
 def test_a_claimed_depth_the_variables_cannot_hold_is_never_emitted(

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, cli, encoder, lpio, milp, preprocess
 from dedmin.milp import Constraint, MilpInstance
-from helpers import (encoding_cases, random_system, refutation_cases,
-                     with_full_cover, without_heuristic)
+from helpers import (encoding_cases, fields, random_system,
+                     refutation_cases, with_full_cover, without_heuristic)
 
 TOY = Path(__file__).parent / "data" / "toy.rules"
 
@@ -130,11 +130,6 @@ def test_read_lp_rejects_garbage():
     with pytest.raises(lpio.LpParseError, match="'x' declared Binary twice"):
         lpio.read_lp("Maximize\n obj: x\nSubject To\n c0: x <= 1\n"
                      "Binary\n x\n x\nEnd\n")
-
-
-def fields(instance):
-    return (instance.variables, instance.constraints, instance.objective,
-            instance.sense)
 
 
 def assert_round_trip(instance):

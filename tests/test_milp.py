@@ -65,6 +65,15 @@ def test_malformed_instance_rejected():
     with pytest.raises(milp.MalformedInstance):
         MilpInstance([Variable("x")],
                      [Constraint(((0, 1.5),), "<=", 0)], [])  # type: ignore
+    # a bool is an int to isinstance, but write_lp would write it as
+    # "True", which read_lp rejects
+    with pytest.raises(milp.MalformedInstance, match="coefficient True"):
+        MilpInstance([Variable("x")], [Constraint(((0, True),), "<=", 0)], [])
+    with pytest.raises(milp.MalformedInstance, match="rhs True"):
+        MilpInstance([Variable("x")], [Constraint(((0, 1),), "<=", True)], [])
+    with pytest.raises(milp.MalformedInstance,
+                       match="objective: non-integer coefficient False"):
+        MilpInstance([Variable("x")], [], [(0, False)])
 
 
 def test_built_instance_is_read_only():
