@@ -201,8 +201,9 @@ def _solve_report(system, solution, trace) -> str:
     the search, ``0.000s`` when the instance carries its encoding (a
     ``.rules`` input, or the ``.lp`` text of an encoding); ``heuristic``,
     the seconds of the root heuristic; ``evals``, its closure evaluations;
-    ``evals/s``, from the heuristic's seconds; ``wall``; then the guesses
-    and the deduction trace.  A rate is the one
+    ``evals/s``, from the heuristic's seconds; ``check``, the seconds of
+    building and checking the final assignment of a guess-set search;
+    ``wall``; then the guesses and the deduction trace.  A rate is the one
     :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
     phase took no time.
     """
@@ -215,6 +216,7 @@ def _solve_report(system, solution, trace) -> str:
                  f"heuristic: {stats.heuristic_time:.3f}s  "
                  f"evals: {stats.heuristic_evals}  "
                  f"evals/s: {_rate(stats.heuristic_evals_per_s)}  "
+                 f"check: {stats.check_time:.3f}s  "
                  f"wall: {stats.wall_time:.3f}s")
     if system is not None and solution.assignment is not None:
         guess = _guess_names(system, solution)

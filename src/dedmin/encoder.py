@@ -38,7 +38,11 @@ unrolling step then adds one block of ``stride`` variables, its path
 variables in proposition and path order followed by the ``n`` states of
 the next copy, so ``stride`` is a step's path variables plus ``n``.  Every
 row of step ``s`` is a row of step 0 with each variable id raised by
-``s * stride``.
+``s * stride``.  :func:`step_layout` gives ``n``, ``nu``, ``stride`` and
+the rows per step of an encoding's instance, and every pass that walks an
+instance one step block at a time reads them there: the LP writer, the
+solver's ranking of the guess layer, and :func:`step_values`, the
+solver's build of its final assignment.
 
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the objective
 maximizes the final layer; the alternative sense minimizes the initial
@@ -53,8 +57,9 @@ decoded.  :func:`decode` is for an instance built any other way: it reads
 the one triple the instance can be from its first step
 (:func:`read_first_step`) and compares the instance with :func:`_emit`'s
 batches of that triple as they are emitted.  :func:`assignment_of` is the
-one assignment an encoding admits for a given guess layer, and this module
-owns the variable naming contract.
+one assignment an encoding admits for a given guess layer, read variable
+by variable; :func:`step_values` gives the same values one step block at a
+time.  This module owns the variable naming contract.
 """
 
 from __future__ import annotations
@@ -62,12 +67,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
                    MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
-from .oracle import mask_of, option_masks, sweeps
+from .oracle import OptionMasks, mask_of, option_masks, sweeps
 
 PLAIN = "plain"
 COMPACT = "compact"
@@ -83,12 +88,20 @@ class NotExpandedError(ValueError):
     """Operation requires a system without symmetric rules."""
 
 
-def state_var_name(prop: int, copy: int) -> str:
+def state_var_name(prop: int, copy: int | str) -> str:
     return f"x{prop}_c{copy}"
 
 
-def path_var_name(prop: int, path: int, copy: int) -> str:
+def path_var_name(prop: int, path: int, copy: int | str) -> str:
     return f"l{prop}_p{path}_c{copy}"
+
+
+def copy_name(variable: Variable, copy: str) -> str:
+    """The name ``variable``, a state or a path variable, has at copy
+    ``copy``: a copy number, or a placeholder for one."""
+    if variable.kind == STATE:
+        return state_var_name(variable.prop, copy)
+    return path_var_name(variable.prop, variable.path, copy)
 
 
 _STATE_RE = re.compile(r"^x(\d+)_c(\d+)$")
@@ -290,6 +303,31 @@ def _full_cover_row(n: int, nvars: int) -> Constraint:
 Encoding = tuple[DeductionSystem, EncodeConfig, bool]
 
 
+class StepLayout(NamedTuple):
+    """The step blocks of an encoding's instance."""
+
+    n: int  # propositions: the guess layer is variables 0 .. n-1
+    nu: int  # unrolling steps
+    stride: int  # variables per step: its path variables, then n states
+    rows: int  # rows per step; step s's are rows s * rows .. (s+1) * rows - 1
+
+
+def step_layout(instance: MilpInstance, encoding: Encoding) -> StepLayout:
+    """The layout of ``instance``, an encoding of ``encoding`` that it
+    records or that :func:`decode` reads.
+
+    Its variables are the guess layer and ``nu`` blocks of ``stride``, and
+    its rows ``nu`` blocks of ``rows`` followed by the closing rows: the
+    budget row or the ``n`` coverage rows, then the full-cover row when
+    ``full_cover`` is set.
+    """
+    system, cfg, full_cover = encoding
+    n, nu = system.n, cfg.nu
+    closing = (1 if cfg.sense == MAX_COVERAGE else n) + full_cover
+    return StepLayout(n, nu, (len(instance.variables) - n) // nu,
+                      (len(instance.constraints) - closing) // nu)
+
+
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     """Build the unrolled instance; deterministic down to variable order.
 
@@ -447,10 +485,13 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
 
     ``instance`` is an encoding of ``system``, one that it records or that
     :func:`decode` reads, so each variable's ``kind``, ``prop``, ``copy``
-    and ``path`` are what :func:`_emit` gives them.  State copy ``c`` of a proposition is its
-    bit after ``c`` closure sweeps from the guesses, and a path variable
-    of step ``c`` is 1 exactly when all its path's premises are known at
-    copy ``c``.  The names come in the instance's variable order.
+    and ``path`` are what :func:`_emit` gives them.  State copy ``c`` of a
+    proposition is its bit after ``c`` closure sweeps from the guesses,
+    and a path variable of step ``c`` is 1 exactly when all its path's
+    premises are known at copy ``c``.  The names come in the instance's
+    variable order.  Each variable is read on its own; the solver builds
+    the same values with :func:`step_values`, and the tests hold the two
+    to each other.
     """
     table = enumerate_paths(system)
     variables = instance.variables
@@ -463,6 +504,36 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
         else:
             premises = table[v.prop][v.path - 1]
             values[v.name] = int(all(known >> p & 1 for p in premises))
+    return values
+
+
+def step_values(instance: MilpInstance, layout: StepLayout,
+                system: DeductionSystem, options: OptionMasks,
+                guesses: int) -> list[int]:
+    """The values, by variable id, of the assignment :func:`assignment_of`
+    gives ``instance`` for the guess layer ``guesses``, a bitmask.
+
+    ``instance`` is an encoding of ``system`` laid out as ``layout``, and
+    ``options`` are the system's option masks.  The values are built one
+    step block at a time: step ``s``'s path variables from the premise
+    masks of step 0's and the set ``s`` closure sweeps know, its states
+    from the set one sweep later.  From the sweeps' fixpoint on, every
+    block is the last one again.
+    """
+    n, nu, stride, _ = layout
+    table = enumerate_paths(system)
+    masks = [mask_of(table[v.prop][v.path - 1])
+             for v in instance.variables[n:stride]]
+    rounds = sweeps(options, guesses, nu)
+    last = len(rounds) - 1
+    values = [guesses >> v & 1 for v in range(n)]
+    for step in range(nu):
+        if step <= last:
+            known, after = rounds[step], rounds[min(step + 1, last)]
+            # a path fires when every premise is known: known & m is m
+            block = [(known & m) // m for m in masks]
+            block += [after >> v & 1 for v in range(n)]
+        values += block
     return values
 
 

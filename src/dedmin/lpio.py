@@ -14,6 +14,15 @@ the rows and with any line ends that ``str.splitlines`` splits on; the
 section lines, and each name line (one space, then the name), are read
 only as written.  Any other text is an :class:`LpParseError`.
 
+:func:`write_lp` writes an instance that records its encoding one
+unrolling step at a time: every row of step ``s`` is a row of step 0 with
+its ids raised by ``s * stride`` (:func:`~dedmin.encoder.step_layout`), so
+step 0's rows and names are rendered once, with the copy numbers and row
+labels left open, and each step fills them in with string operations that
+run in C.  A step row that could pass 240 characters at the last step is
+written by itself at every step.  Any other instance is written term by
+term; the text is the same either way.
+
 :func:`read_lp` reads in one of two ways, with the same result:
 
 * the text of an encoding is read by re-encoding it.  Its first unrolling
@@ -21,8 +30,9 @@ only as written.  Any other text is an :class:`LpParseError`.
   (:func:`~dedmin.encoder.read_first_step`, the reading
   :func:`~dedmin.encoder.decode` makes); that encoding is built
   (:func:`~dedmin.encoder.rebuild`), and it is the answer, recording its
-  ``encoding``, when :func:`write_lp` writes the text back line for line.
-  No other row is parsed, and the solver need not decode it;
+  ``encoding``, when :func:`write_lp` writes the text back, compared one
+  step block at a time.  No other row is parsed, and the solver need not
+  decode it;
 * any other text, including an encoding's with other whitespace or line
   ends or an extra row, is parsed line by line and token by token.
 
@@ -37,12 +47,13 @@ checked constraint by constraint) and only then wraps it as a
 from __future__ import annotations
 
 import json
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .encoder import read_first_step, rebuild, variable_from_name
+from .encoder import (StepLayout, copy_name, read_first_step, rebuild,
+                      step_layout, variable_from_name)
 from .milp import (Constraint, EQUAL, FEASIBLE, GREATER_EQUAL, LESS_EQUAL,
                    MAXIMIZE, MINIMIZE, MilpInstance, Solution, SolveStats,
-                   Variable, evaluate)
+                   Variable, evaluate, term_tokens)
 
 _MAX_LINE = 240
 
@@ -91,18 +102,95 @@ def _line(label: str, tokens: list[str], tail: str = "") -> str:
 
 
 def _lines(instance: MilpInstance) -> Iterator[str]:
-    """The text of :func:`write_lp`, one line at a time with its line end;
-    a wrapped line comes with the lines it goes on on."""
+    """The text of :func:`write_lp`, in pieces that end in a line end: a
+    line, with the lines a wrapped line goes on on, or, for an instance
+    that records its encoding, all rows or all names of one unrolling
+    step."""
+    variables, constraints = instance.variables, instance.constraints
     yield "Maximize\n" if instance.sense == MAXIMIZE else "Minimize\n"
-    yield _line("obj", instance.term_tokens(instance.objective))
+    yield _line("obj", term_tokens(instance.objective, variables))
     yield "Subject To\n"
-    for ci, c in enumerate(instance.constraints):
-        yield _line(f"c{ci}", instance.term_tokens(c.terms),
+    first = named = 0  # the first row and variable written one by one
+    if instance.encoding is not None:
+        layout = step_layout(instance, instance.encoding)
+        yield from _step_rows(instance, layout)
+        first = layout.nu * layout.rows
+        named = layout.n + layout.nu * layout.stride
+    for ci in range(first, len(constraints)):
+        c = constraints[ci]
+        yield _line(f"c{ci}", term_tokens(c.terms, variables),
                     f"{c.rel} {c.rhs}")
     yield "Binary\n"
-    for v in instance.variables:
+    if named:
+        yield from _step_names(instance, layout)
+    for v in variables[named:]:
         yield f" {v.name}\n"
     yield "End\n"
+
+
+def _step_rows(instance: MilpInstance, layout: StepLayout) -> Iterator[str]:
+    """The rows of each unrolling step of an encoding, as one piece per
+    step.
+
+    Step 0's rows are rendered once, with the copy numbers of their names
+    left open (:func:`_opened`) and each label's number left open as a
+    ``%s``; each step fills the copy numbers with two ``str.replace`` and
+    the labels with one ``%``.  A row that could pass ``_MAX_LINE``
+    characters at the last step, where the numbers have the most digits,
+    is left open whole, and :func:`_line` writes it at every step.
+    """
+    n, nu, stride, per_step = layout
+    variables, constraints = instance.variables, instance.constraints
+    opened = _opened(variables[:n + stride])
+    pieces, wide = [], []
+    for r, c in enumerate(constraints[:per_step]):
+        # an encoding's rows have terms, so a space follows the label
+        terms = " ".join(term_tokens(c.terms, opened))
+        label = f" c{(nu - 1) * per_step + r}: "  # at the last step
+        if len(label) + len(_filled(terms, nu - 1)) > _MAX_LINE:
+            pieces.append("%s")
+            wide.append(r)
+        else:
+            pieces.append(f" c%s: {terms} {c.rel} {c.rhs}\n")
+    block = "".join(pieces)
+    for step in range(nu):
+        base = step * per_step
+        fills = [*map(str, range(base, base + per_step))]
+        for r in wide:
+            c = constraints[base + r]
+            fills[r] = _line(f"c{base + r}", term_tokens(c.terms, variables),
+                             f"{c.rel} {c.rhs}")
+        yield _filled(block, step) % tuple(fills)
+
+
+def _step_names(instance: MilpInstance, layout: StepLayout) -> Iterator[str]:
+    """The ``Binary`` lines of an encoding's variables: the guess layer's,
+    then one piece per unrolling step, step 0's names with their copy
+    numbers filled in."""
+    n, nu, stride, _ = layout
+    variables = instance.variables
+    yield "".join([f" {v.name}\n" for v in variables[:n]])
+    block = "".join([f" {v.name}\n"
+                     for v in _opened(variables[n:n + stride])])
+    for step in range(nu):
+        yield _filled(block, step)
+
+
+# the placeholders of copy numbers 0 and 1: characters no name has, which
+# str.replace finds fastest
+_OPEN = "\0\1"
+
+
+def _opened(variables: Sequence[Variable]) -> list[Variable]:
+    """``variables``, of the guess layer or the first unrolling step, with
+    their names' copy numbers, 0 or 1, left open as placeholders."""
+    return [v._replace(name=copy_name(v, _OPEN[v.copy])) for v in variables]
+
+
+def _filled(text: str, step: int) -> str:
+    """``text`` with the copy numbers :func:`_opened` leaves open filled
+    in for unrolling step ``step``."""
+    return text.replace("\0", str(step)).replace("\1", str(step + 1))
 
 
 def write_lp(instance: MilpInstance) -> str:
@@ -195,8 +283,9 @@ def _read_encoding(text: str) -> MilpInstance | None:
     parsed: :func:`~dedmin.encoder.read_first_step` reads from them the
     one encoding the text can be, and :func:`~dedmin.encoder.rebuild`
     builds it.  It is the answer when :func:`write_lp` writes ``text``,
-    compared line by line as the lines are written, so that no second
-    copy of the text is made.
+    compared piece by piece as the pieces are written, each step's rows
+    and each step's names as one piece, so that no second copy of the
+    text is made.
     """
     sense = {"Maximize\n": MAXIMIZE, "Minimize\n": MINIMIZE}.get(text[:9])
     subject = text.find("\nSubject To\n")

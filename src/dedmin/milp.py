@@ -18,8 +18,10 @@ built any other way, by :func:`~dedmin.encoder.decode`:
   node and its skip children are expanded as one walk: one bit-sliced
   batch scores all its leaves, and bisection finds where it ends.
   A seeded local search over guess sets of a fixed size, climbing their
-  coverage, gives it its first incumbent, and the final incumbent's full
-  assignment is re-checked against the raw constraints.  With the
+  coverage, gives it its first incumbent.  The final incumbent's full
+  assignment is built one step block at a time
+  (:func:`~dedmin.encoder.step_values`) and re-checked on variable ids
+  against every raw constraint and the objective.  With the
   full-cover row the instance asks whether ``budget_k`` guesses cover
   everything: a size-limited search for one cover, with no root
   heuristic;
@@ -45,7 +47,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple, Sequence
 
 LESS_EQUAL = "<="
@@ -97,7 +99,10 @@ class Constraint(NamedTuple):
     rhs: int
 
     def lhs_value(self, values: Sequence[int]) -> int:
-        return sum([coef * values[var] for var, coef in self.terms])
+        lhs = 0  # a plain loop: no list per row
+        for var, coef in self.terms:
+            lhs += coef * values[var]
+        return lhs
 
     def satisfied_by(self, values: Sequence[int]) -> bool:
         return _RELATIONS[self.rel](self.lhs_value(values), self.rhs)
@@ -179,28 +184,31 @@ class MilpInstance:
     def objective_value(self, values: Sequence[int]) -> int:
         return sum(coef * values[var] for var, coef in self.objective)
 
-    def term_tokens(self, terms: Sequence[tuple[int, int]]) -> list[str]:
-        """LP tokens of a linear expression: ``x``, ``- 2 y``, ``+ z``."""
-        tokens = []
-        for var, coef in terms:
-            name = self.variables[var].name
-            mag = abs(coef)
-            body = name if mag == 1 else f"{mag} {name}"
-            if not tokens:
-                tokens.append(body if coef > 0 else f"- {body}")
-            else:
-                tokens.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return tokens
-
     def constraint_text(self, index: int) -> str:
         """Constraint ``index`` as its LP line, unwrapped."""
         c = self.constraints[index]
-        return " ".join([f"c{index}:", *self.term_tokens(c.terms), c.rel,
-                         str(c.rhs)])
+        return " ".join([f"c{index}:", *term_tokens(c.terms, self.variables),
+                         c.rel, str(c.rhs)])
 
     def __repr__(self) -> str:
         return (f"MilpInstance(vars={len(self.variables)}, "
                 f"constraints={len(self.constraints)}, sense={self.sense})")
+
+
+def term_tokens(terms: Sequence[tuple[int, int]],
+                variables: Sequence[Variable]) -> list[str]:
+    """LP tokens of a linear expression over ``variables``: ``x``,
+    ``- 2 y``, ``+ z``."""
+    tokens = []
+    for var, coef in terms:
+        name = variables[var].name
+        mag = abs(coef)
+        body = name if mag == 1 else f"{mag} {name}"
+        if not tokens:
+            tokens.append(body if coef > 0 else f"- {body}")
+        else:
+            tokens.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return tokens
 
 
 OPTIMAL = "optimal"
@@ -222,6 +230,9 @@ class SolveStats:
     heuristic_time: float = 0.0
     # seconds of branch-and-bound, after the root pass and the heuristic
     search_time: float = 0.0
+    # seconds building and checking the final assignment of a guess-set
+    # search; 0 when no such check runs
+    check_time: float = 0.0
 
     @property
     def nodes_per_s(self) -> float | None:
@@ -241,6 +252,7 @@ class SolveStats:
                 "decode_time": round(self.decode_time, 6),
                 "heuristic_time": round(self.heuristic_time, 6),
                 "search_time": round(self.search_time, 6),
+                "check_time": round(self.check_time, 6),
                 "nodes_per_s": self.nodes_per_s,
                 "heuristic_evals_per_s": self.heuristic_evals_per_s}
 
@@ -311,12 +323,21 @@ def evaluate(instance: MilpInstance, assignment: Mapping[str, int]) -> EvalRepor
     if missing:
         raise IncompleteAssignment(
             f"{len(missing)} variables unassigned (first: {missing[0]})")
-    violations = []
-    for ci, c in enumerate(instance.constraints):
+    return EvalReport(instance.objective_value(values), tuple(
+        Violation(ci, lhs, instance.constraint_text(ci))
+        for ci, lhs in _broken_rows(instance.constraints, values)))
+
+
+def _broken_rows(constraints: Sequence[Constraint],
+                 values: Sequence[int]) -> list[tuple[int, int]]:
+    """``(row index, left side)`` of every row that ``values``, by
+    variable id, break."""
+    broken = []
+    for ci, c in enumerate(constraints):
         lhs = c.lhs_value(values)
         if not _RELATIONS[c.rel](lhs, c.rhs):
-            violations.append(Violation(ci, lhs, instance.constraint_text(ci)))
-    return EvalReport(instance.objective_value(values), tuple(violations))
+            broken.append((ci, lhs))
+    return broken
 
 
 # --------------------------------------------------------------------------
@@ -664,6 +685,21 @@ def _occurrences(instance: MilpInstance) -> list[int]:
     return score
 
 
+def _guess_occurrences(instance: MilpInstance, layout) -> list[int]:
+    """``_occurrences(instance)[:n]`` of an encoding laid out as ``layout``
+    (:func:`~dedmin.encoder.step_layout`), counted over step 0's rows and
+    the closing rows: every later step's rows name only ids from
+    ``stride`` on, past the guess layer."""
+    n, nu, _, rows = layout
+    score = [0] * n
+    constraints = instance.constraints
+    for c in chain(constraints[:rows], constraints[nu * rows:]):
+        for v, _ in c.terms:
+            if v < n:
+                score[v] += 1
+    return score
+
+
 def _decision_order(instance: MilpInstance, score: list[int]) -> list[int]:
     """Guess-layer state variables first, then by occurrence count."""
     variables = instance.variables
@@ -715,7 +751,9 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     The guess layer fixes every other variable to its closure value
     (:func:`~dedmin.encoder.assignment_of`), so a node is a set of guesses
     decided so far, evaluated by closure sweeps on bitmasks.  Decisions
-    follow the row search's order, most occurrences first, value 1 first.
+    follow the row search's order, most occurrences first, value 1 first;
+    only step 0's rows and the closing rows can name the guess layer, so
+    only they are counted (:func:`_guess_occurrences`).
     With ``ones`` the guesses taken and ``rest`` those still undecided:
 
     * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
@@ -755,14 +793,22 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     the bar it must clear only rises, so bisection finds the first check
     to fail, where the walk ends.  Nodes, budget checks, incumbents and
     answers are those of checking every node in full, one at a time.
+
+    The best guess set's values are built one step block at a time from
+    step 0's path masks and the search's option masks
+    (:func:`~dedmin.encoder.step_values`), and every row and the objective
+    are checked on variable ids by the row check :func:`evaluate` uses; a
+    failed check raises :class:`RuntimeError`.  ``stats.check_time`` is
+    the seconds this takes.
     """
-    from .encoder import assignment_of
+    from .encoder import step_layout, step_values
     from .oracle import coverages, option_masks, sweeps
 
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
-    score = _occurrences(instance)
+    layout = step_layout(instance, (system, cfg, full_cover))
+    score = _guess_occurrences(instance, layout)
 
     if full_cover:
         # a size limit, not an incumbent: any cover within it answers
@@ -896,14 +942,20 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE if status == OPTIMAL else status, None,
                         None, stats)
-    assignment = assignment_of(instance, system,
-                               (v for v in range(n) if best >> v & 1))
-    report = evaluate(instance, assignment)
-    if not report.feasible or report.objective != best_obj:
+    # the guess set's full assignment, checked on variable ids against
+    # every row and the objective
+    check_start = time.monotonic()
+    values = step_values(instance, layout, system, options, best)
+    broken = _broken_rows(instance.constraints, values)
+    objective = instance.objective_value(values)
+    if broken or objective != best_obj:
         raise RuntimeError(
             f"guess set scored {best_obj} but its encoding reads "
-            f"{report.objective} with {len(report.violations)} broken rows")
-    stats.wall_time = time.monotonic() - start
+            f"{objective} with {len(broken)} broken rows")
+    assignment = dict(zip([v.name for v in instance.variables], values))
+    end = time.monotonic()
+    stats.check_time = end - check_start
+    stats.wall_time = end - start
     return Solution(status, assignment, best_obj, stats)
 
 

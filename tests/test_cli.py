@@ -326,13 +326,14 @@ def test_solve_json_gives_the_rates_of_the_text_report(toy):
             rate = stats[key]
             assert words[words.index(label) + 1] == (
                 "-" if rate is None else f"{rate:.0f}")
-        assert words[words.index("decode:") + 1] == \
-            f"{solution.stats.decode_time:.3f}s"
+        for label, seconds in (("decode:", solution.stats.decode_time),
+                               ("check:", solution.stats.check_time)):
+            assert words[words.index(label) + 1] == f"{seconds:.3f}s"
     assert solutions[0].to_json()["stats"]["heuristic_evals_per_s"] > 0
     assert solutions[1].to_json()["stats"]["heuristic_evals_per_s"] is None
     assert solutions[2].to_json()["stats"]["nodes_per_s"] is None
     out = run_cli("solve", str(TOY), "--k", "1", "--json")
-    assert {"nodes_per_s", "heuristic_evals_per_s"} <= \
+    assert {"nodes_per_s", "heuristic_evals_per_s", "check_time"} <= \
         set(json.loads(out.stdout)["stats"])
 
 
@@ -347,7 +348,7 @@ def test_solve_of_rules_and_of_its_lp_give_the_same_answer(tmp_path, capsys):
         assert cli.main(["solve", *args, "--json"]) == 0
         payloads.append(json.loads(capsys.readouterr().out))
     timings = ("wall_time", "decode_time", "heuristic_time", "search_time",
-               "nodes_per_s", "heuristic_evals_per_s")
+               "check_time", "nodes_per_s", "heuristic_evals_per_s")
     for payload in payloads:
         assert payload["stats"]["decode_time"] == 0
         for key in timings:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, cli, encoder, lpio, milp, preprocess
+from dedmin.core import DeductionSystem, DirectedRule
 from dedmin.milp import Constraint, MilpInstance
 from helpers import (encoding_cases, fields, random_system,
                      refutation_cases, with_full_cover, without_heuristic)
@@ -271,3 +272,46 @@ def test_any_other_text_takes_the_generic_path(encoding_texts):
             fields(lpio.read_lp(text)), what
     with pytest.raises(lpio.LpParseError, match="header"):
         lpio.read_lp(variants(text)["header"])
+
+
+# --- the two writers ---------------------------------------------------------
+
+def link_row_steps(tau):
+    """A system whose proposition ``p0`` is concluded by ``tau`` one-premise
+    rules, at nu 11, and the unrolling steps at which its state link row,
+    ``tau`` path terms long, wraps in the text."""
+    system = DeductionSystem.from_names(
+        [f"p{i}" for i in range(tau + 1)],
+        directed_rules=[DirectedRule.of([i], 0) for i in range(1, tau + 1)])
+    instance = encoder.encode(system, encoder.EncodeConfig(11, 1,
+                                                           encoder.PLAIN))
+    layout = encoder.step_layout(instance, instance.encoding)
+    lines = lpio.write_lp(instance).splitlines()
+    wrapped = set()
+    for i, line in enumerate(lines):
+        if line.startswith(" c") and lines[i + 1].startswith("   "):
+            row = int(line.split(":")[0][2:])
+            if row < layout.nu * layout.rows:
+                wrapped.add(row // layout.rows)
+    return instance, wrapped
+
+
+def test_the_step_block_writer_writes_what_the_per_term_writer_does():
+    # a hand-built copy records no encoding, so it is written term by term
+    wraps_at_every_step, wrapped = link_row_steps(20)
+    assert wrapped == set(range(11))
+    wraps_later, wrapped = link_row_steps(17)
+    assert wrapped and 0 not in wrapped
+    instances = [encoder.encode(system, cfg) for system, cfg in
+                 encoding_cases()]
+    instances += [encoder.rebuild(encoder.decode(refute))
+                  for refute in refutation_cases()]
+    instances += [wraps_at_every_step, wraps_later]
+    for instance in instances:
+        assert instance.encoding is not None
+        text = lpio.write_lp(instance)
+        assert text == lpio.write_lp(MilpInstance(*fields(instance)))
+        again = lpio.read_lp(text)
+        assert again.encoding is not None
+        assert fields(again) == fields(instance)
+    assert [instance.encoding[2] for instance in instances].count(True) == 2

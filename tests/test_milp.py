@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dedmin import ciphers, encoder, milp, oracle, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
-from helpers import (ReferenceEngine, random_system,
+from helpers import (ReferenceEngine, encoding_cases, random_system,
                      reference_solve_encoding, reference_sweeps,
-                     with_full_cover, without_heuristic)
+                     refutation_cases, with_full_cover, without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -351,16 +351,18 @@ def test_search_time_is_part_of_wall_time():
     stats = solve(MilpInstance(instance.variables, instance.constraints,
                                instance.objective, instance.sense)).stats
     assert stats.heuristic_evals > 0 and stats.heuristic_time > 0
-    assert stats.decode_time > 0
+    assert stats.decode_time > 0 and stats.check_time > 0
     assert (stats.decode_time + stats.heuristic_time + stats.search_time
-            <= stats.wall_time)
+            + stats.check_time <= stats.wall_time)
     assert stats.to_json()["heuristic_time"] == round(stats.heuristic_time, 6)
     assert stats.to_json()["decode_time"] == round(stats.decode_time, 6)
+    assert stats.to_json()["check_time"] == round(stats.check_time, 6)
     # an instance decode rejects is searched over its rows, after the
     # decode that rejected it
     stats = solve(MilpInstance(instance.variables, instance.constraints[1:],
                                instance.objective, instance.sense)).stats
     assert stats.propagations > 0 and stats.decode_time > 0
+    assert stats.check_time == 0
     assert stats.decode_time + stats.search_time <= stats.wall_time
 
 
@@ -557,6 +559,9 @@ def test_guess_layer_forces_the_closure_assignment():
         if cfg.sense == encoder.MAX_COVERAGE:
             variants.append((with_full_cover(instance, n, cfg.nu), True, True))
         for variant, budgeted, covering in variants:
+            layout = encoder.step_layout(variant, variant.encoding
+                                         or encoder.decode(variant))
+            names = [v.name for v in variant.variables]
             for mask in range(1 << n):
                 guesses = [v for v in range(n) if mask >> v & 1]
                 layer = {encoder.state_var_name(v, 0): mask >> v & 1
@@ -566,9 +571,12 @@ def test_guess_layer_forces_the_closure_assignment():
                     covering and oracle.sweeps(options, mask, cfg.nu)[-1]
                     != (1 << n) - 1)
                 assert (result.status == milp.CONFLICT) == broken
+                assignment = encoder.assignment_of(variant, system, guesses)
+                # the search's own build of the same values, step by step
+                assert dict(zip(names, encoder.step_values(
+                    variant, layout, system, options, mask))) == assignment
                 if not broken:
-                    assert {**layer, **result.fixed} == \
-                        encoder.assignment_of(variant, system, guesses)
+                    assert {**layer, **result.fixed} == assignment
 
 
 def exhaustive_coverage(system, cfg):
@@ -727,14 +735,40 @@ def test_bottom_level_walks_sweep_less_than_once_per_decision(full_cover,
 
 def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
                                                                monkeypatch):
-    # the final incumbent is checked against the rows: a failed check is
-    # an error, never an answer
+    # the final incumbent is checked against the rows and the objective: a
+    # failed check is an error, never an answer
     instance = encoder.encode(toy, encoder.EncodeConfig(nu=4, budget_k=1))
-    monkeypatch.setattr(encoder, "assignment_of",
-                        lambda instance, system, guesses:
-                        {v.name: 0 for v in instance.variables})
-    with pytest.raises(RuntimeError, match="broken rows"):
+    assert solve(instance).objective == 4
+    step_values = encoder.step_values
+
+    def every_guess(*args):  # breaks the budget of one guess
+        values = step_values(*args)
+        values[:toy.n] = [1] * toy.n
+        return values
+
+    def nothing_known(*args):  # breaks no row, but covers nothing
+        return [0] * len(step_values(*args))
+
+    monkeypatch.setattr(encoder, "step_values", every_guess)
+    with pytest.raises(RuntimeError, match=r"reads \d+ with [1-9]\d* broken"):
         solve(instance)
+    assert not evaluate(instance, dict.fromkeys(
+        (v.name for v in instance.variables), 0)).violations
+    monkeypatch.setattr(encoder, "step_values", nothing_known)
+    with pytest.raises(RuntimeError, match="scored 4 but its encoding reads "
+                                           "0 with 0 broken rows"):
+        solve(instance)
+
+
+def test_guess_layer_counts_are_the_occurrence_counts():
+    # the search ranks the guess layer on step 0's and the closing rows only
+    instances = [encoder.encode(system, cfg)
+                 for system, cfg in encoding_cases()] + refutation_cases()
+    for instance in instances:
+        layout = encoder.step_layout(instance, instance.encoding
+                                     or encoder.decode(instance))
+        assert milp._guess_occurrences(instance, layout) == \
+            milp._occurrences(instance)[:layout.n]
 
 
 # --- the full-cover search --------------------------------------------------
