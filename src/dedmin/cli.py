@@ -60,7 +60,7 @@ def _build_cipher(name: str, args) -> DeductionSystem:
         if name == "snow2":
             return ciphers.build_snow2(args.T if args.T is not None else 13)
         return ciphers.build_enocoro(args.T if args.T is not None else 16,
-                                     args.range)
+                                     args.range or ciphers.DECLARED)
     except ValueError as exc:
         raise CliError(f"{name}: {exc}") from None
 
@@ -119,8 +119,9 @@ def _limits(args) -> milp.SolveLimits:
 def _encode_config(system: DeductionSystem, args) -> encoder.EncodeConfig:
     nu = args.nu if args.nu is not None else encoder.default_nu(system)
     k = args.k if args.k is not None else system.n
-    return encoder.EncodeConfig(nu=nu, budget_k=k, mode=args.mode,
-                                sense=args.sense)
+    return encoder.EncodeConfig(nu=nu, budget_k=k,
+                                mode=args.mode or encoder.COMPACT,
+                                sense=args.sense or encoder.MAX_COVERAGE)
 
 
 def _guess_names(system: DeductionSystem, solution: milp.Solution) -> list[str]:
@@ -159,9 +160,10 @@ def _cmd_solve(args) -> int:
     limits = _limits(args)
     system = cfg = trace = None
     if args.input not in ("snow2", "enocoro") and args.input.endswith(".lp"):
-        if (args.nu, args.k, args.T) != (None, None, None):
-            raise CliError("an .lp input fixes its own k and nu; "
-                           "--nu, --k and --T do not apply")
+        if any(flag is not None for flag in (
+                args.nu, args.k, args.T, args.mode, args.sense, args.range)):
+            raise CliError("an .lp input fixes its own encoding; --nu, --k, "
+                           "--T, --mode, --sense and --range do not apply")
         instance = lpio.read_lp(_read_input(args.input))
     else:
         system = preprocess.expand_rules(_load_system(args))
@@ -341,8 +343,8 @@ def _add_model_flags(p: _Parser) -> None:
     p.add_argument("--T", type=int, default=None,
                    help="keystream window for cipher inputs")
     p.add_argument("--range", choices=[ciphers.DECLARED, ciphers.EXTENDED],
-                   default=ciphers.DECLARED,
-                   help="index ranges for the enocoro model")
+                   help="index ranges for the enocoro model "
+                        "(default: declared)")
 
 
 def _add_encode_flags(p: _Parser) -> None:
@@ -350,10 +352,11 @@ def _add_encode_flags(p: _Parser) -> None:
                    help="unrolling depth (default: proposition count)")
     p.add_argument("--k", type=int, default=None,
                    help="axiom budget (default: proposition count)")
+    # no defaults, so that solve can tell these from absent flags
     p.add_argument("--mode", choices=[encoder.PLAIN, encoder.COMPACT],
-                   default=encoder.COMPACT)
+                   help="constraint mode (default: compact)")
     p.add_argument("--sense", choices=[encoder.MAX_COVERAGE, encoder.MIN_GUESSES],
-                   default=encoder.MAX_COVERAGE)
+                   help="objective sense (default: max)")
 
 
 def _add_solver_flags(p: _Parser) -> None:

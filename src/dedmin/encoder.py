@@ -67,7 +67,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
@@ -104,20 +104,32 @@ def copy_name(variable: Variable, copy: str) -> str:
     return path_var_name(variable.prop, variable.path, copy)
 
 
-_STATE_RE = re.compile(r"^x(\d+)_c(\d+)$")
-_PATH_RE = re.compile(r"^l(\d+)_p(\d+)_c(\d+)$")
+# a number as ``str`` writes it: ASCII digits, no leading zero
+_NUMBER = "(0|[1-9][0-9]*)"
+_STATE_RE = re.compile(f"x{_NUMBER}_c{_NUMBER}")
+_PATH_RE = re.compile(f"l{_NUMBER}_p{_NUMBER}_c{_NUMBER}")
 
 
 def variable_from_name(name: str) -> Variable:
-    """Rebuild structured metadata from the documented naming contract."""
-    m = _STATE_RE.match(name)
+    """Rebuild structured metadata from the documented naming contract:
+    a state or a path variable is named exactly as :func:`state_var_name`
+    or :func:`path_var_name` writes it, and any other name is ``OTHER``."""
+    m = _STATE_RE.fullmatch(name)
     if m:
         return Variable(name, STATE, int(m.group(1)), int(m.group(2)))
-    m = _PATH_RE.match(name)
+    m = _PATH_RE.fullmatch(name)
     if m:
         return Variable(name, PATH, int(m.group(1)), int(m.group(3)),
                         int(m.group(2)))
     return Variable(name, OTHER)
+
+
+def marked_states(assignment: Mapping[str, object]) -> list[tuple[int, int]]:
+    """``(copy, prop)`` of every state variable that ``assignment`` marks
+    1; a name that is not a state variable's is skipped."""
+    match = _STATE_RE.fullmatch
+    return [(int(m[2]), int(m[1])) for name, value in assignment.items()
+            if value == 1 and (m := match(name))]
 
 
 def enumerate_paths(system: DeductionSystem

@@ -17,11 +17,11 @@ only as written.  Any other text is an :class:`LpParseError`.
 :func:`write_lp` writes an instance that records its encoding one
 unrolling step at a time: every row of step ``s`` is a row of step 0 with
 its ids raised by ``s * stride`` (:func:`~dedmin.encoder.step_layout`), so
-step 0's rows and names are rendered once, with the copy numbers and row
-labels left open, and each step fills them in with string operations that
-run in C.  A step row that could pass 240 characters at the last step is
-written by itself at every step.  Any other instance is written term by
-term; the text is the same either way.
+step 0's rows are rendered once, with the copy numbers and row labels left
+open, and each step fills them in with string operations that run in C.  A
+step row that could pass 240 characters at the last step is written by
+itself at every step.  Any other row is written term by term, and the
+``Binary`` names one per line; the text is the same either way.
 
 :func:`read_lp` reads in one of two ways, with the same result:
 
@@ -103,28 +103,24 @@ def _line(label: str, tokens: list[str], tail: str = "") -> str:
 
 def _lines(instance: MilpInstance) -> Iterator[str]:
     """The text of :func:`write_lp`, in pieces that end in a line end: a
-    line, with the lines a wrapped line goes on on, or, for an instance
-    that records its encoding, all rows or all names of one unrolling
-    step."""
+    line, with the lines a wrapped line goes on on; for an instance that
+    records its encoding, all rows of one unrolling step; or all the
+    ``Binary`` names."""
     variables, constraints = instance.variables, instance.constraints
     yield "Maximize\n" if instance.sense == MAXIMIZE else "Minimize\n"
     yield _line("obj", term_tokens(instance.objective, variables))
     yield "Subject To\n"
-    first = named = 0  # the first row and variable written one by one
+    first = 0  # the first row written term by term
     if instance.encoding is not None:
         layout = step_layout(instance, instance.encoding)
         yield from _step_rows(instance, layout)
         first = layout.nu * layout.rows
-        named = layout.n + layout.nu * layout.stride
     for ci in range(first, len(constraints)):
         c = constraints[ci]
         yield _line(f"c{ci}", term_tokens(c.terms, variables),
                     f"{c.rel} {c.rhs}")
     yield "Binary\n"
-    if named:
-        yield from _step_names(instance, layout)
-    for v in variables[named:]:
-        yield f" {v.name}\n"
+    yield "".join([f" {v.name}\n" for v in variables])
     yield "End\n"
 
 
@@ -163,26 +159,13 @@ def _step_rows(instance: MilpInstance, layout: StepLayout) -> Iterator[str]:
         yield _filled(block, step) % tuple(fills)
 
 
-def _step_names(instance: MilpInstance, layout: StepLayout) -> Iterator[str]:
-    """The ``Binary`` lines of an encoding's variables: the guess layer's,
-    then one piece per unrolling step, step 0's names with their copy
-    numbers filled in."""
-    n, nu, stride, _ = layout
-    variables = instance.variables
-    yield "".join([f" {v.name}\n" for v in variables[:n]])
-    block = "".join([f" {v.name}\n"
-                     for v in _opened(variables[n:n + stride])])
-    for step in range(nu):
-        yield _filled(block, step)
-
-
 # the placeholders of copy numbers 0 and 1: characters no name has, which
 # str.replace finds fastest
 _OPEN = "\0\1"
 
 
 def _opened(variables: Sequence[Variable]) -> list[Variable]:
-    """``variables``, of the guess layer or the first unrolling step, with
+    """``variables``, of the guess layer and the first unrolling step, with
     their names' copy numbers, 0 or 1, left open as placeholders."""
     return [v._replace(name=copy_name(v, _OPEN[v.copy])) for v in variables]
 
@@ -202,17 +185,10 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _integer(token: str, where: str) -> int:
-    """``token`` as an integer: an optional ``-``, then ASCII digits."""
-    if not token.removeprefix("-").isdecimal():
-        raise LpParseError(f"{where}: {token!r} is not an integer")
-    return _decimal(token, where)
-
-
-def _decimal(token: str, where: str) -> int:
-    """``token``, whose digits are decimal, as an integer.  They must also
-    be ASCII (``isdecimal`` alone takes the digits of other scripts) and
-    few enough for ``int()``."""
-    if token.isascii():
+    """``token`` as an integer: an optional ``-``, then ASCII digits
+    (``isdecimal`` alone takes the digits of other scripts), few enough
+    for ``int()``."""
+    if token.removeprefix("-").isdecimal() and token.isascii():
         try:
             return int(token)
         except ValueError:  # more digits than int() converts
@@ -235,7 +211,7 @@ def _terms(tokens: list[str], index: dict[str, int],
             token = next(rest, None)
         coefficient = 1
         if token is not None and token.isdecimal():
-            coefficient = _decimal(token, where)
+            coefficient = _integer(token, where)
             token = next(rest, None)
         if token is None:
             raise LpParseError(f"{where}: dangling sign or coefficient")
@@ -284,8 +260,8 @@ def _read_encoding(text: str) -> MilpInstance | None:
     one encoding the text can be, and :func:`~dedmin.encoder.rebuild`
     builds it.  It is the answer when :func:`write_lp` writes ``text``,
     compared piece by piece as the pieces are written, each step's rows
-    and each step's names as one piece, so that no second copy of the
-    text is made.
+    and all the ``Binary`` names as one piece, so that no second copy of
+    the text is made.
     """
     sense = {"Maximize\n": MAXIMIZE, "Minimize\n": MINIMIZE}.get(text[:9])
     subject = text.find("\nSubject To\n")

@@ -48,7 +48,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -103,9 +103,6 @@ class Constraint(NamedTuple):
         for var, coef in self.terms:
             lhs += coef * values[var]
         return lhs
-
-    def satisfied_by(self, values: Sequence[int]) -> bool:
-        return _RELATIONS[self.rel](self.lhs_value(values), self.rhs)
 
 
 class MilpInstance:
@@ -676,26 +673,12 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
 # --------------------------------------------------------------------------
 # branch and bound
 
-def _occurrences(instance: MilpInstance) -> list[int]:
-    """How many constraints each variable occurs in."""
-    score = [0] * len(instance.variables)
-    for c in instance.constraints:
+def _occurrences(rows: Iterable[Constraint], count: int) -> list[int]:
+    """How many of ``rows`` each variable id below ``count`` occurs in."""
+    score = [0] * count
+    for c in rows:
         for v, _ in c.terms:
-            score[v] += 1
-    return score
-
-
-def _guess_occurrences(instance: MilpInstance, layout) -> list[int]:
-    """``_occurrences(instance)[:n]`` of an encoding laid out as ``layout``
-    (:func:`~dedmin.encoder.step_layout`), counted over step 0's rows and
-    the closing rows: every later step's rows name only ids from
-    ``stride`` on, past the guess layer."""
-    n, nu, _, rows = layout
-    score = [0] * n
-    constraints = instance.constraints
-    for c in chain(constraints[:rows], constraints[nu * rows:]):
-        for v, _ in c.terms:
-            if v < n:
+            if v < count:
                 score[v] += 1
     return score
 
@@ -753,7 +736,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     decided so far, evaluated by closure sweeps on bitmasks.  Decisions
     follow the row search's order, most occurrences first, value 1 first;
     only step 0's rows and the closing rows can name the guess layer, so
-    only they are counted (:func:`_guess_occurrences`).
+    only they are counted (:func:`_occurrences`).
     With ``ones`` the guesses taken and ``rest`` those still undecided:
 
     * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
@@ -808,7 +791,9 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
     layout = step_layout(instance, (system, cfg, full_cover))
-    score = _guess_occurrences(instance, layout)
+    constraints = instance.constraints
+    score = _occurrences(chain(constraints[:layout.rows],
+                               constraints[nu * layout.rows:]), n)
 
     if full_cover:
         # a size limit, not an incumbent: any cover within it answers
@@ -997,7 +982,8 @@ def _solve_rows(instance, limits, start, stats) -> Solution:
         stats.wall_time = time.monotonic() - start
         return Solution(INFEASIBLE, None, None, stats)
 
-    order = _decision_order(instance, _occurrences(instance))
+    order = _decision_order(
+        instance, _occurrences(instance.constraints, len(instance.variables)))
 
     def next_unfixed() -> int | None:
         val = engine.val

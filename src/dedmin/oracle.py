@@ -302,32 +302,34 @@ def extract_trace(system: DeductionSystem, solution, cfg) -> ClosureResult:
     """Rebuild the deduction course behind a solver assignment.
 
     Reads the initial guesses from the copy-0 state variables, recomputes
-    the closure, and checks that at every unrolling step the closure knows
-    at least what the assignment marks known.  A violation means the
-    instance or the solver is wrong, which is exactly what
-    :class:`TraceMismatch` reports.
+    the closure, and checks that at every unrolling step up to ``cfg.nu``
+    the closure knows at least what the assignment marks known.  Only the
+    state variables marked 1 are read
+    (:func:`~dedmin.encoder.marked_states`), so the check is one pass over
+    the assignment however large a copy number it names.  A violation
+    means the instance or the solver is wrong, which is exactly what
+    :class:`TraceMismatch` reports, for the earliest step and the first
+    proposition in it.
     """
     from . import encoder  # local import; encoder imports oracle
 
     if solution.assignment is None:
         raise TraceMismatch("solution carries no assignment")
-    assignment = solution.assignment
-    guess = [
-        p.index for p in system.propositions
-        if assignment.get(encoder.state_var_name(p.index, 0)) == 1
-    ]
+    marks = encoder.marked_states(solution.assignment)
+    guess = [prop for copy, prop in marks if copy == 0 and prop < system.n]
     options = option_masks(system)
     rounds = sweeps(options, mask_of(guess))
     result = _traced(system, options, rounds)
     # sweeps capped at nu would be a prefix of these rounds
-    for copy in range(0, cfg.nu + 1):
-        justified = rounds[min(copy, len(rounds) - 1)]
-        for p in system.propositions:
-            marked = assignment.get(encoder.state_var_name(p.index, copy))
-            if marked == 1 and justified & (1 << p.index) == 0:
-                raise TraceMismatch(
-                    f"assignment marks {p.name} known at step {copy} "
-                    f"but closure cannot derive it yet")
+    last = len(rounds) - 1
+    unjustified = [(copy, prop) for copy, prop in marks
+                   if copy <= cfg.nu and prop < system.n
+                   and not rounds[min(copy, last)] >> prop & 1]
+    if unjustified:
+        copy, prop = min(unjustified)
+        raise TraceMismatch(
+            f"assignment marks {system.name_of(prop)} known at step {copy} "
+            f"but closure cannot derive it yet")
     return result
 
 

@@ -289,7 +289,7 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
-    score = _occurrences(instance)
+    score = _occurrences(instance.constraints, len(instance.variables))
 
     if full_cover:
         # a size limit, not an incumbent: any cover within it answers

@@ -71,7 +71,7 @@ def exhaustive_match(instance, rows, free_ids, predicate):
     for bits in product((0, 1), repeat=len(free_ids)):
         values = dict(zip(free_ids, bits))
         full = [values.get(i, 0) for i in range(len(instance.variables))]
-        allowed = all(c.satisfied_by(full) for c in rows)
+        allowed = not milp._broken_rows(rows, full)
         if allowed != predicate(values):
             mismatches += 1
     return mismatches

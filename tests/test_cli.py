@@ -8,17 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dedmin import cli, dsl, encoder, lpio, milp, preprocess
+from dedmin import cli, dsl, encoder, lpio, milp, oracle, preprocess
 from helpers import with_full_cover
 
 DATA = Path(__file__).parent / "data"
 TOY = DATA / "toy.rules"
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "dedmin.cli", *args],
-        input=stdin, capture_output=True, text=True)
+        input=stdin, capture_output=True, text=True, timeout=timeout)
 
 
 def test_generate_then_solve_pipe():
@@ -183,6 +183,20 @@ def test_trace_rejects_malformed_solution(tmp_path, text):
     assert len(out.stderr.splitlines()) == 1, out.stderr
 
 
+@pytest.mark.parametrize("text,guess", [
+    ("x0_c0 1\nx0_c30000000 0\n", "p1"),
+    ("x1_c0 1\nx2_c30000000 1\n", "p2")])
+def test_trace_of_a_far_copy_ends_at_once(tmp_path, toy, text, guess):
+    # a solution that names copy 30,000,000 is traced without unrolling
+    # that many steps
+    sol = tmp_path / "sol.txt"
+    sol.write_text(text)
+    out = run_cli("trace", str(TOY), "--solution", str(sol), timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == oracle.render_trace(
+        toy, oracle.closure(toy, [toy.index_of(guess)]))
+
+
 def test_trace_reads_name_value_lines(tmp_path, capsys):
     # the .sol shape: '#' comment lines, then one 'name value' per line
     assert cli.main(["solve", str(TOY), "--nu", "4", "--k", "1",
@@ -234,9 +248,12 @@ def test_bad_cipher_window_exits_1(args):
 
 
 @pytest.mark.parametrize("flags", [("--k", "3"), ("--nu", "9"), ("--T", "5"),
-                                   ("--k", "3", "--nu", "9", "--T", "5")])
+                                   ("--k", "3", "--nu", "9", "--T", "5"),
+                                   ("--sense", "min"), ("--mode", "plain"),
+                                   ("--range", "extended")])
 def test_encode_flags_on_an_lp_input_exit_1(tmp_path, flags):
-    # an .lp file fixes its own k and nu, so solve refuses to ignore them
+    # an .lp file fixes its own encoding, so solve refuses to ignore flags
+    # that would change it
     lp = tmp_path / "toy.lp"
     lp.write_text(TOY_LP)
     assert run_cli("solve", str(lp)).returncode == 0

@@ -37,7 +37,7 @@ def enumerate_group(instance, constraints):
     for bits in product((0, 1), repeat=len(var_ids)):
         values = dict(zip(var_ids, bits))
         full = [values.get(i, 0) for i in range(len(instance.variables))]
-        ok = all(c.satisfied_by(full) for c in constraints)
+        ok = not milp._broken_rows(constraints, full)
         (sat if ok else unsat).append(values)
     return var_ids, sat, unsat
 
@@ -504,6 +504,20 @@ def test_an_encoded_instance_is_never_read_back(toy, monkeypatch):
             assert instance.encoding[0] is toy
             solution = milp.solve(instance, limits)
             assert solution.status in (milp.OPTIMAL, milp.INFEASIBLE)
+
+
+def test_a_variable_is_read_from_its_name_only_as_it_is_written():
+    state = encoder.variable_from_name(encoder.state_var_name(12, 3))
+    path = encoder.variable_from_name(encoder.path_var_name(12, 0, 3))
+    assert (state.kind, state.prop, state.copy) == (milp.STATE, 12, 3)
+    assert (path.kind, path.prop, path.path, path.copy) == \
+        (milp.PATH, 12, 0, 3)
+    # other spellings of the same numbers name no state or path variable
+    for name in ("x012_c3", "x12_c03", "x12_c3\n", "x\u0661_c3",
+                 "l12_p00_c3", "l12_p0_c3 ", "x12_c"):
+        assert encoder.variable_from_name(name).kind == milp.OTHER, name
+    assert encoder.marked_states({"x12_c3": 1, "x2_c0": 0, "x012_c3": 1,
+                                  "l1_p0_c0": 1, "p": 1}) == [(3, 12)]
 
 
 def test_a_claimed_depth_the_variables_cannot_hold_is_never_emitted(

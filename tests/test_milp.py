@@ -760,15 +760,24 @@ def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
         solve(instance)
 
 
-def test_guess_layer_counts_are_the_occurrence_counts():
-    # the search ranks the guess layer on step 0's and the closing rows only
+def test_guess_layer_counts_are_the_occurrence_counts(monkeypatch):
+    # the search ranks the guess layer by counts over step 0's and the
+    # closing rows only, which are the counts over all rows
+    occurrences, counted = milp._occurrences, []
+
+    def recorded(rows, count):
+        counted.append(occurrences(rows, count))
+        return counted[-1]
+
+    monkeypatch.setattr(milp, "_occurrences", recorded)
     instances = [encoder.encode(system, cfg)
                  for system, cfg in encoding_cases()] + refutation_cases()
     for instance in instances:
-        layout = encoder.step_layout(instance, instance.encoding
-                                     or encoder.decode(instance))
-        assert milp._guess_occurrences(instance, layout) == \
-            milp._occurrences(instance)[:layout.n]
+        n = (instance.encoding or encoder.decode(instance))[0].n
+        counted.clear()
+        solve(instance, SolveLimits(time_budget=1e9, node_budget=0))
+        assert counted == [occurrences(
+            instance.constraints, len(instance.variables))[:n]]
 
 
 # --- the full-cover search --------------------------------------------------

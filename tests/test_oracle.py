@@ -192,6 +192,62 @@ def test_extract_trace_needs_an_assignment(toy):
         oracle.extract_trace(toy, solution, encoder.EncodeConfig(nu=4))
 
 
+def reference_trace_verdict(system, assignment, nu):
+    """The mismatch message of checking every (copy, proposition) pair up
+    to ``nu`` in turn, or None."""
+    guess = [p for p in range(system.n)
+             if assignment.get(encoder.state_var_name(p, 0)) == 1]
+    rounds = oracle.sweeps(oracle.option_masks(system), oracle.mask_of(guess))
+    for copy in range(nu + 1):
+        justified = rounds[min(copy, len(rounds) - 1)]
+        for p in range(system.n):
+            if (assignment.get(encoder.state_var_name(p, copy)) == 1
+                    and not justified >> p & 1):
+                return (f"assignment marks {system.name_of(p)} known at "
+                        f"step {copy} but closure cannot derive it yet")
+    return None
+
+
+def test_extract_trace_verdicts_are_those_of_every_pair(toy):
+    # marks past nu, of no proposition, or spelled other than the encoder
+    # spells them are not read; the rest give the earliest step's mismatch
+    rng = random.Random(29)
+    for _ in range(300):
+        nu = rng.randrange(1, 5)
+        assignment = {}
+        for _ in range(rng.randrange(12)):
+            p, copy = rng.randrange(toy.n + 1), rng.randrange(nu + 2)
+            name = rng.choice([encoder.state_var_name(p, copy),
+                               f"x0{p}_c{copy}", f"x{p}_c{copy}\n",
+                               encoder.path_var_name(p, 0, copy)])
+            assignment[name] = rng.choice([0, 1, 1])
+        solution = milp.Solution(milp.FEASIBLE, assignment, None)
+        cfg = encoder.EncodeConfig(nu=nu)
+        expected = reference_trace_verdict(toy, assignment, nu)
+        if expected is None:
+            oracle.extract_trace(toy, solution, cfg)
+        else:
+            with pytest.raises(oracle.TraceMismatch) as raised:
+                oracle.extract_trace(toy, solution, cfg)
+            assert str(raised.value) == expected
+
+
+def test_extract_trace_reads_a_far_copy_at_once(toy):
+    # an assignment that names copy 10**9 is checked in one pass over it,
+    # not step by step up to that copy
+    far = 10**9
+    p1, p2, p3 = (toy.index_of(name) for name in ("p1", "p2", "p3"))
+    assignment = {encoder.state_var_name(p2, 0): 1,
+                  encoder.state_var_name(p3, far): 1,
+                  encoder.state_var_name(p1, far + 1): 0}
+    solution = milp.Solution(milp.FEASIBLE, assignment, None)
+    result = oracle.extract_trace(toy, solution, encoder.EncodeConfig(nu=far))
+    assert result == oracle.closure(toy, [p2])
+    assignment[encoder.state_var_name(p3, 1)] = 1  # derived at step 3 only
+    with pytest.raises(oracle.TraceMismatch, match="p3 known at step 1"):
+        oracle.extract_trace(toy, solution, encoder.EncodeConfig(nu=far))
+
+
 def test_render_trace_table(toy):
     result = oracle.closure(toy, [toy.index_of("p2")])
     text = oracle.render_trace(toy, result)
