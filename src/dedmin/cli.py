@@ -204,7 +204,7 @@ def _solve_report(system, solution, trace) -> str:
     ``.rules`` input, or the ``.lp`` text of an encoding); ``heuristic``,
     the seconds of the root heuristic; ``evals``, its closure evaluations;
     ``evals/s``, from the heuristic's seconds; ``check``, the seconds of
-    building and checking the final assignment of a guess-set search;
+    checking the final answer against every row and the objective;
     ``wall``; then the guesses and the deduction trace.  A rate is the one
     :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
     phase took no time.
@@ -268,8 +268,8 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     system = preprocess.expand_rules(_load_system(args))
     values = lpio.read_assignment(_read_input(args.solution))
-    copies = [v.copy for v in map(encoder.variable_from_name, values)
-              if v.kind == milp.STATE]
+    copies = [copy for copy, _ in encoder.marked_states(
+        dict.fromkeys(values, 1))]
     if not copies:
         raise CliError("no state variables found in the solution")
     solution = milp.Solution(milp.FEASIBLE, values, None)
@@ -310,6 +310,8 @@ def _cmd_minimize(args) -> int:
                                sense=encoder.MIN_GUESSES)
     instance = encoder.encode(system, cfg)
     solution = milp.solve(instance, limits)
+    if solution.assignment is not None:
+        oracle.extract_trace(system, solution, cfg)  # mismatches exit 1
     witness = _guess_names(system, solution)
     if args.json:
         payload = {"status": solution.status, "k_min": solution.objective,

@@ -18,13 +18,9 @@ built any other way, by :func:`~dedmin.encoder.decode`:
   node and its skip children are expanded as one walk: one bit-sliced
   batch scores all its leaves, and bisection finds where it ends.
   A seeded local search over guess sets of a fixed size, climbing their
-  coverage, gives it its first incumbent.  The final incumbent's full
-  assignment is built one step block at a time
-  (:func:`~dedmin.encoder.step_values`) and re-checked on variable ids
-  against every raw constraint and the objective.  With the
-  full-cover row the instance asks whether ``budget_k`` guesses cover
-  everything: a size-limited search for one cover, with no root
-  heuristic;
+  coverage, gives it its first incumbent.  With the full-cover row the
+  instance asks whether ``budget_k`` guesses cover everything: a
+  size-limited search for one cover, with no root heuristic;
 * any other instance is searched over its rows: integer bounds
   propagation to a fixpoint after every decision (:func:`propagate`
   exposes the same engine on its own), with each variable's rows listed
@@ -34,11 +30,12 @@ built any other way, by :func:`~dedmin.encoder.decode`:
   first; incumbent pruning with the trivial objective bound (fixed
   contribution plus the best case for everything unfixed).
 
-Both forms branch in the same order and count one node per decision.
-All arithmetic is exact integer arithmetic; a reported optimum is the true
-optimum of the instance, and ``infeasible`` is only reported after the
-search space is exhausted.  Runs are deterministic given the same seed and
-limits (modulo a wall-clock budget that cuts a run short).
+Both forms branch in the same order, count one node per decision and
+hand their answer to :func:`solve`, which checks it.  All arithmetic is
+exact integer arithmetic; a reported optimum is the true optimum of the
+instance, and ``infeasible`` is only reported after the search space is
+exhausted.  Runs are deterministic given the same seed and limits (modulo
+a wall-clock budget that cuts a run short).
 """
 
 from __future__ import annotations
@@ -227,8 +224,8 @@ class SolveStats:
     heuristic_time: float = 0.0
     # seconds of branch-and-bound, after the root pass and the heuristic
     search_time: float = 0.0
-    # seconds building and checking the final assignment of a guess-set
-    # search; 0 when no such check runs
+    # seconds checking the final answer against every row and the
+    # objective; 0 when the search has no answer
     check_time: float = 0.0
 
     @property
@@ -711,6 +708,13 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     instance over rows.  The instance's recorded ``encoding``, the triple
     it was built from, says which it is; :func:`~dedmin.encoder.decode`
     reads that triple only for an instance that records none.
+
+    Both searches return their status, their answer's values by variable
+    id (None when they found none) and its objective, and every run ends
+    here: a search exhausted without an answer is ``infeasible``, and an
+    answer is checked against every row and the objective by the row check
+    :func:`evaluate` uses.  A failed check raises :class:`RuntimeError`;
+    ``stats.check_time`` is the seconds the check takes.
     """
     from .encoder import decode  # encoder imports milp
 
@@ -723,12 +727,29 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
         decoded = decode(instance)
         stats.decode_time = time.monotonic() - start
     if decoded is not None:
-        return _solve_encoding(instance, *decoded, limits, start, stats)
-    return _solve_rows(instance, limits, start, stats)
+        status, values, objective = _solve_encoding(
+            instance, *decoded, limits, start, stats)
+    else:
+        status, values, objective = _solve_rows(instance, limits, start, stats)
+    assignment = None
+    if values is None:
+        if status == OPTIMAL:  # exhausted with no answer
+            status = INFEASIBLE
+    else:
+        check_start = time.monotonic()
+        broken = _broken_rows(instance.constraints, values)
+        reads = instance.objective_value(values)
+        if broken or reads != objective:
+            raise RuntimeError(
+                f"the answer scored {objective} but its encoding reads "
+                f"{reads} with {len(broken)} broken rows")
+        assignment = dict(zip([v.name for v in instance.variables], values))
+        stats.check_time = time.monotonic() - check_start
+    stats.wall_time = time.monotonic() - start
+    return Solution(status, assignment, objective, stats)
 
 
-def _solve_encoding(instance, system, cfg, full_cover, limits, start,
-                    stats) -> Solution:
+def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
 
     The guess layer fixes every other variable to its closure value
@@ -751,14 +772,14 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
       demanding every proposition, which :func:`~dedmin.encoder.decode`
       flags as ``full_cover``): the minimize search with
       ``budget_k + 1`` as its bound instead of an incumbent, stopped at
-      the first cover, which is optimal with objective ``n``; ``infeasible``
-      once the tree is exhausted without one.
+      the first cover, which is optimal with objective ``n``.
 
-    Minimize and full cover start with every proposition no option
-    concludes already guessed, since every cover holds it.  Coverage is
-    monotone in the guess set, so every pruned subtree holds nothing
-    better than the incumbent.  Full cover runs no root heuristic, and no
-    engine is built, so ``stats.propagations`` stays 0.
+    Every leaf is offered to one incumbent rule, ``offer``.  Minimize and
+    full cover start with every proposition no option concludes already
+    guessed, since every cover holds it.  Coverage is monotone in the
+    guess set, so every pruned subtree holds nothing better than the
+    incumbent.  Full cover runs no root heuristic, and no engine is
+    built, so ``stats.propagations`` stays 0.
 
     A child skips the sweep its parent settled.  The take child's
     ``ones | rest`` is its parent's: minimizing or in full cover that set
@@ -777,12 +798,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     to fail, where the walk ends.  Nodes, budget checks, incumbents and
     answers are those of checking every node in full, one at a time.
 
-    The best guess set's values are built one step block at a time from
-    step 0's path masks and the search's option masks
-    (:func:`~dedmin.encoder.step_values`), and every row and the objective
-    are checked on variable ids by the row check :func:`evaluate` uses; a
-    failed check raises :class:`RuntimeError`.  ``stats.check_time`` is
-    the seconds this takes.
+    The best guess set's values are built one step block at a time
+    (:func:`~dedmin.encoder.step_values`).
     """
     from .encoder import step_layout, step_values
     from .oracle import coverages, option_masks, sweeps
@@ -807,6 +824,21 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
         stats.heuristic_time = time.monotonic() - heuristic_start
         best_obj, best = incumbent if incumbent is not None else (None, None)
 
+    def offer(guesses: int, value: int) -> bool:
+        """Take the leaf ``guesses``, of coverage ``value``, when it beats
+        the incumbent; True when the search ends with it."""
+        nonlocal best_obj, best
+        if maximize:
+            if best_obj is None or value > best_obj:
+                best_obj, best = value, guesses
+            return False
+        if value < n:  # no cover
+            return False
+        best = guesses
+        # full cover: the instance's objective, all covered
+        best_obj = n if full_cover else guesses.bit_count()
+        return full_cover
+
     def coverage(guesses: int) -> int:
         return sweeps(options, guesses, nu)[-1].bit_count()
 
@@ -814,7 +846,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
         """Expand the bottom-level node ``(i, ones)`` and its skip children
         as one walk, replayed decision by decision; True when the search
         ends.  Take child ``j`` is the leaf ``ones | 1 << order[j]``."""
-        nonlocal best_obj, best, status
+        nonlocal status
         # the skip check after leaf j fails when ones | rest[j + 1] covers
         # at most bars[j - i]; the walk ends at the first failure, or at hi
         if maximize:
@@ -846,18 +878,10 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
                 status = TIME_LIMIT
                 return True
             stats.nodes += 1
-            value = leaves[j - i]
-            if maximize:
-                if best_obj is None or value > best_obj:
-                    best_obj, best = value, ones | 1 << order[j]
-            elif value == n:  # a cover, the walk's last leaf
-                best = ones | 1 << order[j]
-                if full_cover:
-                    best_obj = n  # the instance's objective: all covered
-                    return True
-                best_obj = best.bit_count()
-        if maximize and lo == m - 2 and leaves[-1] > best_obj:
-            best_obj, best = leaves[-1], ones | rest[m - 1]
+            if offer(ones | 1 << order[j], leaves[j - i]):
+                return True
+        if maximize and lo == m - 2:
+            offer(ones | rest[m - 1], leaves[-1])
         return False
 
     # every cover guesses the propositions no option concludes, so the
@@ -889,9 +913,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
         if maximize:
             if taken == k or taken + m - i <= k:
                 leaf = ones if taken == k else ones | rest[i]
-                value = coverage(leaf)
-                if best_obj is None or value > best_obj:
-                    best_obj, best = value, leaf
+                offer(leaf, coverage(leaf))
                 continue
             if (not took and best_obj is not None
                     and coverage(ones | rest[i]) <= best_obj):
@@ -900,11 +922,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
             if best_obj is not None and taken >= best_obj:
                 continue
             if took is not False and coverage(ones) == n:
-                best = ones
-                if full_cover:
-                    best_obj = n  # the instance's objective: all covered
+                if offer(ones, n):
                     break
-                best_obj = taken
                 continue
             if best_obj is not None and taken + 1 >= best_obj:
                 continue
@@ -924,27 +943,12 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start,
     stats.search_time = time.monotonic() - search_start
 
     if best is None:  # stopped before the first leaf, or no cover exists
-        stats.wall_time = time.monotonic() - start
-        return Solution(INFEASIBLE if status == OPTIMAL else status, None,
-                        None, stats)
-    # the guess set's full assignment, checked on variable ids against
-    # every row and the objective
-    check_start = time.monotonic()
-    values = step_values(instance, layout, system, options, best)
-    broken = _broken_rows(instance.constraints, values)
-    objective = instance.objective_value(values)
-    if broken or objective != best_obj:
-        raise RuntimeError(
-            f"guess set scored {best_obj} but its encoding reads "
-            f"{objective} with {len(broken)} broken rows")
-    assignment = dict(zip([v.name for v in instance.variables], values))
-    end = time.monotonic()
-    stats.check_time = end - check_start
-    stats.wall_time = end - start
-    return Solution(status, assignment, best_obj, stats)
+        return status, None, None
+    return (status, step_values(instance, layout, system, options, best),
+            best_obj)
 
 
-def _solve_rows(instance, limits, start, stats) -> Solution:
+def _solve_rows(instance, limits, start, stats):
     """Branch-and-bound over the rows, with propagation after each decision."""
     engine = _Engine(instance)
     maximize = instance.sense == MAXIMIZE
@@ -979,8 +983,7 @@ def _solve_rows(instance, limits, start, stats) -> Solution:
     # also for a row without terms, which the engine checks like any other
     if engine.propagate() is not None:
         stats.propagations = engine.fix_count
-        stats.wall_time = time.monotonic() - start
-        return Solution(INFEASIBLE, None, None, stats)
+        return OPTIMAL, None, None
 
     order = _decision_order(
         instance, _occurrences(instance.constraints, len(instance.variables)))
@@ -996,8 +999,8 @@ def _solve_rows(instance, limits, start, stats) -> Solution:
     # is None once the decision's 0-branch has been taken as well
     stack: list[tuple[int | None, int]] = []
     search_start = time.monotonic()
-    status = None
-    while status is None:
+    status = OPTIMAL
+    while True:
         if engine.propagate() is None and not prunable(bound()):
             var = next_unfixed()
             if var is None:
@@ -1023,15 +1026,8 @@ def _solve_rows(instance, limits, start, stats) -> Solution:
                 engine.fix(var, 0)
                 break
         else:
-            status = OPTIMAL if best_values is not None else INFEASIBLE
+            break  # exhausted
 
     stats.propagations = engine.fix_count
-    end = time.monotonic()
-    stats.wall_time = end - start
-    stats.search_time = end - search_start
-
-    if best_values is None:
-        return Solution(status, None, None, stats)
-    assignment = {v.name: best_values[i]
-                  for i, v in enumerate(instance.variables)}
-    return Solution(status, assignment, best_obj, stats)
+    stats.search_time = time.monotonic() - search_start
+    return status, best_values, best_obj

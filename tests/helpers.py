@@ -267,10 +267,11 @@ class ReferenceEngine:
 
 
 # The guess-set branch-and-bound as it was before a child skipped the checks
-# its parent settled, kept verbatim, apart from its docstring, as the
-# reference ``milp._solve_encoding`` must agree with, node for node
-# (tests/test_milp.py).  Its names are imported when it runs, so that a
-# test's patches of ``milp`` and ``oracle`` reach it.
+# its parent settled, kept verbatim, apart from its docstring and what it
+# returns (the ``(status, values, objective)`` triple that ``milp.solve``
+# checks and names), as the reference ``milp._solve_encoding`` must agree
+# with, node for node (tests/test_milp.py).  Its names are imported when
+# it runs, so that a test's patches of ``milp`` and ``oracle`` reach it.
 def reference_solve_encoding(instance, system, cfg, full_cover, limits,
                              start, stats):
     """The per-node reference of the guess-set search.
@@ -281,9 +282,9 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     heuristic evaluations and assignment, for every node budget.
     """
     from dedmin.encoder import assignment_of
-    from dedmin.milp import (INFEASIBLE, MAXIMIZE, OPTIMAL, TIME_LIMIT,
-                             Solution, _heuristic_incumbent, _occurrences,
-                             _out_of_budget, evaluate)
+    from dedmin.milp import (MAXIMIZE, OPTIMAL, TIME_LIMIT,
+                             _heuristic_incumbent, _occurrences,
+                             _out_of_budget)
     from dedmin.oracle import option_masks, sweeps
 
     n, nu = system.n, cfg.nu
@@ -362,15 +363,7 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     stats.search_time = time.monotonic() - search_start
 
     if best is None:  # stopped before the first leaf, or no cover exists
-        stats.wall_time = time.monotonic() - start
-        return Solution(INFEASIBLE if status == OPTIMAL else status, None,
-                        None, stats)
+        return status, None, None
     assignment = assignment_of(instance, system,
                                (v for v in range(n) if best >> v & 1))
-    report = evaluate(instance, assignment)
-    if not report.feasible or report.objective != best_obj:
-        raise RuntimeError(
-            f"guess set scored {best_obj} but its encoding reads "
-            f"{report.objective} with {len(report.violations)} broken rows")
-    stats.wall_time = time.monotonic() - start
-    return Solution(status, assignment, best_obj, stats)
+    return status, [assignment[v.name] for v in instance.variables], best_obj

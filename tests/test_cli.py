@@ -197,6 +197,27 @@ def test_trace_of_a_far_copy_ends_at_once(tmp_path, toy, text, guess):
         toy, oracle.closure(toy, [toy.index_of(guess)]))
 
 
+@pytest.mark.parametrize("text", ["y 1\n", "x01_c0 1\nl0_p1_c2 0\n"])
+def test_trace_of_no_state_variable_exits_1(tmp_path, capsys, text):
+    # a path name, or a state name not spelled as the encoder writes it,
+    # is not a state variable
+    sol = tmp_path / "sol.txt"
+    sol.write_text(text)
+    assert cli.main(["trace", str(TOY), "--solution", str(sol)]) == 1
+    assert capsys.readouterr().err == \
+        "dedmin: no state variables found in the solution\n"
+
+
+def test_trace_of_state_variables_all_0(tmp_path, capsys, toy):
+    # a state variable counts though the solution marks it 0: nothing is
+    # guessed, so nothing is deduced
+    sol = tmp_path / "sol.txt"
+    sol.write_text("x0_c0 0\nx1_c3 0\n")
+    assert cli.main(["trace", str(TOY), "--solution", str(sol)]) == 0
+    assert capsys.readouterr().out == oracle.render_trace(
+        toy, oracle.closure(toy, []))
+
+
 def test_trace_reads_name_value_lines(tmp_path, capsys):
     # the .sol shape: '#' comment lines, then one 'name value' per line
     assert cli.main(["solve", str(TOY), "--nu", "4", "--k", "1",
@@ -207,6 +228,19 @@ def test_trace_reads_name_value_lines(tmp_path, capsys):
         f"{name} {value}\n" for name, value in assignment.items()))
     assert cli.main(["trace", str(TOY), "--solution", str(sol)]) == 0
     assert "| p2 | r1 | p1 |" in capsys.readouterr().out
+
+
+def test_minimize_checks_the_solver_answer_with_the_oracle(monkeypatch,
+                                                           capsys):
+    # the solver route of minimize runs solve's cross-check: an assignment
+    # that marks p2 known at step 1 from no guesses is an error, not a k_min
+    unjustified = milp.Solution(milp.OPTIMAL, {"x1_c1": 1}, 0)
+    monkeypatch.setattr(milp, "solve", lambda *args: unjustified)
+    assert cli.main(["minimize", str(TOY)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("dedmin: assignment marks p2 known at step 1 but closure "
+                   "cannot derive it yet\n")
 
 
 @pytest.mark.parametrize("target", ["directory", "missing-parent",

@@ -358,12 +358,13 @@ def test_search_time_is_part_of_wall_time():
     assert stats.to_json()["decode_time"] == round(stats.decode_time, 6)
     assert stats.to_json()["check_time"] == round(stats.check_time, 6)
     # an instance decode rejects is searched over its rows, after the
-    # decode that rejected it
+    # decode that rejected it, and its answer is checked like any other
     stats = solve(MilpInstance(instance.variables, instance.constraints[1:],
                                instance.objective, instance.sense)).stats
     assert stats.propagations > 0 and stats.decode_time > 0
-    assert stats.check_time == 0
-    assert stats.decode_time + stats.search_time <= stats.wall_time
+    assert stats.check_time > 0
+    assert (stats.decode_time + stats.search_time + stats.check_time
+            <= stats.wall_time)
 
 
 # --- the engine against its reference ---------------------------------------
@@ -757,6 +758,26 @@ def test_guess_search_rejects_an_assignment_that_breaks_a_row(toy,
     monkeypatch.setattr(encoder, "step_values", nothing_known)
     with pytest.raises(RuntimeError, match="scored 4 but its encoding reads "
                                            "0 with 0 broken rows"):
+        solve(instance)
+
+
+def test_row_search_rejects_a_leaf_that_breaks_a_row(monkeypatch):
+    # the row search's answer is checked as the guess-set search's is: an
+    # engine that sees no row hands back the all-ones leaf, which breaks
+    # x + y <= 1
+    instance = simple_instance([Constraint(((0, 1), (1, 1)), "<=", 1)],
+                               ("x", "y"), ((0, 1), (1, 1)))
+    solution = solve(instance)
+    assert (solution.status, solution.objective) == (milp.OPTIMAL, 1)
+
+    class Blind(milp._Engine):
+        def propagate(self):
+            self.queue.clear()
+            return None
+
+    monkeypatch.setattr(milp, "_Engine", Blind)
+    with pytest.raises(RuntimeError, match="scored 2 but its encoding reads "
+                                           "2 with 1 broken rows"):
         solve(instance)
 
 
