@@ -170,8 +170,12 @@ def _cmd_solve(args) -> int:
         cfg = _encode_config(system, args)
         instance = encoder.encode(system, cfg)
     solution = milp.solve(instance, limits)
-    if system is not None and solution.assignment is not None:
-        trace = oracle.extract_trace(system, solution, cfg)
+    if solution.assignment is not None:
+        if system is not None:
+            trace = oracle.extract_trace(system, solution, cfg)
+        elif instance.encoding is not None:  # checked; named p0, p1, ...
+            decoded, decoded_cfg, _ = instance.encoding
+            oracle.extract_trace(decoded, solution, decoded_cfg)
     if args.json:
         payload = solution.to_json()
         if system is not None:
@@ -199,13 +203,11 @@ def _solve_report(system, solution, trace) -> str:
     decisions; ``nodes/s``, from the search time; ``propagations``, the
     fixings of the row engine, which is 0 when the instance is searched
     over guess sets (an encoding, or one plus its full-cover row);
-    ``decode``, the seconds :func:`~dedmin.encoder.decode` took to pick
-    the search, ``0.000s`` when the instance carries its encoding (a
-    ``.rules`` input, or the ``.lp`` text of an encoding); ``heuristic``,
-    the seconds of the root heuristic; ``evals``, its closure evaluations;
-    ``evals/s``, from the heuristic's seconds; ``check``, the seconds of
-    checking the final answer against every row and the objective;
-    ``wall``; then the guesses and the deduction trace.  A rate is the one
+    ``heuristic``, the seconds of the root heuristic; ``evals``, its
+    closure evaluations; ``evals/s``, from the heuristic's seconds;
+    ``check``, the seconds of checking the final answer against every row
+    and the objective; ``wall``; then the guesses and the deduction trace
+    (of a ``.rules`` or cipher input only).  A rate is the one
     :class:`~dedmin.milp.SolveStats` gives ``--json``, and ``-`` when its
     phase took no time.
     """
@@ -214,7 +216,6 @@ def _solve_report(system, solution, trace) -> str:
     lines.append(f"nodes: {stats.nodes}  "
                  f"nodes/s: {_rate(stats.nodes_per_s)}  "
                  f"propagations: {stats.propagations}  "
-                 f"decode: {stats.decode_time:.3f}s  "
                  f"heuristic: {stats.heuristic_time:.3f}s  "
                  f"evals: {stats.heuristic_evals}  "
                  f"evals/s: {_rate(stats.heuristic_evals_per_s)}  "
@@ -268,12 +269,16 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     system = preprocess.expand_rules(_load_system(args))
     values = lpio.read_assignment(_read_input(args.solution))
-    copies = [copy for copy, _ in encoder.marked_states(
-        dict.fromkeys(values, 1))]
-    if not copies:
+    states = encoder.marked_states(dict.fromkeys(values, 1))
+    if not states:
         raise CliError("no state variables found in the solution")
+    for copy, prop in states:
+        if prop >= system.n:
+            raise CliError(f"{encoder.state_var_name(prop, copy)}: no "
+                           f"proposition {prop} in a system of {system.n}")
     solution = milp.Solution(milp.FEASIBLE, values, None)
-    cfg = encoder.EncodeConfig(nu=max(max(copies), 1), budget_k=system.n)
+    nu = max(copy for copy, _ in states)
+    cfg = encoder.EncodeConfig(nu=max(nu, 1), budget_k=system.n)
     result = oracle.extract_trace(system, solution, cfg)
     _write_output(args, oracle.render_trace(system, result))
     return EXIT_OK

@@ -50,16 +50,16 @@ layer subject to full final coverage.  :func:`_emit` writes that layout
 once, as batches of plain tuples, and :func:`rebuild` is the one builder of
 an instance from them: it builds the encoding of a ``(system, cfg,
 full_cover)`` triple, with a last row demanding full final coverage after a
-max-sense encoding when ``full_cover`` is set, and records the triple on
-the instance.  :func:`encode` is :func:`rebuild` without that row, so an
-instance built as an encoding records what it was built from and is never
-decoded.  :func:`decode` is for an instance built any other way: it reads
-the one triple the instance can be from its first step
-(:func:`read_first_step`) and compares the instance with :func:`_emit`'s
-batches of that triple as they are emitted.  :func:`assignment_of` is the
-one assignment an encoding admits for a given guess layer, read variable
-by variable; :func:`step_values` gives the same values one step block at a
-time.  This module owns the variable naming contract.
+max-sense encoding when ``full_cover`` is set, and passes the triple to the
+instance.  :func:`encode` is :func:`rebuild` without that row.  An instance
+built any other way takes, when it is built, the triple :func:`decode`
+reads, or None: the one triple its first step names
+(:func:`read_first_step`), checked against :func:`_emit`'s batches of that
+triple as they are emitted.  Either way ``MilpInstance.encoding`` says,
+from then on, what the instance is an encoding of.  :func:`assignment_of`
+is the one assignment an encoding admits for a given guess layer, read
+variable by variable; :func:`step_values` gives the same values one step
+block at a time.  This module owns the variable naming contract.
 """
 
 from __future__ import annotations
@@ -324,16 +324,15 @@ class StepLayout(NamedTuple):
     rows: int  # rows per step; step s's are rows s * rows .. (s+1) * rows - 1
 
 
-def step_layout(instance: MilpInstance, encoding: Encoding) -> StepLayout:
-    """The layout of ``instance``, an encoding of ``encoding`` that it
-    records or that :func:`decode` reads.
+def step_layout(instance: MilpInstance) -> StepLayout:
+    """The layout of ``instance``, an encoding of its ``encoding``.
 
     Its variables are the guess layer and ``nu`` blocks of ``stride``, and
     its rows ``nu`` blocks of ``rows`` followed by the closing rows: the
     budget row or the ``n`` coverage rows, then the full-cover row when
     ``full_cover`` is set.
     """
-    system, cfg, full_cover = encoding
+    system, cfg, full_cover = instance.encoding
     n, nu = system.n, cfg.nu
     closing = (1 if cfg.sense == MAX_COVERAGE else n) + full_cover
     return StepLayout(n, nu, (len(instance.variables) - n) // nu,
@@ -343,9 +342,9 @@ def step_layout(instance: MilpInstance, encoding: Encoding) -> StepLayout:
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
     """Build the unrolled instance; deterministic down to variable order.
 
-    It is :func:`rebuild` of ``(system, cfg, False)``, so the instance
-    records that triple as its ``encoding``, ``system`` and ``cfg`` as
-    given, unless ``system`` has no propositions.
+    It is :func:`rebuild` of ``(system, cfg, False)``, so the instance's
+    ``encoding`` is that triple, ``system`` and ``cfg`` as given, unless
+    ``system`` has no propositions.
     """
     return rebuild((system, cfg, False))
 
@@ -353,9 +352,9 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
 def rebuild(encoding: Encoding) -> MilpInstance:
     """The instance of ``encoding``, a ``(system, cfg, full_cover)``
     triple: the rows :func:`_emit` emits for ``system`` and ``cfg``,
-    followed by the full-cover row when ``full_cover`` is set.  It records
-    ``encoding``, or None when ``system`` has no propositions, whose rows
-    no encoding has."""
+    followed by the full-cover row when ``full_cover`` is set.  It passes
+    ``encoding`` to the instance, or None when ``system`` has no
+    propositions, whose rows no encoding has."""
     system, cfg, full_cover = encoding
     variables: list[Variable] = []
     constraints: list[Constraint] = []
@@ -462,14 +461,15 @@ def read_first_step(variables: Sequence[Variable], sense: str,
 
 def decode(instance: MilpInstance) -> Encoding | None:
     """The ``(system, cfg, full_cover)`` triple whose :func:`rebuild` has
-    the variables, rows and objective of ``instance``, or None.
+    the variables, rows and objective of ``instance``, or None: the
+    ``encoding`` of an instance built without one.
 
-    :func:`read_first_step` names the one triple the instance can be, with
-    the names ``p0``, ``p1``, ..., the rules in path-table order and the
-    configuration the rows tell (no budget when minimizing, compact only
-    when a path was folded).  The instance is compared with :func:`_emit`'s
-    batches for it as they are emitted; a full-cover row after a max-sense
-    encoding is left out of the comparison and sets ``full_cover``.
+    :func:`read_first_step` names the one triple the instance can be, with the names ``p0``, ``p1``, ..., the rules in
+    path-table order and the configuration the rows tell (no budget when
+    minimizing, compact only when a path was folded).  The instance is
+    compared with :func:`_emit`'s batches for it as they are emitted; a
+    full-cover row after a max-sense encoding is left out of the
+    comparison and sets ``full_cover``.
     """
     variables, constraints = instance.variables, instance.constraints
     encoding = read_first_step(variables, instance.sense, constraints,
@@ -495,9 +495,9 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
                   guesses: Iterable[int]) -> dict[str, int]:
     """The one assignment of ``instance`` with guess layer ``guesses``.
 
-    ``instance`` is an encoding of ``system``, one that it records or that
-    :func:`decode` reads, so each variable's ``kind``, ``prop``, ``copy``
-    and ``path`` are what :func:`_emit` gives them.  State copy ``c`` of a
+    ``instance`` is an encoding of ``system``, as its ``encoding`` says,
+    so each variable's ``kind``, ``prop``, ``copy`` and ``path`` are what
+    :func:`_emit` gives them.  State copy ``c`` of a
     proposition is its bit after ``c`` closure sweeps from the guesses,
     and a path variable of step ``c`` is 1 exactly when all its path's
     premises are known at copy ``c``.  The names come in the instance's

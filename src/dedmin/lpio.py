@@ -14,12 +14,12 @@ the rows and with any line ends that ``str.splitlines`` splits on; the
 section lines, and each name line (one space, then the name), are read
 only as written.  Any other text is an :class:`LpParseError`.
 
-:func:`write_lp` writes an instance that records its encoding one
-unrolling step at a time: every row of step ``s`` is a row of step 0 with
-its ids raised by ``s * stride`` (:func:`~dedmin.encoder.step_layout`), so
-step 0's rows are rendered once, with the copy numbers and row labels left
-open, and each step fills them in with string operations that run in C.  A
-step row that could pass 240 characters at the last step is written by
+:func:`write_lp` writes an encoding, however it was built, one unrolling
+step at a time: every row of step ``s`` is a row of step 0 with its ids
+raised by ``s * stride`` (:func:`~dedmin.encoder.step_layout`), so step
+0's rows are rendered once, with the copy numbers and row labels left
+open, and each step fills them in with string operations that run in C.
+A step row that could pass 240 characters at the last step is written by
 itself at every step.  Any other row is written term by term, and the
 ``Binary`` names one per line; the text is the same either way.
 
@@ -29,12 +29,12 @@ itself at every step.  Any other row is written term by term, and the
   step and its last rows name the one encoding it can be
   (:func:`~dedmin.encoder.read_first_step`, the reading
   :func:`~dedmin.encoder.decode` makes); that encoding is built
-  (:func:`~dedmin.encoder.rebuild`), and it is the answer, recording its
-  ``encoding``, when :func:`write_lp` writes the text back, compared one
-  step block at a time.  No other row is parsed, and the solver need not
-  decode it;
+  (:func:`~dedmin.encoder.rebuild`), and it is the answer when
+  :func:`write_lp` writes the text back, compared one step block at a
+  time.  No other row is parsed, and no decode runs;
 * any other text, including an encoding's with other whitespace or line
-  ends or an extra row, is parsed line by line and token by token.
+  ends or an extra row, is parsed line by line and token by token, and
+  the instance takes the triple :func:`~dedmin.encoder.decode` reads.
 
 :func:`read_assignment` reads a JSON object ``{"name": 0/1, ...}``, that
 object under ``"assignment"`` as ``solve --json`` writes it, or ``name
@@ -103,16 +103,15 @@ def _line(label: str, tokens: list[str], tail: str = "") -> str:
 
 def _lines(instance: MilpInstance) -> Iterator[str]:
     """The text of :func:`write_lp`, in pieces that end in a line end: a
-    line, with the lines a wrapped line goes on on; for an instance that
-    records its encoding, all rows of one unrolling step; or all the
-    ``Binary`` names."""
+    line, with the lines a wrapped line goes on on; for an encoding, all
+    rows of one unrolling step; or all the ``Binary`` names."""
     variables, constraints = instance.variables, instance.constraints
     yield "Maximize\n" if instance.sense == MAXIMIZE else "Minimize\n"
     yield _line("obj", term_tokens(instance.objective, variables))
     yield "Subject To\n"
     first = 0  # the first row written term by term
     if instance.encoding is not None:
-        layout = step_layout(instance, instance.encoding)
+        layout = step_layout(instance)
         yield from _step_rows(instance, layout)
         first = layout.nu * layout.rows
     for ci in range(first, len(constraints)):
@@ -308,15 +307,16 @@ def read_lp(text: str) -> MilpInstance:
     ``text`` has the tokens and lines :func:`write_lp` writes, in any
     spacing within the objective and the rows and with any line ends that
     ``str.splitlines`` splits on; anything else is an
-    :class:`LpParseError`.  The text of an encoding gives an instance that
-    records it.
+    :class:`LpParseError`.  The text of an encoding gives an instance
+    whose ``encoding`` is its triple.
     """
     instance = _read_encoding(text)
     return _parse(text) if instance is None else instance
 
 
 def _parse(text: str) -> MilpInstance:
-    """:func:`read_lp` by parsing every line; records no encoding."""
+    """:func:`read_lp` by parsing every line; the instance's ``encoding``
+    is what :func:`~dedmin.encoder.decode` reads from it."""
     lines: list[str] = []
     for line in text.splitlines():
         if line.startswith("   ") and lines:  # a wrapped line goes on

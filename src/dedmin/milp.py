@@ -2,17 +2,16 @@
 
 The model (:class:`MilpInstance`) is a plain list of binary variables,
 integer-coefficient linear constraints and one linear objective, plus the
-encoding it was built as, when the code that built it recorded one.  The
-solver is branch-and-bound in one of two forms, chosen by that recorded
-encoding, so that ``SolveStats.decode_time`` reads 0, or, for an instance
-built any other way, by :func:`~dedmin.encoder.decode`:
+encoding it is, settled when it is built: the ``(system, cfg, full_cover)``
+triple it is an encoding of, or None.  The solver is branch-and-bound in
+one of two forms, chosen by that triple alone:
 
-* an instance that ``decode`` rebuilds exactly as ``encode(system, cfg)``,
-  possibly followed by a row demanding every proposition at the last step
-  of a max-sense encoding, is searched over guess sets.  Fixing the guess
-  layer of an encoding forces every other variable to its closure value
+* an encoding, ``encode(system, cfg)`` possibly followed by a row
+  demanding every proposition at the last step of a max-sense encoding,
+  is searched over guess sets.  Fixing the guess layer of an encoding
+  forces every other variable to its closure value
   (:func:`~dedmin.encoder.assignment_of`), so the search branches on the
-  guess layer only and scores each node by closure sweeps of the decoded
+  guess layer only and scores each node by closure sweeps of the system's
   rules on bitmasks, pruning with the coverage of every guess still open.
   On the bottom level of the tree, where every take child is a leaf, a
   node and its skip children are expanded as one walk: one bit-sliced
@@ -106,12 +105,12 @@ class MilpInstance:
     """Binary variables, linear constraints, one linear objective.
 
     ``encoding`` is the ``(system, cfg, full_cover)`` triple the instance
-    was built from, recorded by the code that built it as an encoding
-    (:func:`~dedmin.encoder.rebuild`, which :func:`~dedmin.encoder.encode`
-    and :func:`~dedmin.lpio.read_lp` call), or None; it is taken as given,
-    not checked.  Read-only once built: assigning or deleting an attribute
+    is an encoding of, or None.  A triple its builder passes
+    (:func:`~dedmin.encoder.rebuild` does) is taken as given, not checked;
+    otherwise it is what :func:`~dedmin.encoder.decode` reads from the
+    instance.  Read-only once built: assigning or deleting an attribute
     raises :class:`AttributeError`, so the checks run at construction, and
-    the recorded encoding, hold for the instance's whole life.
+    the encoding, hold for the instance's whole life.
     """
 
     __slots__ = ("variables", "constraints", "objective", "sense", "encoding",
@@ -137,6 +136,10 @@ class MilpInstance:
         if len(self._index_by_name) != len(self.variables):
             raise MalformedInstance("duplicate variable name")
         self._check_refs()
+        if encoding is None:
+            from .encoder import decode  # encoder imports milp
+
+            object.__setattr__(self, "encoding", decode(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MilpInstance is read-only: {name!r}")
@@ -217,9 +220,6 @@ class SolveStats:
     propagations: int = 0
     wall_time: float = 0.0
     heuristic_evals: int = 0
-    # seconds in encoder.decode, which picks the search; 0 when the instance
-    # carries its encoding, which then picks it
-    decode_time: float = 0.0
     # seconds in the root heuristic; 0 when the instance gets none
     heuristic_time: float = 0.0
     # seconds of branch-and-bound, after the root pass and the heuristic
@@ -243,7 +243,6 @@ class SolveStats:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "wall_time": round(self.wall_time, 6),
                 "heuristic_evals": self.heuristic_evals,
-                "decode_time": round(self.decode_time, 6),
                 "heuristic_time": round(self.heuristic_time, 6),
                 "search_time": round(self.search_time, 6),
                 "check_time": round(self.check_time, 6),
@@ -705,9 +704,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     budgets, ``time_limit`` (with the best incumbent, if any) otherwise,
     and ``infeasible`` only with a completed proof.  An encoding, with or
     without its full-cover row, is searched over guess sets, any other
-    instance over rows.  The instance's recorded ``encoding``, the triple
-    it was built from, says which it is; :func:`~dedmin.encoder.decode`
-    reads that triple only for an instance that records none.
+    instance over rows; the instance's ``encoding`` says which it is.
 
     Both searches return their status, their answer's values by variable
     id (None when they found none) and its objective, and every run ends
@@ -716,19 +713,13 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     :func:`evaluate` uses.  A failed check raises :class:`RuntimeError`;
     ``stats.check_time`` is the seconds the check takes.
     """
-    from .encoder import decode  # encoder imports milp
-
     if limits is None:
         limits = SolveLimits()
     start = time.monotonic()
     stats = SolveStats()
-    decoded = instance.encoding
-    if decoded is None:
-        decoded = decode(instance)
-        stats.decode_time = time.monotonic() - start
-    if decoded is not None:
+    if instance.encoding is not None:
         status, values, objective = _solve_encoding(
-            instance, *decoded, limits, start, stats)
+            instance, *instance.encoding, limits, start, stats)
     else:
         status, values, objective = _solve_rows(instance, limits, start, stats)
     assignment = None
@@ -769,8 +760,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
       would reach that on a partial cover, or when ``ones | rest`` does
       not cover everything;
     * full cover (``instance`` is the max-sense encoding plus its row
-      demanding every proposition, which :func:`~dedmin.encoder.decode`
-      flags as ``full_cover``): the minimize search with
+      demanding every proposition, whose ``encoding`` flags
+      ``full_cover``): the minimize search with
       ``budget_k + 1`` as its bound instead of an incumbent, stopped at
       the first cover, which is optimal with objective ``n``.
 
@@ -807,7 +798,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
-    layout = step_layout(instance, (system, cfg, full_cover))
+    layout = step_layout(instance)
     constraints = instance.constraints
     score = _occurrences(chain(constraints[:layout.rows],
                                constraints[nu * layout.rows:]), n)

@@ -84,11 +84,12 @@ def with_full_cover(instance: MilpInstance, n: int,
                     nu: int) -> MilpInstance:
     """The instance plus a row demanding all ``n`` propositions at step ``nu``.
 
-    Built by hand, it records no encoding, but :func:`encoder.decode` reads
-    a max-sense encoding plus this row as that encoding with ``full_cover``
-    set, the instance :func:`encoder.rebuild` builds from it.  With a guess
-    budget below the minimum it is infeasible, which is how acceptance
-    criterion 4 states the refutation.
+    Built by hand, it is given no triple, so it takes the one
+    :func:`encoder.decode` reads: a max-sense encoding plus this row is
+    that encoding with ``full_cover`` set, the instance
+    :func:`encoder.rebuild` builds from it.  With a guess budget below the
+    minimum it is infeasible, which is how acceptance criterion 4 states
+    the refutation.
     """
     row = Constraint(tuple((instance.index_of(encoder.state_var_name(p, nu)), 1)
                            for p in range(n)), GREATER_EQUAL, n)
@@ -117,7 +118,8 @@ def encoding_cases() -> list[tuple[DeductionSystem, encoder.EncodeConfig]]:
 
 def refutation_cases() -> list[MilpInstance]:
     """SNOW T=13 at nu 12 and k 8 plus its full-cover row (acceptance
-    criterion 4), in both modes, built by hand: they record no encoding."""
+    criterion 4), in both modes, built by hand: each takes the triple
+    :func:`encoder.decode` reads, with ``full_cover`` set."""
     system = preprocess.expand_rules(ciphers.build_snow2(13))
     return [with_full_cover(encoder.encode(system, encoder.EncodeConfig(
                 12, 8, mode)), system.n, 12)

@@ -476,15 +476,36 @@ def test_an_instance_records_what_it_was_built_from():
         rebuilt = encoder.rebuild(instance.encoding)
         assert fields(rebuilt) == fields(instance)
         assert rebuilt.encoding == instance.encoding
+        # built by hand or parsed from its text, the instance is an
+        # encoding all the same: it takes the triple decode reads
         copy = milp.MilpInstance(*fields(instance))
-        assert copy.encoding is None
-        decoded = encoder.decode(copy)
-        assert decoded is not None
-        assert fields(encoder.rebuild(decoded)) == fields(instance)
+        parsed = lpio._parse(lpio.write_lp(instance))
+        for same in (copy, parsed):
+            assert same.encoding is not None
+            assert same.encoding == encoder.decode(same)
+            assert fields(encoder.rebuild(same.encoding)) == fields(instance)
+        assert without_heuristic(instance).encoding is None
         solution = milp.solve(instance, limits)
-        assert solution.stats.decode_time == 0
         assert outcome(solution) == outcome(milp.solve(copy, limits))
     assert [i.encoding[2] for i in instances].count(True) == 2
+
+
+def test_an_instance_built_by_hand_is_solved_as_its_encoding(monkeypatch):
+    # the SNOW k=8 refutation, its full-cover row added by hand, is an
+    # encoding from the moment it is built: solve reads no decode
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    cfg = encoder.EncodeConfig(12, 8)
+    refute = with_full_cover(encoder.encode(system, cfg), system.n, cfg.nu)
+    assert refute.encoding == encoder.decode(refute)
+    assert refute.encoding[1:] == (cfg, True)
+
+    def no_decode(instance):
+        raise AssertionError("solve decoded an instance")
+
+    monkeypatch.setattr(encoder, "decode", no_decode)
+    limits = milp.SolveLimits(node_budget=1000)
+    assert outcome(milp.solve(refute, limits)) == \
+        outcome(milp.solve(encoder.rebuild(refute.encoding), limits))
 
 
 def test_an_encoded_instance_is_never_read_back(toy, monkeypatch):

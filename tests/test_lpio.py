@@ -226,16 +226,17 @@ def test_an_encoding_is_read_as_the_generic_parser_reads_it(encoding_texts):
         instance = lpio.read_lp(text)
         parsed = lpio._parse(text)
         assert fields(instance) == fields(parsed)
-        assert parsed.encoding is None
         assert instance.encoding is not None
-        assert instance.encoding == encoder.decode(parsed)
+        assert instance.encoding == parsed.encoding == encoder.decode(parsed)
     full_cover = [lpio.read_lp(text).encoding[2] for text in encoding_texts]
     assert full_cover.count(True) == 2  # the refutation, in both modes
 
 
 def variants(text):
     """Texts :func:`lpio.write_lp` does not write, each with what makes it
-    one: the generic parser reads each as the parent commit did."""
+    one: the generic parser reads each as the parent commit did.  The
+    first three change only spacing and line ends, so the instance is
+    still the encoding; the rest are no encoding."""
     lines = text.splitlines(keepends=True)
     binary = lines.index("Binary\n")
     rows = binary - 3
@@ -250,6 +251,9 @@ def variants(text):
             "header": " " + text}
 
 
+SPACING = ("extra spaces", "trailing space", "CRLF")
+
+
 def test_any_other_text_takes_the_generic_path(encoding_texts):
     # every text of a random system, and both ciphers' first texts
     for text in encoding_texts[8:] + encoding_texts[:1] + encoding_texts[4:5]:
@@ -262,14 +266,17 @@ def test_any_other_text_takes_the_generic_path(encoding_texts):
                     lpio.read_lp(variant)
                 assert str(got.value) == str(err), what
                 continue
+            assert lpio._read_encoding(variant) is None, what
             instance = lpio.read_lp(variant)
             assert fields(instance) == fields(want), what
-            assert instance.encoding is None, what
+            assert instance.encoding == want.encoding, what
+            assert (instance.encoding is None) == (what not in SPACING), what
     # the spacing and line ends change nothing the generic parser keeps
     text = encoding_texts[0]
-    for what in ("extra spaces", "trailing space", "CRLF"):
-        assert fields(lpio.read_lp(variants(text)[what])) == \
-            fields(lpio.read_lp(text)), what
+    for what in SPACING:
+        read = lpio.read_lp(variants(text)[what])
+        assert fields(read) == fields(lpio.read_lp(text)), what
+        assert read.encoding == lpio.read_lp(text).encoding, what
     with pytest.raises(lpio.LpParseError, match="header"):
         lpio.read_lp(variants(text)["header"])
 
@@ -285,7 +292,7 @@ def link_row_steps(tau):
         directed_rules=[DirectedRule.of([i], 0) for i in range(1, tau + 1)])
     instance = encoder.encode(system, encoder.EncodeConfig(11, 1,
                                                            encoder.PLAIN))
-    layout = encoder.step_layout(instance, instance.encoding)
+    layout = encoder.step_layout(instance)
     lines = lpio.write_lp(instance).splitlines()
     wrapped = set()
     for i, line in enumerate(lines):
@@ -296,20 +303,33 @@ def link_row_steps(tau):
     return instance, wrapped
 
 
+def per_term_text(instance):
+    """:func:`lpio.write_lp` of ``instance`` with every row written term by
+    term, as an instance that is no encoding is written."""
+    variables = instance.variables
+    sense = "Maximize" if instance.sense == milp.MAXIMIZE else "Minimize"
+    return "".join([
+        f"{sense}\n", lpio._line("obj", milp.term_tokens(instance.objective,
+                                                          variables)),
+        "Subject To\n",
+        *(lpio._line(f"c{ci}", milp.term_tokens(c.terms, variables),
+                     f"{c.rel} {c.rhs}")
+          for ci, c in enumerate(instance.constraints)),
+        "Binary\n", *(f" {v.name}\n" for v in variables), "End\n"])
+
+
 def test_the_step_block_writer_writes_what_the_per_term_writer_does():
-    # a hand-built copy records no encoding, so it is written term by term
     wraps_at_every_step, wrapped = link_row_steps(20)
     assert wrapped == set(range(11))
     wraps_later, wrapped = link_row_steps(17)
     assert wrapped and 0 not in wrapped
     instances = [encoder.encode(system, cfg) for system, cfg in
                  encoding_cases()]
-    instances += [encoder.rebuild(encoder.decode(refute))
-                  for refute in refutation_cases()]
-    instances += [wraps_at_every_step, wraps_later]
+    instances += refutation_cases() + [wraps_at_every_step, wraps_later]
     for instance in instances:
         assert instance.encoding is not None
         text = lpio.write_lp(instance)
+        assert text == per_term_text(instance)
         assert text == lpio.write_lp(MilpInstance(*fields(instance)))
         again = lpio.read_lp(text)
         assert again.encoding is not None

@@ -346,25 +346,22 @@ def test_search_time_is_part_of_wall_time():
     assert 0 < stats.search_time <= stats.wall_time
     assert stats.to_json()["search_time"] == round(stats.search_time, 6)
     assert stats.heuristic_time == 0
-    # the encoding the instance records picks the search, and no decode runs
-    assert solve(instance).stats.decode_time == 0
+    # a hand-built copy is the encoding too, searched over guess sets
     stats = solve(MilpInstance(instance.variables, instance.constraints,
                                instance.objective, instance.sense)).stats
     assert stats.heuristic_evals > 0 and stats.heuristic_time > 0
-    assert stats.decode_time > 0 and stats.check_time > 0
-    assert (stats.decode_time + stats.heuristic_time + stats.search_time
-            + stats.check_time <= stats.wall_time)
+    assert stats.check_time > 0
+    assert (stats.heuristic_time + stats.search_time + stats.check_time
+            <= stats.wall_time)
     assert stats.to_json()["heuristic_time"] == round(stats.heuristic_time, 6)
-    assert stats.to_json()["decode_time"] == round(stats.decode_time, 6)
     assert stats.to_json()["check_time"] == round(stats.check_time, 6)
-    # an instance decode rejects is searched over its rows, after the
-    # decode that rejected it, and its answer is checked like any other
+    assert "decode_time" not in stats.to_json()
+    # an instance that is no encoding is searched over its rows, and its
+    # answer is checked like any other
     stats = solve(MilpInstance(instance.variables, instance.constraints[1:],
                                instance.objective, instance.sense)).stats
-    assert stats.propagations > 0 and stats.decode_time > 0
-    assert stats.check_time > 0
-    assert (stats.decode_time + stats.search_time + stats.check_time
-            <= stats.wall_time)
+    assert stats.propagations > 0 and stats.check_time > 0
+    assert stats.search_time + stats.check_time <= stats.wall_time
 
 
 # --- the engine against its reference ---------------------------------------
@@ -560,8 +557,7 @@ def test_guess_layer_forces_the_closure_assignment():
         if cfg.sense == encoder.MAX_COVERAGE:
             variants.append((with_full_cover(instance, n, cfg.nu), True, True))
         for variant, budgeted, covering in variants:
-            layout = encoder.step_layout(variant, variant.encoding
-                                         or encoder.decode(variant))
+            layout = encoder.step_layout(variant)
             names = [v.name for v in variant.variables]
             for mask in range(1 << n):
                 guesses = [v for v in range(n) if mask >> v & 1]
@@ -794,7 +790,7 @@ def test_guess_layer_counts_are_the_occurrence_counts(monkeypatch):
     instances = [encoder.encode(system, cfg)
                  for system, cfg in encoding_cases()] + refutation_cases()
     for instance in instances:
-        n = (instance.encoding or encoder.decode(instance))[0].n
+        n = instance.encoding[0].n
         counted.clear()
         solve(instance, SolveLimits(time_budget=1e9, node_budget=0))
         assert counted == [occurrences(
