@@ -30,7 +30,9 @@ one of two forms, chosen by that triple alone:
   contribution plus the best case for everything unfixed).
 
 Both forms branch in the same order, count one node per decision and
-hand their answer to :func:`solve`, which checks it.  All arithmetic is
+keep one incumbent, which takes an answer, the root heuristic's too,
+only when it is strictly better for the sense, and hand it to
+:func:`solve`, which checks it.  All arithmetic is
 exact integer arithmetic; a reported optimum is the true optimum of the
 instance, and ``infeasible`` is only reported after the search space is
 exhausted.  Runs are deterministic given the same seed and limits (modulo
@@ -515,7 +517,7 @@ class _HeuristicStop(Exception):
     """Internal: eval or time budget of the root heuristic ran out."""
 
 
-def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
+def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
                          score):
     """Seeded local search for a strong feasible start.
 
@@ -526,9 +528,9 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     many propositions ``nu`` sweeps of the system's rules know.  Both
     senses climb coverage over guess sets of one fixed size: maximize at
     the axiom budget, minimize at one guess fewer than its best full
-    cover, until a size finds none.  Returns the objective and guess mask
-    of the best selection, or None when the budget ran out before the
-    first evaluation.
+    cover, until a size finds none.  Every evaluation offers its guess
+    mask to ``incumbent``: its coverage when maximizing, its size when
+    it covers everything and the search minimizes.
 
     Nearly every evaluation adds one guess to a set the search holds
     still: the climb tries ``(sel - {out}) | {inn}`` for every ``inn``
@@ -553,19 +555,16 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
     rng = random.Random(limits.seed)
     by_score = sorted(inputs, key=lambda v: (-score[v], v))
 
+    maximize = incumbent.maximize
     evals = 0
-    best_sel: set[int] | None = None
-    best_covered = -1
 
     def coverage(selection: set[int], covered: int | None = None) -> int:
         """Propositions ``nu`` sweeps from ``selection`` know.
 
         ``covered`` is that count when a batch already scored it, or None
-        to sweep ``selection`` here.  Every evaluation keeps the best
-        selection for the sense (the most covered, or the smallest full
-        cover), so a search the budget cuts short still leaves its best.
+        to sweep ``selection`` here.
         """
-        nonlocal evals, best_sel, best_covered
+        nonlocal evals
         if evals >= eval_budget:
             raise _HeuristicStop
         if covered is None:
@@ -574,9 +573,9 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
             covered = sweeps(options, mask_of(selection),
                              cfg.nu)[-1].bit_count()
         evals += 1
-        if (covered > best_covered if maximize else covered == n and (
-                best_sel is None or len(selection) < len(best_sel))):
-            best_sel, best_covered = set(selection), covered
+        objective = covered if maximize else len(selection)
+        if (maximize or covered == n) and incumbent.beats(objective):
+            incumbent.offer(objective, mask_of(selection))
         return covered
 
     def batch(kept: set[int], ins: list[int]) -> list[int]:
@@ -652,22 +651,41 @@ def _heuristic_incumbent(options, n, cfg, maximize, limits, stats, deadline,
                 if len(sel) > 1 and coverage(sel - {v}) == n:
                     sel.remove(v)
             # now push below the best full cover one size at a time
-            while len(best_sel) > 1:
-                cheapest = sorted(best_sel, key=lambda v: (score[v], v))[:3]
-                starts = [best_sel - {v} for v in cheapest]
-                if search_size(len(best_sel) - 1, starts) < n:
+            while incumbent.objective > 1:
+                best = {v for v in inputs if incumbent.answer >> v & 1}
+                cheapest = sorted(best, key=lambda v: (score[v], v))[:3]
+                starts = [best - {v} for v in cheapest]
+                if search_size(len(best) - 1, starts) < n:
                     break
     except _HeuristicStop:
         pass
 
     stats.heuristic_evals = evals
-    if best_sel is None:
-        return None
-    return (best_covered if maximize else len(best_sel)), mask_of(best_sel)
 
 
 # --------------------------------------------------------------------------
 # branch and bound
+
+class _Incumbent:
+    """The best ``answer`` of a solve and its ``objective``, which may start
+    as a bound with no answer; only a strictly better one replaces it."""
+
+    def __init__(self, maximize: bool, objective: int | None = None):
+        self.maximize, self.objective, self.answer = maximize, objective, None
+
+    def beats(self, objective: int) -> bool:
+        """Strictly better for the sense; anything beats None."""
+        best = self.objective
+        return best is None or (
+            objective > best if self.maximize else objective < best)
+
+    def offer(self, objective: int, answer) -> bool:
+        """Take ``answer`` when its ``objective`` beats; True when taken."""
+        if not self.beats(objective):
+            return False
+        self.objective, self.answer = objective, answer
+        return True
+
 
 def _occurrences(rows: Iterable[Constraint], count: int) -> list[int]:
     """How many of ``rows`` each variable id below ``count`` occurs in."""
@@ -761,16 +779,18 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
       not cover everything;
     * full cover (``instance`` is the max-sense encoding plus its row
       demanding every proposition, whose ``encoding`` flags
-      ``full_cover``): the minimize search with
-      ``budget_k + 1`` as its bound instead of an incumbent, stopped at
-      the first cover, which is optimal with objective ``n``.
+      ``full_cover``): the minimize search, its incumbent starting at the
+      objective ``budget_k + 1`` with no answer, stopped at the first
+      cover, which is optimal with objective ``n``.
 
-    Every leaf is offered to one incumbent rule, ``offer``.  Minimize and
-    full cover start with every proposition no option concludes already
-    guessed, since every cover holds it.  Coverage is monotone in the
-    guess set, so every pruned subtree holds nothing better than the
-    incumbent.  Full cover runs no root heuristic, and no engine is
-    built, so ``stats.propagations`` stays 0.
+    One :class:`_Incumbent` takes the heuristic's guess sets and each leaf
+    (``offer``: a cover at its guess count unless maximizing), and the
+    pruning tests ask it what beats it.  Minimize and full cover start
+    with every proposition no option concludes already guessed, since
+    every cover holds it.  Coverage is monotone in the guess set, so every
+    pruned subtree holds nothing better than the incumbent.  Full cover
+    runs no root heuristic, and no engine is built, so
+    ``stats.propagations`` stays 0.
 
     A child skips the sweep its parent settled.  The take child's
     ``ones | rest`` is its parent's: minimizing or in full cover that set
@@ -803,32 +823,24 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     score = _occurrences(chain(constraints[:layout.rows],
                                constraints[nu * layout.rows:]), n)
 
-    if full_cover:
-        # a size limit, not an incumbent: any cover within it answers
-        best_obj, best = cfg.budget_k + 1, None
-    else:
+    # full cover: a size limit, not an answer; any cover within it beats it
+    incumbent = _Incumbent(maximize, cfg.budget_k + 1 if full_cover else None)
+    if not full_cover:
         # leave at least half the budget to the exact search
         heuristic_start = time.monotonic()
-        incumbent = _heuristic_incumbent(
-            options, n, cfg, maximize, limits, stats,
-            start + limits.time_budget * 0.5, score)
+        _heuristic_incumbent(options, n, cfg, incumbent, limits, stats,
+                             start + limits.time_budget * 0.5, score)
         stats.heuristic_time = time.monotonic() - heuristic_start
-        best_obj, best = incumbent if incumbent is not None else (None, None)
 
     def offer(guesses: int, value: int) -> bool:
-        """Take the leaf ``guesses``, of coverage ``value``, when it beats
-        the incumbent; True when the search ends with it."""
-        nonlocal best_obj, best
+        """Offer the leaf ``guesses``, of coverage ``value``, at its
+        objective; True when the search ends with it."""
         if maximize:
-            if best_obj is None or value > best_obj:
-                best_obj, best = value, guesses
-            return False
-        if value < n:  # no cover
-            return False
-        best = guesses
-        # full cover: the instance's objective, all covered
-        best_obj = n if full_cover else guesses.bit_count()
-        return full_cover
+            incumbent.offer(value, guesses)
+        elif value == n:  # a cover
+            incumbent.offer(guesses.bit_count(), guesses)
+            return full_cover
+        return False
 
     def coverage(guesses: int) -> int:
         return sweeps(options, guesses, nu)[-1].bit_count()
@@ -845,7 +857,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
             # child at m - 1 is itself a leaf
             leaves = coverages(options, ones, order[i:], nu)
             bars = list(accumulate(leaves, max, initial=(
-                -1 if best_obj is None else best_obj)))[1:]
+                -1 if incumbent.objective is None
+                else incumbent.objective)))[1:]
             hi = m - 2
         else:
             # anything short of a cover, whatever the leaves; the check at
@@ -906,22 +919,20 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
                 leaf = ones if taken == k else ones | rest[i]
                 offer(leaf, coverage(leaf))
                 continue
-            if (not took and best_obj is not None
-                    and coverage(ones | rest[i]) <= best_obj):
+            if not took and not incumbent.beats(coverage(ones | rest[i])):
                 continue
         else:
-            if best_obj is not None and taken >= best_obj:
+            if not incumbent.beats(taken):
                 continue
             if took is not False and coverage(ones) == n:
                 if offer(ones, n):
                     break
                 continue
-            if best_obj is not None and taken + 1 >= best_obj:
+            if not incumbent.beats(taken + 1):
                 continue
             if not took and coverage(ones | rest[i]) < n:
                 continue
-        if taken == k - 1 if maximize else (best_obj is not None
-                                            and taken == best_obj - 2):
+        if taken == k - 1 if maximize else taken + 2 == incumbent.objective:
             if walk(i, ones):
                 break
             continue
@@ -933,10 +944,11 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
         stack.append((i + 1, ones | 1 << order[i], True))
     stats.search_time = time.monotonic() - search_start
 
+    best = incumbent.answer
     if best is None:  # stopped before the first leaf, or no cover exists
         return status, None, None
     return (status, step_values(instance, layout, system, options, best),
-            best_obj)
+            n if full_cover else incumbent.objective)
 
 
 def _solve_rows(instance, limits, start, stats):
@@ -957,18 +969,7 @@ def _solve_rows(instance, limits, start, stats):
                 total += a * x
         return total
 
-    best_obj: int | None = None
-    best_values: list[int] | None = None
-
-    def better(candidate: int) -> bool:
-        if best_obj is None:
-            return True
-        return candidate > best_obj if maximize else candidate < best_obj
-
-    def prunable(b: int) -> bool:
-        if best_obj is None:
-            return False
-        return b <= best_obj if maximize else b >= best_obj
+    incumbent = _Incumbent(maximize)
 
     # root propagation: a conflict here is a completed infeasibility proof,
     # also for a row without terms, which the engine checks like any other
@@ -992,13 +993,11 @@ def _solve_rows(instance, limits, start, stats):
     search_start = time.monotonic()
     status = OPTIMAL
     while True:
-        if engine.propagate() is None and not prunable(bound()):
+        if engine.propagate() is None and incumbent.beats(bound()):
             var = next_unfixed()
             if var is None:
                 values = list(engine.val)
-                objective = instance.objective_value(values)
-                if better(objective):
-                    best_obj, best_values = objective, values
+                incumbent.offer(instance.objective_value(values), values)
                 # a leaf cannot be extended; fall through to backtrack
             else:
                 if _out_of_budget(limits, stats, start):
@@ -1021,4 +1020,4 @@ def _solve_rows(instance, limits, start, stats):
 
     stats.propagations = engine.fix_count
     stats.search_time = time.monotonic() - search_start
-    return status, best_values, best_obj
+    return status, incumbent.answer, incumbent.objective

@@ -284,7 +284,7 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     heuristic evaluations and assignment, for every node budget.
     """
     from dedmin.encoder import assignment_of
-    from dedmin.milp import (MAXIMIZE, OPTIMAL, TIME_LIMIT,
+    from dedmin.milp import (MAXIMIZE, OPTIMAL, TIME_LIMIT, _Incumbent,
                              _heuristic_incumbent, _occurrences,
                              _out_of_budget)
     from dedmin.oracle import option_masks, sweeps
@@ -300,11 +300,11 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     else:
         # leave at least half the budget to the exact search
         heuristic_start = time.monotonic()
-        incumbent = _heuristic_incumbent(
-            options, n, cfg, maximize, limits, stats,
-            start + limits.time_budget * 0.5, score)
+        incumbent = _Incumbent(maximize)
+        _heuristic_incumbent(options, n, cfg, incumbent, limits, stats,
+                             start + limits.time_budget * 0.5, score)
         stats.heuristic_time = time.monotonic() - heuristic_start
-        best_obj, best = incumbent if incumbent is not None else (None, None)
+        best_obj, best = incumbent.objective, incumbent.answer
 
     def coverage(guesses: int) -> int:
         return sweeps(options, guesses, nu)[-1].bit_count()

@@ -843,3 +843,90 @@ def test_full_cover_search_builds_no_row_engine(monkeypatch):
     assert (solution.status, solution.assignment) == (milp.TIME_LIMIT, None)
     assert solution.stats.nodes == 1000
     assert solution.stats.heuristic_evals == 0
+
+
+# --- the incumbent rule -----------------------------------------------------
+
+def test_incumbent_takes_only_a_strictly_better_objective():
+    for maximize, worse, better in ((True, 4, 6), (False, 6, 4)):
+        incumbent = milp._Incumbent(maximize)
+        assert (incumbent.objective, incumbent.answer) == (None, None)
+        assert incumbent.beats(-10 ** 9) and incumbent.beats(10 ** 9)
+        assert incumbent.offer(5, "five") is True
+        assert not incumbent.beats(5)
+        assert incumbent.offer(5, "tie") is False
+        assert incumbent.offer(worse, "worse") is False
+        assert (incumbent.objective, incumbent.answer) == (5, "five")
+        assert incumbent.beats(better)
+        assert incumbent.offer(better, "better") is True
+        assert (incumbent.objective, incumbent.answer) == (better, "better")
+    # a starting bound with no answer, as the full-cover search's size limit
+    bound = milp._Incumbent(False, 9)
+    assert bound.offer(9, "at the bound") is False
+    assert bound.offer(10, "past it") is False
+    assert (bound.objective, bound.answer) == (9, None)
+    assert bound.offer(8, "within") is True
+    assert (bound.objective, bound.answer) == (8, "within")
+
+
+def record_takes(monkeypatch) -> list[int]:
+    """The objective of every answer an incumbent takes, in order."""
+    offer, taken = milp._Incumbent.offer, []
+
+    def recorded(self, objective, answer):
+        took = offer(self, objective, answer)
+        if took:
+            taken.append(objective)
+        return took
+
+    monkeypatch.setattr(milp._Incumbent, "offer", recorded)
+    return taken
+
+
+def test_every_incumbent_passes_through_the_one_rule(monkeypatch):
+    taken = record_takes(monkeypatch)
+    # the heuristic's incumbents, maximizing: SNOW k=9 at no node
+    root = SolveLimits(time_budget=1e9, node_budget=0)
+    solution = solve(snow(9)[2], root)
+    assert len(taken) > 1 and solution.objective == 42
+    assert taken == sorted(set(taken)) and taken[-1] == solution.objective
+    # minimizing: the descent to SNOW's 9-guess cover
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    taken.clear()
+    solution = solve(encoder.encode(system, encoder.EncodeConfig(
+        nu=12, budget_k=0, mode=encoder.COMPACT,
+        sense=encoder.MIN_GUESSES)), root)
+    assert len(taken) > 1 and solution.objective == 9
+    assert taken == sorted(set(taken), reverse=True) and taken[-1] == 9
+    # the row search
+    rng = random.Random(67)
+    for system, cfg, instance in random_encodings(rng, 3, 6, False):
+        taken.clear()
+        solution = solve(without_heuristic(instance))
+        assert solution.status == milp.OPTIMAL
+        assert taken and taken[-1] == solution.objective
+        assert taken == sorted(set(taken), reverse=cfg.sense ==
+                               encoder.MIN_GUESSES)
+
+
+def test_full_cover_takes_one_cover_within_its_bound(monkeypatch):
+    taken = record_takes(monkeypatch)
+    rng = random.Random(71)
+    checked = 0
+    while checked < 5:
+        system = preprocess.expand_rules(random_system(rng, max_n=7,
+                                                       max_m=12))
+        k = oracle.brute_force_min(system).k_min + rng.randint(0, 1)
+        if k > system.n:
+            continue
+        cfg = encoder.EncodeConfig(encoder.default_nu(system), k)
+        instance = with_full_cover(encoder.encode(system, cfg), system.n,
+                                   cfg.nu)
+        taken.clear()
+        solution = solve(instance)
+        guesses = sum(solution.assignment[encoder.state_var_name(v, 0)]
+                      for v in range(system.n))
+        assert (solution.status, solution.objective) == (milp.OPTIMAL,
+                                                         system.n)
+        assert taken == [guesses] and guesses <= k
+        checked += 1
