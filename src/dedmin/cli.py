@@ -4,7 +4,9 @@ reduce.
 Inputs are ``.rules`` files (or ``-`` for stdin); the cipher names
 ``snow2`` and ``enocoro`` are accepted wherever a file is, in which case
 the model is generated on the fly from ``--T``/``--range``.  ``--json``
-switches every command to machine-readable output.
+switches every command to machine-readable output.  A flag given where it
+would act on nothing (``--T`` on a ``.rules`` input, ``--k`` with
+``--sense min``, a solver limit with ``minimize --brute``) is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible / coverage not reached,
 3 time limit hit with the incumbent still printed.
@@ -55,9 +57,18 @@ def _read_input(spec: str) -> str:
         raise CliError(f"{spec}: cannot read: {exc.strerror}") from None
 
 
+def _refuse(args, flags, why: str) -> None:
+    """Raise a usage error naming the first of ``flags`` that ``args``
+    were given, where it would act on nothing."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise CliError(f"--{flag.replace('_', '-')} {why}")
+
+
 def _build_cipher(name: str, args) -> DeductionSystem:
     try:
         if name == "snow2":
+            _refuse(args, ("range",), "applies only to enocoro")
             return ciphers.build_snow2(args.T if args.T is not None else 13)
         return ciphers.build_enocoro(args.T if args.T is not None else 16,
                                      args.range or ciphers.DECLARED)
@@ -69,6 +80,7 @@ def _load_system(args) -> DeductionSystem:
     spec = args.input
     if spec in ("snow2", "enocoro"):
         return _build_cipher(spec, args)
+    _refuse(args, ("T", "range"), "applies only to a cipher input")
     try:
         return dsl.parse_system(_read_input(spec))
     except (dsl.ParseError, dsl.ValidationError) as exc:
@@ -108,20 +120,25 @@ def _resolve_guess(system: DeductionSystem, spec: str) -> list[int]:
 
 def _limits(args) -> milp.SolveLimits:
     """The solver limits of ``args``; a negative or NaN one is a usage error."""
-    if not args.time_limit >= 0:  # also catches NaN
-        raise CliError(f"--time-limit must be >= 0, not {args.time_limit}")
+    time_limit = 600.0 if args.time_limit is None else args.time_limit
+    if not time_limit >= 0:  # also catches NaN
+        raise CliError(f"--time-limit must be >= 0, not {time_limit}")
     if args.node_limit is not None and args.node_limit < 0:
         raise CliError(f"--node-limit must be >= 0, not {args.node_limit}")
-    return milp.SolveLimits(time_budget=args.time_limit,
-                            node_budget=args.node_limit, seed=args.seed)
+    return milp.SolveLimits(time_budget=time_limit, node_budget=args.node_limit,
+                            seed=args.seed or 0)
 
 
 def _encode_config(system: DeductionSystem, args) -> encoder.EncodeConfig:
     nu = args.nu if args.nu is not None else encoder.default_nu(system)
-    k = args.k if args.k is not None else system.n
+    sense = args.sense or encoder.MAX_COVERAGE
+    if sense == encoder.MIN_GUESSES:
+        _refuse(args, ("k",), "does not apply with --sense min")
+        k = 0  # what decode reads back: the min encoding has no budget row
+    else:
+        k = args.k if args.k is not None else system.n
     return encoder.EncodeConfig(nu=nu, budget_k=k,
-                                mode=args.mode or encoder.COMPACT,
-                                sense=args.sense or encoder.MAX_COVERAGE)
+                                mode=args.mode or encoder.COMPACT, sense=sense)
 
 
 def _guess_names(system: DeductionSystem, solution: milp.Solution) -> list[str]:
@@ -160,10 +177,8 @@ def _cmd_solve(args) -> int:
     limits = _limits(args)
     system = cfg = trace = None
     if args.input not in ("snow2", "enocoro") and args.input.endswith(".lp"):
-        if any(flag is not None for flag in (
-                args.nu, args.k, args.T, args.mode, args.sense, args.range)):
-            raise CliError("an .lp input fixes its own encoding; --nu, --k, "
-                           "--T, --mode, --sense and --range do not apply")
+        _refuse(args, ("nu", "k", "T", "mode", "sense", "range"),
+                "does not apply to an .lp input, which fixes its own encoding")
         instance = lpio.read_lp(_read_input(args.input))
     else:
         system = preprocess.expand_rules(_load_system(args))
@@ -285,9 +300,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    limits = _limits(args)
-    if args.max_k is not None and not args.brute:
-        raise CliError("--max-k applies only with --brute")
+    if args.brute:
+        _refuse(args, ("nu", "mode", "time_limit", "node_limit", "seed"),
+                "does not apply with --brute")
+    else:
+        _refuse(args, ("max_k",), "applies only with --brute")
+        limits = _limits(args)
     if args.max_k is not None and args.max_k < 0:
         raise CliError(f"--max-k must be >= 0, not {args.max_k}")
     system = preprocess.expand_rules(_load_system(args))
@@ -311,7 +329,8 @@ def _cmd_minimize(args) -> int:
         return EXIT_OK
 
     nu = args.nu if args.nu is not None else encoder.default_nu(system)
-    cfg = encoder.EncodeConfig(nu=nu, budget_k=0, mode=args.mode,
+    cfg = encoder.EncodeConfig(nu=nu, budget_k=0,
+                               mode=args.mode or encoder.COMPACT,
                                sense=encoder.MIN_GUESSES)
     instance = encoder.encode(system, cfg)
     solution = milp.solve(instance, limits)
@@ -330,6 +349,9 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.json:
+        _refuse(args, ("report",), "does not apply with --json, whose "
+                "output holds the report")
     system = _load_system(args)
     result = preprocess.simplify(system)
     text = dsl.render_system(result.system)
@@ -367,9 +389,12 @@ def _add_encode_flags(p: _Parser) -> None:
 
 
 def _add_solver_flags(p: _Parser) -> None:
-    p.add_argument("--time-limit", type=float, default=600.0)
+    # no defaults, so that minimize --brute can tell these from absent flags
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="seconds (default: 600)")
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="solver seed (default: 0)")
 
 
 def build_parser() -> _Parser:
@@ -424,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--nu", type=int, default=None)
     p.add_argument("--mode", choices=[encoder.PLAIN, encoder.COMPACT],
-                   default=encoder.COMPACT)
+                   help="constraint mode (default: compact)")
     _add_solver_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")

@@ -368,7 +368,6 @@ CONFLICT = "conflict"
 
 class _Engine:
     def __init__(self, instance: MilpInstance):
-        self.instance = instance
         nvars = len(instance.variables)
         rows: list[tuple[tuple[int, int], ...]] = []
         rhs: list[int] = []

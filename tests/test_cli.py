@@ -330,6 +330,76 @@ def test_encode_flags_on_an_lp_input_exit_1(tmp_path, flags):
     assert len(out.stderr.splitlines()) == 1, out.stderr
 
 
+# (a command, a flag that acts on nothing there, the command's exit code
+# without that flag); "-" reads the toy system from stdin, "{tmp}" is the
+# test's own directory, where sol.txt is a solution that guesses nothing
+RULES_RUNS = [(("encode", str(TOY)), 0), (("solve", "-", "--k", "1"), 0),
+              (("verify", str(TOY), "--guess", "p1"), 2),
+              (("trace", str(TOY), "--solution", "{tmp}/sol.txt"), 0),
+              (("minimize", str(TOY), "--brute"), 0), (("reduce", "-"), 0)]
+SNOW_RUNS = [(("generate", "snow2"), 0),
+             (("encode", "snow2", "--nu", "12", "--k", "9"), 0),
+             (("solve", "snow2", "--nu", "12", "--k", "9"), 0),
+             (("verify", "snow2", "--guess", "s_0"), 2),
+             (("trace", "snow2", "--solution", "{tmp}/sol.txt"), 0),
+             (("minimize", "snow2", "--brute", "--max-k", "1"), 2),
+             (("reduce", "snow2"), 0)]
+IDLE_FLAGS = [
+    *[(run, flag, code) for run, code in RULES_RUNS
+      for flag in (("--T", "5"), ("--range", "extended"))],
+    *[(run, ("--range", "declared"), code) for run, code in SNOW_RUNS],
+    *[((command, str(TOY), "--sense", "min"), ("--k", "2"), 0)
+      for command in ("encode", "solve")],
+    *[(("minimize", str(TOY), "--brute"), flag, 0)
+      for flag in (("--nu", "4"), ("--mode", "plain"), ("--time-limit", "5"),
+                   ("--node-limit", "50"), ("--seed", "3"))],
+    (("reduce", str(TOY), "--json"), ("--report", "{tmp}/report.json"), 0)]
+
+
+@pytest.mark.parametrize("run,flag,code", IDLE_FLAGS, ids=[
+    f"{run[0]}-{'stdin' if run[1] == '-' else Path(run[1]).name}-{flag[0][2:]}"
+    for run, flag, code in IDLE_FLAGS])
+def test_a_flag_that_acts_on_nothing_exits_1(tmp_path, capsys, monkeypatch,
+                                             run, flag, code):
+    # a flag its input never reads is refused, not silently dropped; the
+    # same command without it exits as it would have
+    (tmp_path / "sol.txt").write_text("x0_c0 0\n")
+    run, flag = ([arg.replace("{tmp}", str(tmp_path)) for arg in args]
+                 for args in (run, flag))
+    for with_flag in (True, False):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(TOY.read_bytes()), encoding="utf-8"))
+        got = cli.main(run + flag if with_flag else run)
+        out, err = capsys.readouterr()
+        if with_flag:
+            assert (got, out) == (1, "")
+            assert err.startswith(f"dedmin: {flag[0]} ")
+            assert len(err.splitlines()) == 1, err
+        else:
+            assert got == code, err
+
+
+def test_minimize_sense_encodes_the_budget_it_reads_back(toy):
+    # under --sense min the encoding has no budget row, so the budget the
+    # command line builds with is the 0 that reading the .lp text gives
+    args = cli.build_parser().parse_args(
+        ["solve", str(TOY), "--sense", "min", "--nu", "4"])
+    system = preprocess.expand_rules(toy)
+    cfg = cli._encode_config(system, args)
+    instance = encoder.encode(system, cfg)
+    text = lpio.write_lp(instance)
+    read = lpio.read_lp(text)
+    assert cfg.budget_k == 0
+    assert instance.encoding[1] == read.encoding[1] == cfg
+    # the budget is not in the text, nor in the answer
+    full = encoder.encode(system, encoder.EncodeConfig(
+        nu=4, budget_k=system.n, sense=encoder.MIN_GUESSES))
+    assert lpio.write_lp(full) == text
+    answers = [milp.solve(i) for i in (instance, read, full)]
+    assert len({(a.status, a.objective, tuple(sorted(a.assignment.items())))
+                for a in answers}) == 1
+
+
 @pytest.mark.parametrize("source", ["file", "directory", "stdin"])
 def test_unreadable_input_exits_1(tmp_path, source):
     stdin = None
@@ -510,9 +580,8 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path_factory, lp, edits):
     path.write_text(mutate(TOY_LP if lp else TOY_RULES, edits))
     solver = ("--node-limit", "50")
     runs = [("solve", *solver)] if lp else [
-        ("solve", *solver), ("minimize", *solver),
-        ("minimize", "--brute", *solver), ("encode",), ("reduce",),
-        ("verify", "--guess", "p1")]
+        ("solve", *solver), ("minimize", *solver), ("minimize", "--brute"),
+        ("encode",), ("reduce",), ("verify", "--guess", "p1")]
     for command, *flags in runs:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
