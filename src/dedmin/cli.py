@@ -180,6 +180,11 @@ def _cmd_solve(args) -> int:
         _refuse(args, ("nu", "k", "T", "mode", "sense", "range"),
                 "does not apply to an .lp input, which fixes its own encoding")
         instance = lpio.read_lp(_read_input(args.input))
+        # the seed is read only by the root heuristic, which runs only on
+        # an encoding without its full-cover row
+        if instance.encoding is None or instance.encoding[2]:
+            _refuse(args, ("seed",), "does not apply to an .lp input that "
+                    "is not an encoding, or is one plus its full-cover row")
     else:
         system = preprocess.expand_rules(_load_system(args))
         cfg = _encode_config(system, args)

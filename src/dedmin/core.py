@@ -109,7 +109,7 @@ class DeductionSystem:
     """
 
     __slots__ = ("name", "propositions", "symmetric_rules", "directed_rules",
-                 "_index_by_name")
+                 "_index_by_name", "_option_masks")
 
     def __init__(
         self,
@@ -123,7 +123,9 @@ class DeductionSystem:
                 ("name", name), ("propositions", propositions),
                 ("symmetric_rules", tuple(symmetric_rules)),
                 ("directed_rules", tuple(directed_rules)),
-                ("_index_by_name", {p.name: p.index for p in propositions})):
+                ("_index_by_name", {p.name: p.index for p in propositions}),
+                # oracle.option_masks fills it on first use
+                ("_option_masks", None)):
             object.__setattr__(self, slot, value)
         problems = validate(self)
         if problems:

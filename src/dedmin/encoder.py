@@ -38,28 +38,38 @@ unrolling step then adds one block of ``stride`` variables, its path
 variables in proposition and path order followed by the ``n`` states of
 the next copy, so ``stride`` is a step's path variables plus ``n``.  Every
 row of step ``s`` is a row of step 0 with each variable id raised by
-``s * stride``.  :func:`step_layout` gives ``n``, ``nu``, ``stride`` and
-the rows per step of an encoding's instance, and every pass that walks an
-instance one step block at a time reads them there: the LP writer, the
-solver's ranking of the guess layer, and :func:`step_values`, the
-solver's build of its final assignment.
+``s * stride``, and every variable of step ``s`` a variable of step 0 with
+its copy number raised by ``s``.
 
 The initial layer is budgeted (``sum(x at copy 0) <= k``) and the objective
 maximizes the final layer; the alternative sense minimizes the initial
-layer subject to full final coverage.  :func:`_emit` writes that layout
-once, as batches of plain tuples, and :func:`rebuild` is the one builder of
-an instance from them: it builds the encoding of a ``(system, cfg,
-full_cover)`` triple, with a last row demanding full final coverage after a
-max-sense encoding when ``full_cover`` is set, and passes the triple to the
-instance.  :func:`encode` is :func:`rebuild` without that row.  An instance
-built any other way takes, when it is built, the triple :func:`decode`
-reads, or None: the one triple its first step names
-(:func:`read_first_step`), checked against :func:`_emit`'s batches of that
-triple as they are emitted.  Either way ``MilpInstance.encoding`` says,
-from then on, what the instance is an encoding of.  :func:`assignment_of`
-is the one assignment an encoding admits for a given guess layer, read
-variable by variable; :func:`step_values` gives the same values one step
-block at a time.  This module owns the variable naming contract.
+layer subject to full final coverage.  An encoding is therefore its *step
+block* (:class:`StepBlock`): the guess layer, step 0's variables and rows,
+and the closing rows.  :func:`_emit` writes that block, the one place the
+layout is written, and :func:`rebuild` is the one builder of an instance
+from a ``(system, cfg, full_cover)`` triple: the instance records the
+triple and holds its block, closed by a row demanding full final coverage
+after a max-sense encoding when ``full_cover`` is set, and builds its full
+variables and rows (:func:`unroll`, which shifts the block one step at a
+time, :func:`_steps`) only when something reads them.  :func:`encode` is
+:func:`rebuild` without that row.  Every pass over an encoding that can
+read the block does: :func:`step_layout` gives ``n``, ``nu``, ``stride``
+and the rows per step from the triple and the block, and the LP writer,
+the solver's ranking of the guess layer and its answer check, and
+:func:`step_values`, the solver's build of its final assignment, read the
+block one step at a time; :func:`step_names` gives the names of every
+variable from the block by string operations, and :func:`unroll` names
+the variables it builds with them.
+
+An instance built any other way takes, when it is built, the triple
+:func:`decode` reads, or None: the one triple its first step names
+(:func:`read_first_step`), checked against that triple's block unrolled
+one step at a time.  Either way ``MilpInstance.encoding`` says, from then
+on, what the instance is an encoding of, and ``MilpInstance.block`` holds
+its step block.  :func:`assignment_of` is the one assignment an encoding
+admits for a given guess layer, read variable by variable;
+:func:`step_values` gives the same values one step block at a time.  This
+module owns the variable naming contract.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ def path_var_name(prop: int, path: int, copy: int | str) -> str:
     return f"l{prop}_p{path}_c{copy}"
 
 
-def copy_name(variable: Variable, copy: str) -> str:
+def copy_name(variable: Variable, copy: int | str) -> str:
     """The name ``variable``, a state or a path variable, has at copy
     ``copy``: a copy number, or a placeholder for one."""
     if variable.kind == STATE:
@@ -202,24 +212,20 @@ _Row = tuple[tuple[tuple[int, int], ...], str, int]  # (terms, rel, rhs)
 
 
 def _emit(system: DeductionSystem, cfg: EncodeConfig
-          ) -> Iterator[tuple[list[tuple], list[_Row]]]:
-    """The variables and rows of the unrolled instance, in order, as
-    ``(variables, rows)`` batches of plain tuples, the fields of
-    :class:`~dedmin.milp.Variable` and :class:`~dedmin.milp.Constraint`:
-    the guess layer; for each unrolling step its path variables, then the
-    next copy's states with the step's rows; then the closing rows.
+          ) -> tuple[list[tuple], list[_Row], list[_Row]]:
+    """The step block of the unrolled instance, as plain tuples, the
+    fields of :class:`~dedmin.milp.Variable` and
+    :class:`~dedmin.milp.Constraint`: the variables of the guess layer and
+    of step 0, its path variables and then the states of copy 1; step 0's
+    rows, with ids as at step 0; and the closing rows, the budget row or
+    the coverage rows, with ids as in the whole instance.
 
-    The layout is the step block of the module docstring: step 0's rows
-    are built once, with ids as at step 0, and step ``s`` emits them with
-    every id raised by ``s * stride``, after its variables, which come
-    from one ``(prop, path)`` list.  The budget row, or the coverage
-    rows, close the instance.
+    Every other step is step 0 again (:func:`_steps`).  Step 0's path
+    variables come from one ``(prop, path)`` list.
     """
     table = enumerate_paths(system)
     cfg.check(system.n)
     n = system.n
-
-    yield [(state_var_name(v, 0), STATE, v, 0, None) for v in range(n)], []
 
     # one step's path variables, as (prop, path number); compact mode folds
     # each proposition's carry-over and its last multi-premise path, if it
@@ -277,24 +283,17 @@ def _emit(system: DeductionSystem, cfg: EncodeConfig
                          + tuple((p, 1) for p in premises),
                          GREATER_EQUAL, 0))
 
-    # one int object per variable id, shared by every row that names it
-    ids = list(range(n + cfg.nu * stride))
-    for step in range(cfg.nu):
-        yield [(path_var_name(prop, path, step), PATH, prop, step, path)
-               for prop, path in paths], []
-        # the rows name step 0's ids; at[var] is var + step * stride
-        at = ids[step * stride:(step + 1) * stride + n]
-        yield ([(state_var_name(v, step + 1), STATE, v, step + 1, None)
-                for v in range(n)],
-               [(tuple([(at[var], a) for var, a in terms]), rel, rhs)
-                for terms, rel, rhs in rows])
-
+    variables = [(state_var_name(v, 0), STATE, v, 0, None) for v in range(n)]
+    variables += [(path_var_name(prop, path, 0), PATH, prop, 0, path)
+                  for prop, path in paths]
+    variables += [(state_var_name(v, 1), STATE, v, 1, None) for v in range(n)]
     last = cfg.nu * stride  # the id of x0_c{nu}
     if cfg.sense == MAX_COVERAGE:
-        yield [], [(tuple([(v, 1) for v in range(n)]), LESS_EQUAL,
+        closing = [(tuple([(v, 1) for v in range(n)]), LESS_EQUAL,
                     cfg.budget_k)]
     else:
-        yield [], [(((last + v, 1),), EQUAL, 1) for v in range(n)]
+        closing = [(((last + v, 1),), EQUAL, 1) for v in range(n)]
+    return variables, rows, closing
 
 
 def _objective(n: int, nvars: int, sense: str) -> tuple[tuple[int, int], ...]:
@@ -315,6 +314,51 @@ def _full_cover_row(n: int, nvars: int) -> Constraint:
 Encoding = tuple[DeductionSystem, EncodeConfig, bool]
 
 
+class StepBlock(NamedTuple):
+    """What an encoding's instance holds: its guess layer, step 0 and the
+    closing rows.  Step ``s`` is step 0 with every copy number raised by
+    ``s`` and every variable id by ``s * stride`` (:func:`_steps`)."""
+
+    variables: tuple[Variable, ...]  # the guess layer and step 0's
+    rows: tuple[Constraint, ...]  # step 0's rows
+    closing: tuple[Constraint, ...]  # the rows after the last step
+
+
+def _block(encoding: Encoding) -> StepBlock:
+    """The step block of ``encoding``'s instance: :func:`_emit`'s, closed
+    by the full-cover row when ``full_cover`` is set."""
+    system, cfg, full_cover = encoding
+    variables, rows, closing = _emit(system, cfg)
+    closing = [*map(Constraint._make, closing)]
+    if full_cover:
+        n = system.n
+        closing.append(_full_cover_row(n, n + cfg.nu * (len(variables) - n)))
+    return StepBlock(tuple(map(Variable._make, variables)),
+                     tuple(map(Constraint._make, rows)), tuple(closing))
+
+
+def _steps(block: StepBlock, n: int, nu: int, names: Sequence[str]
+           ) -> Iterator[tuple[list[tuple], list[_Row]]]:
+    """The variables and rows of each of ``nu`` unrolling steps, in order,
+    as plain tuples: step 0's from ``block``, whose guess layer is its
+    first ``n`` variables, with every copy number raised by the step and
+    every id by ``step * stride``, and each variable named as in
+    ``names``, the names :func:`step_names` gives every variable."""
+    stride = len(block.variables) - n
+    first = block.variables[n:]
+    # one int object per variable id, shared by every row that names it
+    ids = list(range(n + nu * stride))
+    for step in range(nu):
+        at = step * stride
+        # the rows name step 0's ids; shifted[var] is var + at
+        shifted = ids[at:at + stride + n]
+        yield ([(name, kind, prop, copy + step, path) for name, (
+                    _, kind, prop, copy, path) in zip(
+                        names[at + n:at + n + stride], first)],
+               [(tuple([(shifted[var], a) for var, a in terms]), rel, rhs)
+                for terms, rel, rhs in block.rows])
+
+
 class StepLayout(NamedTuple):
     """The step blocks of an encoding's instance."""
 
@@ -325,18 +369,47 @@ class StepLayout(NamedTuple):
 
 
 def step_layout(instance: MilpInstance) -> StepLayout:
-    """The layout of ``instance``, an encoding of its ``encoding``.
+    """The layout of ``instance``, an encoding of its ``encoding``, read
+    from the triple and the step block the instance holds.
 
     Its variables are the guess layer and ``nu`` blocks of ``stride``, and
     its rows ``nu`` blocks of ``rows`` followed by the closing rows: the
     budget row or the ``n`` coverage rows, then the full-cover row when
     ``full_cover`` is set.
     """
-    system, cfg, full_cover = instance.encoding
-    n, nu = system.n, cfg.nu
-    closing = (1 if cfg.sense == MAX_COVERAGE else n) + full_cover
-    return StepLayout(n, nu, (len(instance.variables) - n) // nu,
-                      (len(instance.constraints) - closing) // nu)
+    system, cfg, _ = instance.encoding
+    block = instance.block
+    return StepLayout(system.n, cfg.nu, len(block.variables) - system.n,
+                      len(block.rows))
+
+
+# the placeholders of copy numbers 0 and 1: characters no name has, which
+# str.replace finds fastest
+_OPEN = "\0\1"
+
+
+def opened_names(variables: Sequence[Variable]) -> list[str]:
+    """The names of ``variables``, of the guess layer and the first
+    unrolling step, with their copy numbers, 0 or 1, left open as
+    placeholders that :func:`filled` fills in for any step."""
+    return [copy_name(v, _OPEN[v.copy]) for v in variables]
+
+
+def filled(text: str, step: int) -> str:
+    """``text`` with the copy numbers :func:`opened_names` leaves open
+    filled in for unrolling step ``step``."""
+    return text.replace("\0", str(step)).replace("\1", str(step + 1))
+
+
+def step_names(block: StepBlock, n: int, nu: int) -> tuple[str, ...]:
+    """The names, in id order, of the variables of the encoding of ``n``
+    propositions and ``nu`` steps whose step block is ``block``: the guess
+    layer's, then each step's, step 0's with the copy numbers filled in by
+    string operations that run in C."""
+    variables = block.variables
+    opened = "\n".join(opened_names(variables[n:]))
+    steps = "\n".join([filled(opened, step) for step in range(nu)])
+    return (*[v.name for v in variables[:n]], *steps.split("\n"))
 
 
 def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
@@ -351,21 +424,39 @@ def encode(system: DeductionSystem, cfg: EncodeConfig) -> MilpInstance:
 
 def rebuild(encoding: Encoding) -> MilpInstance:
     """The instance of ``encoding``, a ``(system, cfg, full_cover)``
-    triple: the rows :func:`_emit` emits for ``system`` and ``cfg``,
-    followed by the full-cover row when ``full_cover`` is set.  It passes
-    ``encoding`` to the instance, or None when ``system`` has no
-    propositions, whose rows no encoding has."""
-    system, cfg, full_cover = encoding
-    variables: list[Variable] = []
-    constraints: list[Constraint] = []
-    for batch, rows in _emit(system, cfg):
+    triple: the rows :func:`_emit` emits for ``system`` and ``cfg``, at
+    every step, followed by the full-cover row when ``full_cover`` is set.
+
+    The instance records ``encoding`` and holds only its step block
+    (:func:`_block`); it builds its full variables and rows from them, by
+    :func:`unroll`, when something reads them.  A system without
+    propositions has no encoding: its instance, whose rows no encoding
+    has, is built whole and records None.
+    """
+    system, cfg, _ = encoding
+    block = _block(encoding)
+    n = system.n
+    if not n:  # no variables, and every step has no rows
+        return MilpInstance((), block.closing, (), cfg.sense)
+    nvars = n + cfg.nu * (len(block.variables) - n)
+    return MilpInstance((), (), _objective(n, nvars, cfg.sense), cfg.sense,
+                        encoding, block)
+
+
+def unroll(instance: MilpInstance
+           ) -> tuple[tuple[Variable, ...], tuple[Constraint, ...]]:
+    """The full variables and rows of ``instance``, which holds its
+    encoding's step block: the guess layer, every step as :func:`_steps`
+    unrolls it, and the closing rows."""
+    system, cfg, _ = instance.encoding
+    block = instance.block
+    # step 0 is the block's own variables and rows
+    variables, constraints = list(block.variables), list(block.rows)
+    for batch, rows in islice(_steps(block, system.n, cfg.nu,
+                                     instance.names), 1, None):
         variables += map(Variable._make, batch)
         constraints += map(Constraint._make, rows)
-    if full_cover:
-        constraints.append(_full_cover_row(system.n, len(variables)))
-    return MilpInstance(variables, constraints,
-                        _objective(system.n, len(variables), cfg.sense),
-                        cfg.sense, encoding if system.n else None)
+    return tuple(variables), (*constraints, *block.closing)
 
 
 def read_first_step(variables: Sequence[Variable], sense: str,
@@ -464,31 +555,44 @@ def decode(instance: MilpInstance) -> Encoding | None:
     the variables, rows and objective of ``instance``, or None: the
     ``encoding`` of an instance built without one.
 
-    :func:`read_first_step` names the one triple the instance can be, with the names ``p0``, ``p1``, ..., the rules in
-    path-table order and the configuration the rows tell (no budget when
-    minimizing, compact only when a path was folded).  The instance is
-    compared with :func:`_emit`'s batches for it as they are emitted; a
-    full-cover row after a max-sense encoding is left out of the
-    comparison and sets ``full_cover``.
+    :func:`read_first_step` names the one triple the instance can be, with
+    the names ``p0``, ``p1``, ..., the rules in path-table order and the
+    configuration the rows tell (no budget when minimizing, compact only
+    when a path was folded).  The instance is compared with that triple's
+    step block (:func:`_block`), unrolled one step at a time
+    (:func:`_steps`), and its closing rows; a full-cover row after a
+    max-sense encoding closes it when ``full_cover`` is set.
     """
+    decoded = _decode(instance)
+    return None if decoded is None else decoded[0]
+
+
+def _decode(instance: MilpInstance) -> tuple[Encoding, StepBlock] | None:
+    """:func:`decode`'s triple with the instance's step block, or None."""
     variables, constraints = instance.variables, instance.constraints
     encoding = read_first_step(variables, instance.sense, constraints,
                                len(constraints), constraints[-2:])
     if encoding is None:
         return None
-    system, cfg, full_cover = encoding
-    nvars = nrows = 0
-    for batch, rows in _emit(system, cfg):
+    system, cfg, _ = encoding
+    block = _block(encoding)
+    n = system.n
+    # read_first_step has matched the guess layer, variables[:n]
+    nvars, nrows = n, 0
+    for batch, rows in _steps(block, n, cfg.nu, step_names(block, n, cfg.nu)):
         # a named tuple equals the plain tuple of its fields
         if (variables[nvars:nvars + len(batch)] != tuple(batch)
                 or constraints[nrows:nrows + len(rows)] != tuple(rows)):
             return None
         nvars += len(batch)
         nrows += len(rows)
-    if (nvars != len(variables) or nrows != len(constraints) - full_cover
-            or instance.objective != _objective(system.n, nvars, cfg.sense)):
+    if (nvars != len(variables) or constraints[nrows:] != block.closing
+            or instance.objective != _objective(n, nvars, cfg.sense)):
         return None
-    return encoding
+    # the instance's own objects, equal to the block's
+    return encoding, StepBlock(variables[:len(block.variables)],
+                               constraints[:len(block.rows)],
+                               constraints[nrows:])
 
 
 def assignment_of(instance: MilpInstance, system: DeductionSystem,
@@ -526,16 +630,17 @@ def step_values(instance: MilpInstance, layout: StepLayout,
     gives ``instance`` for the guess layer ``guesses``, a bitmask.
 
     ``instance`` is an encoding of ``system`` laid out as ``layout``, and
-    ``options`` are the system's option masks.  The values are built one
-    step block at a time: step ``s``'s path variables from the premise
-    masks of step 0's and the set ``s`` closure sweeps know, its states
-    from the set one sweep later.  From the sweeps' fixpoint on, every
+    ``options`` are the system's option masks.  Only the instance's step
+    block is read, and the values are built one step block at a time:
+    step ``s``'s path variables from the premise masks of step 0's and the
+    set ``s`` closure sweeps know, its states from the set one sweep
+    later.  From the sweeps' fixpoint on, every
     block is the last one again.
     """
     n, nu, stride, _ = layout
     table = enumerate_paths(system)
     masks = [mask_of(table[v.prop][v.path - 1])
-             for v in instance.variables[n:stride]]
+             for v in instance.block.variables[n:stride]]
     rounds = sweeps(options, guesses, nu)
     last = len(rounds) - 1
     values = [guesses >> v & 1 for v in range(n)]

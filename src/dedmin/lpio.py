@@ -14,14 +14,17 @@ the rows and with any line ends that ``str.splitlines`` splits on; the
 section lines, and each name line (one space, then the name), are read
 only as written.  Any other text is an :class:`LpParseError`.
 
-:func:`write_lp` writes an encoding, however it was built, one unrolling
-step at a time: every row of step ``s`` is a row of step 0 with its ids
-raised by ``s * stride`` (:func:`~dedmin.encoder.step_layout`), so step
-0's rows are rendered once, with the copy numbers and row labels left
-open, and each step fills them in with string operations that run in C.
-A step row that could pass 240 characters at the last step is written by
-itself at every step.  Any other row is written term by term, and the
-``Binary`` names one per line; the text is the same either way.
+:func:`write_lp` writes an encoding, however it was built, from its step
+block (``MilpInstance.block``), one unrolling step at a time: every row of
+step ``s`` is a row of step 0 with its ids raised by ``s * stride``
+(:func:`~dedmin.encoder.step_layout`), so step 0's rows are rendered once,
+with the copy numbers and row labels left open, and each step fills them
+in with string operations that run in C.  A step row that could pass 240
+characters at the last step is written by itself at every step, from its
+tokens filled in.  The closing rows are written term by term, and every
+name comes from ``MilpInstance.names``, so no unrolled row or variable of
+an encoding is built.  Any other instance is written row by row, term by
+term; the text is the same either way.
 
 :func:`read_lp` reads in one of two ways, with the same result:
 
@@ -29,9 +32,10 @@ itself at every step.  Any other row is written term by term, and the
   step and its last rows name the one encoding it can be
   (:func:`~dedmin.encoder.read_first_step`, the reading
   :func:`~dedmin.encoder.decode` makes); that encoding is built
-  (:func:`~dedmin.encoder.rebuild`), and it is the answer when
-  :func:`write_lp` writes the text back, compared one step block at a
-  time.  No other row is parsed, and no decode runs;
+  (:func:`~dedmin.encoder.rebuild`, which builds its step block alone),
+  and it is the answer when :func:`write_lp` writes the text back,
+  compared one step block at a time.  No other row is parsed, no decode
+  runs and no unrolled row is built;
 * any other text, including an encoding's with other whitespace or line
   ends or an extra row, is parsed line by line and token by token, and
   the instance takes the triple :func:`~dedmin.encoder.decode` reads.
@@ -47,10 +51,11 @@ checked constraint by constraint) and only then wraps it as a
 from __future__ import annotations
 
 import json
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .encoder import (StepLayout, copy_name, read_first_step, rebuild,
-                      step_layout, variable_from_name)
+from .encoder import (StepBlock, StepLayout, filled, opened_names,
+                      read_first_step, rebuild, step_layout,
+                      variable_from_name)
 from .milp import (Constraint, EQUAL, FEASIBLE, GREATER_EQUAL, LESS_EQUAL,
                    MAXIMIZE, MINIMIZE, MilpInstance, Solution, SolveStats,
                    Variable, evaluate, term_tokens)
@@ -104,75 +109,59 @@ def _line(label: str, tokens: list[str], tail: str = "") -> str:
 def _lines(instance: MilpInstance) -> Iterator[str]:
     """The text of :func:`write_lp`, in pieces that end in a line end: a
     line, with the lines a wrapped line goes on on; for an encoding, all
-    rows of one unrolling step; or all the ``Binary`` names."""
-    variables, constraints = instance.variables, instance.constraints
+    rows of one unrolling step; or all the ``Binary`` names.  An encoding
+    is written from its step block and its names, and none of its
+    unrolled rows is built."""
+    names = instance.names
     yield "Maximize\n" if instance.sense == MAXIMIZE else "Minimize\n"
-    yield _line("obj", term_tokens(instance.objective, variables))
+    yield _line("obj", term_tokens(instance.objective, names))
     yield "Subject To\n"
-    first = 0  # the first row written term by term
-    if instance.encoding is not None:
+    if instance.block is None:
+        first, rows = 0, instance.constraints  # written term by term
+    else:
         layout = step_layout(instance)
-        yield from _step_rows(instance, layout)
-        first = layout.nu * layout.rows
-    for ci in range(first, len(constraints)):
-        c = constraints[ci]
-        yield _line(f"c{ci}", term_tokens(c.terms, variables),
-                    f"{c.rel} {c.rhs}")
+        yield from _step_rows(instance.block, layout)
+        first, rows = layout.nu * layout.rows, instance.block.closing
+    for ci, c in enumerate(rows, first):
+        yield _line(f"c{ci}", term_tokens(c.terms, names), f"{c.rel} {c.rhs}")
     yield "Binary\n"
-    yield "".join([f" {v.name}\n" for v in variables])
+    yield "".join([f" {name}\n" for name in names])
     yield "End\n"
 
 
-def _step_rows(instance: MilpInstance, layout: StepLayout) -> Iterator[str]:
+def _step_rows(block: StepBlock, layout: StepLayout) -> Iterator[str]:
     """The rows of each unrolling step of an encoding, as one piece per
-    step.
+    step, from its step block.
 
     Step 0's rows are rendered once, with the copy numbers of their names
-    left open (:func:`_opened`) and each label's number left open as a
-    ``%s``; each step fills the copy numbers with two ``str.replace`` and
-    the labels with one ``%``.  A row that could pass ``_MAX_LINE``
-    characters at the last step, where the numbers have the most digits,
-    is left open whole, and :func:`_line` writes it at every step.
+    left open (:func:`~dedmin.encoder.opened_names`) and each label's
+    number left open as a ``%s``; each step fills the copy numbers with two
+    ``str.replace`` (:func:`~dedmin.encoder.filled`) and the labels with
+    one ``%``.  A row that could pass ``_MAX_LINE`` characters at the last
+    step, where the numbers have the most digits, is left open whole, and
+    :func:`_line` writes it at every step from its tokens, filled in.
     """
-    n, nu, stride, per_step = layout
-    variables, constraints = instance.variables, instance.constraints
-    opened = _opened(variables[:n + stride])
-    pieces, wide = [], []
-    for r, c in enumerate(constraints[:per_step]):
+    _, nu, _, per_step = layout
+    opened = opened_names(block.variables)
+    pieces, wide = [], {}
+    for r, c in enumerate(block.rows):
         # an encoding's rows have terms, so a space follows the label
-        terms = " ".join(term_tokens(c.terms, opened))
+        tokens = term_tokens(c.terms, opened)
+        terms = " ".join(tokens)
         label = f" c{(nu - 1) * per_step + r}: "  # at the last step
-        if len(label) + len(_filled(terms, nu - 1)) > _MAX_LINE:
+        if len(label) + len(filled(terms, nu - 1)) > _MAX_LINE:
             pieces.append("%s")
-            wide.append(r)
+            wide[r] = tokens, f"{c.rel} {c.rhs}"
         else:
             pieces.append(f" c%s: {terms} {c.rel} {c.rhs}\n")
-    block = "".join(pieces)
+    text = "".join(pieces)
     for step in range(nu):
         base = step * per_step
         fills = [*map(str, range(base, base + per_step))]
-        for r in wide:
-            c = constraints[base + r]
-            fills[r] = _line(f"c{base + r}", term_tokens(c.terms, variables),
-                             f"{c.rel} {c.rhs}")
-        yield _filled(block, step) % tuple(fills)
-
-
-# the placeholders of copy numbers 0 and 1: characters no name has, which
-# str.replace finds fastest
-_OPEN = "\0\1"
-
-
-def _opened(variables: Sequence[Variable]) -> list[Variable]:
-    """``variables``, of the guess layer and the first unrolling step, with
-    their names' copy numbers, 0 or 1, left open as placeholders."""
-    return [v._replace(name=copy_name(v, _OPEN[v.copy])) for v in variables]
-
-
-def _filled(text: str, step: int) -> str:
-    """``text`` with the copy numbers :func:`_opened` leaves open filled
-    in for unrolling step ``step``."""
-    return text.replace("\0", str(step)).replace("\1", str(step + 1))
+        for r, (tokens, tail) in wide.items():
+            fills[r] = _line(f"c{base + r}",
+                             [filled(token, step) for token in tokens], tail)
+        yield filled(text, step) % tuple(fills)
 
 
 def write_lp(instance: MilpInstance) -> str:
@@ -393,7 +382,7 @@ def read_solution(text: str, instance: MilpInstance) -> Solution:
     established through :func:`~dedmin.milp.evaluate` before a Solution is
     returned; violations raise :class:`InfeasibleImport`.
     """
-    assignment = {v.name: 0 for v in instance.variables}
+    assignment = dict.fromkeys(instance.names, 0)
     for name, value in read_assignment(text).items():
         if not instance.has_variable(name):
             raise UnknownVariable(name)

@@ -3,8 +3,11 @@
 The model (:class:`MilpInstance`) is a plain list of binary variables,
 integer-coefficient linear constraints and one linear objective, plus the
 encoding it is, settled when it is built: the ``(system, cfg, full_cover)``
-triple it is an encoding of, or None.  The solver is branch-and-bound in
-one of two forms, chosen by that triple alone:
+triple it is an encoding of, or None, with the encoding's step block.  An
+instance built from its triple holds the block alone and builds its full
+variables and rows when something reads them; the solver reads the block.
+The solver is branch-and-bound in one of two forms, chosen by that triple
+alone:
 
 * an encoding, ``encode(system, cfg)`` possibly followed by a row
   demanding every proposition at the last step of a max-sense encoding,
@@ -107,16 +110,23 @@ class MilpInstance:
     """Binary variables, linear constraints, one linear objective.
 
     ``encoding`` is the ``(system, cfg, full_cover)`` triple the instance
-    is an encoding of, or None.  A triple its builder passes
-    (:func:`~dedmin.encoder.rebuild` does) is taken as given, not checked;
-    otherwise it is what :func:`~dedmin.encoder.decode` reads from the
-    instance.  Read-only once built: assigning or deleting an attribute
-    raises :class:`AttributeError`, so the checks run at construction, and
-    the encoding, hold for the instance's whole life.
+    is an encoding of, or None, and ``block`` is then the encoding's step
+    block (:class:`~dedmin.encoder.StepBlock`): its guess layer, step 0
+    and closing rows, which every reader of an encoding's rows reads.  A
+    builder that passes the triple passes its block with it, and no
+    variables or rows (:func:`~dedmin.encoder.rebuild` does): the triple
+    is taken as given, not checked, only the block's rows are checked, and
+    ``variables``, ``constraints`` and the name index are built from the
+    block on first read (:func:`~dedmin.encoder.unroll`).  An instance
+    built from its variables and rows takes the triple and the block that
+    :func:`~dedmin.encoder.decode` reads from them.  Read-only once
+    built: assigning or deleting an attribute raises
+    :class:`AttributeError`, so the checks run at construction, and the
+    encoding, hold for the instance's whole life.
     """
 
-    __slots__ = ("variables", "constraints", "objective", "sense", "encoding",
-                 "_index_by_name")
+    __slots__ = ("objective", "sense", "encoding", "block", "_variables",
+                 "_constraints", "_names", "_index_by_name")
 
     def __init__(
         self,
@@ -125,23 +135,38 @@ class MilpInstance:
         objective: Sequence[tuple[int, int]],
         sense: str = MAXIMIZE,
         encoding: tuple | None = None,
+        block: tuple | None = None,
     ):
         if sense not in (MAXIMIZE, MINIMIZE):
             raise MalformedInstance(f"bad sense {sense!r}")
-        variables = tuple(variables)
-        index = {v.name: i for i, v in enumerate(variables)}
+        names = index = None
+        if block is None:
+            variables, constraints = tuple(variables), tuple(constraints)
+            names = tuple([v.name for v in variables])
+            index = dict(zip(names, range(len(names))))
+        else:
+            variables = constraints = None
         for slot, value in (
-                ("variables", variables), ("constraints", tuple(constraints)),
                 ("objective", tuple(objective)), ("sense", sense),
-                ("encoding", encoding), ("_index_by_name", index)):
+                ("encoding", encoding), ("block", block),
+                ("_variables", variables), ("_constraints", constraints),
+                ("_names", names), ("_index_by_name", index)):
             object.__setattr__(self, slot, value)
-        if len(self._index_by_name) != len(self.variables):
-            raise MalformedInstance("duplicate variable name")
-        self._check_refs()
-        if encoding is None:
-            from .encoder import decode  # encoder imports milp
+        if block is not None:
+            from .encoder import step_layout  # encoder imports milp
 
-            object.__setattr__(self, "encoding", decode(self))
+            n, nu, stride, _ = step_layout(self)
+            self._check_refs(block.rows + block.closing, n + nu * stride)
+            return
+        if len(index) != len(variables):
+            raise MalformedInstance("duplicate variable name")
+        self._check_refs(constraints, len(variables))
+        from .encoder import _decode
+
+        decoded = _decode(self)
+        if decoded is not None:
+            object.__setattr__(self, "encoding", decoded[0])
+            object.__setattr__(self, "block", decoded[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MilpInstance is read-only: {name!r}")
@@ -149,36 +174,76 @@ class MilpInstance:
     def __delattr__(self, name):
         raise AttributeError(f"MilpInstance is read-only: {name!r}")
 
-    def _check_refs(self) -> None:
-        n = len(self.variables)
-        for ci, c in enumerate(self.constraints):
+    def _check_refs(self, constraints: Sequence[Constraint],
+                    count: int) -> None:
+        """Check ``constraints``, the rows the instance holds, and the
+        objective against ``count`` variables."""
+        for ci, c in enumerate(constraints):
             if c.rel not in _RELATIONS:
                 raise MalformedInstance(f"constraint {ci}: bad relation {c.rel!r}")
             if type(c.rhs) is not int:
                 raise MalformedInstance(
                     f"constraint {ci}: non-integer rhs {c.rhs!r}")
             for var, coef in c.terms:
-                if not 0 <= var < n:
+                if not 0 <= var < count:
                     raise MalformedInstance(
                         f"constraint {ci}: undeclared variable id {var}")
                 if type(coef) is not int:
                     raise MalformedInstance(
                         f"constraint {ci}: non-integer coefficient {coef!r}")
         for var, coef in self.objective:
-            if not 0 <= var < n:
+            if not 0 <= var < count:
                 raise MalformedInstance(f"objective: undeclared variable id {var}")
             if type(coef) is not int:
                 raise MalformedInstance(
                     f"objective: non-integer coefficient {coef!r}")
 
+    def _unroll(self) -> None:
+        from .encoder import unroll
+
+        variables, constraints = unroll(self)
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_constraints", constraints)
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        if self._variables is None:
+            self._unroll()
+        return self._variables
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        if self._constraints is None:
+            self._unroll()
+        return self._constraints
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The variables' names, in id order; an instance that holds its
+        step block builds them from it without building the variables."""
+        if self._names is None:
+            from .encoder import step_names
+
+            system, cfg, _ = self.encoding
+            object.__setattr__(self, "_names",
+                               step_names(self.block, system.n, cfg.nu))
+        return self._names
+
+    def _index(self) -> dict[str, int]:
+        if self._index_by_name is None:
+            names = self.names
+            object.__setattr__(self, "_index_by_name",
+                               dict(zip(names, range(len(names)))))
+        return self._index_by_name
+
     def index_of(self, name: str) -> int:
         try:
-            return self._index_by_name[name]
+            return self._index()[name]
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def has_variable(self, name: str) -> bool:
-        return name in self._index_by_name
+        return name in self._index()
 
     def objective_value(self, values: Sequence[int]) -> int:
         return sum(coef * values[var] for var, coef in self.objective)
@@ -186,7 +251,7 @@ class MilpInstance:
     def constraint_text(self, index: int) -> str:
         """Constraint ``index`` as its LP line, unwrapped."""
         c = self.constraints[index]
-        return " ".join([f"c{index}:", *term_tokens(c.terms, self.variables),
+        return " ".join([f"c{index}:", *term_tokens(c.terms, self.names),
                          c.rel, str(c.rhs)])
 
     def __repr__(self) -> str:
@@ -195,12 +260,12 @@ class MilpInstance:
 
 
 def term_tokens(terms: Sequence[tuple[int, int]],
-                variables: Sequence[Variable]) -> list[str]:
-    """LP tokens of a linear expression over ``variables``: ``x``,
-    ``- 2 y``, ``+ z``."""
+                names: Sequence[str]) -> list[str]:
+    """LP tokens of a linear expression over the variables ``names``
+    names: ``x``, ``- 2 y``, ``+ z``."""
     tokens = []
     for var, coef in terms:
-        name = variables[var].name
+        name = names[var]
         mag = abs(coef)
         body = name if mag == 1 else f"{mag} {name}"
         if not tokens:
@@ -310,29 +375,58 @@ class EvalReport:
 
 
 def evaluate(instance: MilpInstance, assignment: Mapping[str, int]) -> EvalReport:
-    """Exact integer check of a full assignment against every constraint."""
-    values = [-1] * len(instance.variables)
+    """Exact integer check of a full assignment against every constraint,
+    by the row check :func:`solve` uses (:func:`_violated`)."""
+    names = instance.names
+    values = [-1] * len(names)
     for var, value in _checked_items(instance, assignment):
         values[var] = value
-    missing = [v.name for v, val in zip(instance.variables, values) if val < 0]
+    missing = [name for name, val in zip(names, values) if val < 0]
     if missing:
         raise IncompleteAssignment(
             f"{len(missing)} variables unassigned (first: {missing[0]})")
     return EvalReport(instance.objective_value(values), tuple(
         Violation(ci, lhs, instance.constraint_text(ci))
-        for ci, lhs in _broken_rows(instance.constraints, values)))
+        for ci, lhs in _violated(instance, values)))
 
 
-def _broken_rows(constraints: Sequence[Constraint],
-                 values: Sequence[int]) -> list[tuple[int, int]]:
+def _broken_rows(constraints: Sequence[Constraint], values: Sequence[int],
+                 first: int = 0) -> list[tuple[int, int]]:
     """``(row index, left side)`` of every row that ``values``, by
-    variable id, break."""
+    variable id, break; the rows are numbered from ``first``."""
     broken = []
-    for ci, c in enumerate(constraints):
+    for ci, c in enumerate(constraints, first):
         lhs = c.lhs_value(values)
         if not _RELATIONS[c.rel](lhs, c.rhs):
             broken.append((ci, lhs))
     return broken
+
+
+def _violated(instance: MilpInstance,
+              values: Sequence[int]) -> list[tuple[int, int]]:
+    """``(row index, left side)`` of every row of ``instance`` that
+    ``values``, by variable id, break, in row order.
+
+    An encoding's rows are read from its step block.  Step ``s``'s rows
+    are step 0's with every variable id raised by ``s * stride``, so step
+    0's rows run on the window ``values[s * stride : s * stride + stride +
+    n]``, whose entry ``i`` is the value of id ``i + s * stride``; then the
+    closing rows run on ``values``.  Each row is evaluated on exactly the
+    values its unrolled form reads, so the rows flagged, and their left
+    sides, are those of checking every unrolled row, without building one.
+    """
+    block = instance.block
+    if block is None:
+        return _broken_rows(instance.constraints, values)
+    from .encoder import step_layout  # encoder imports milp
+
+    n, nu, stride, per_step = step_layout(instance)
+    broken = []
+    for step in range(nu):
+        at = step * stride
+        broken += _broken_rows(block.rows, values[at:at + stride + n],
+                               step * per_step)
+    return broken + _broken_rows(block.closing, values, nu * per_step)
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +597,7 @@ def propagate(instance: MilpInstance,
     if conflict_row is not None:
         return Propagation(CONFLICT, {}, engine.origin[conflict_row])
     fixed = {
-        instance.variables[v].name: engine.val[v]
+        instance.names[v]: engine.val[v]
         for v in engine.trail if v not in given
     }
     return Propagation(FIXPOINT, fixed, None)
@@ -727,8 +821,10 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     id (None when they found none) and its objective, and every run ends
     here: a search exhausted without an answer is ``infeasible``, and an
     answer is checked against every row and the objective by the row check
-    :func:`evaluate` uses.  A failed check raises :class:`RuntimeError`;
-    ``stats.check_time`` is the seconds the check takes.
+    :func:`evaluate` uses (:func:`_violated`), which reads an encoding's
+    step block and builds none of its unrolled rows.  A failed check
+    raises :class:`RuntimeError`; ``stats.check_time`` is the seconds the
+    check takes.
     """
     if limits is None:
         limits = SolveLimits()
@@ -745,13 +841,13 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
             status = INFEASIBLE
     else:
         check_start = time.monotonic()
-        broken = _broken_rows(instance.constraints, values)
+        broken = _violated(instance, values)
         reads = instance.objective_value(values)
         if broken or reads != objective:
             raise RuntimeError(
                 f"the answer scored {objective} but its encoding reads "
                 f"{reads} with {len(broken)} broken rows")
-        assignment = dict(zip([v.name for v in instance.variables], values))
+        assignment = dict(zip(instance.names, values))
         stats.check_time = time.monotonic() - check_start
     stats.wall_time = time.monotonic() - start
     return Solution(status, assignment, objective, stats)
@@ -765,7 +861,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     decided so far, evaluated by closure sweeps on bitmasks.  Decisions
     follow the row search's order, most occurrences first, value 1 first;
     only step 0's rows and the closing rows can name the guess layer, so
-    only they are counted (:func:`_occurrences`).
+    only they, the instance's step block, are counted
+    (:func:`_occurrences`).
     With ``ones`` the guesses taken and ``rest`` those still undecided:
 
     * maximize: a node is a leaf once it holds ``budget_k`` guesses, or
@@ -818,9 +915,8 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
     layout = step_layout(instance)
-    constraints = instance.constraints
-    score = _occurrences(chain(constraints[:layout.rows],
-                               constraints[nu * layout.rows:]), n)
+    block = instance.block
+    score = _occurrences(chain(block.rows, block.closing), n)
 
     # full cover: a size limit, not an answer; any cover within it beats it
     incumbent = _Incumbent(maximize, cfg.budget_k + 1 if full_cover else None)

@@ -93,7 +93,14 @@ class OptionMasks:
 
 
 def option_masks(system: DeductionSystem) -> OptionMasks:
-    """The masks of every deduction option, indexed by premise for sweeps."""
+    """The masks of every deduction option, indexed by premise for sweeps.
+
+    They are built once per system, on first use, and kept in the
+    system's read-only ``_option_masks`` slot: a system never changes, so
+    neither do its masks.
+    """
+    if system._option_masks is not None:
+        return system._option_masks
     rules = deduction_options(system)
     masks = []
     by_premise: list[list[tuple[int, int]]] = [[] for _ in range(system.n)]
@@ -106,8 +113,10 @@ def option_masks(system: DeductionSystem) -> OptionMasks:
         for p in premises:
             by_premise[p].append(option)
             rules_by_premise[p].append(rule)
-    return OptionMasks(tuple(masks), tuple(map(tuple, by_premise)),
-                       tuple(rules), tuple(map(tuple, rules_by_premise)))
+    options = OptionMasks(tuple(masks), tuple(map(tuple, by_premise)),
+                          tuple(rules), tuple(map(tuple, rules_by_premise)))
+    object.__setattr__(system, "_option_masks", options)
+    return options
 
 
 def sweeps(options: OptionMasks, known: int,

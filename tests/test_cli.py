@@ -379,6 +379,38 @@ def test_a_flag_that_acts_on_nothing_exits_1(tmp_path, capsys, monkeypatch,
             assert got == code, err
 
 
+ONE_VARIABLE_LP = ("Maximize\n obj: x\nSubject To\n c0: x <= 1\n"
+                   "Binary\n x\nEnd\n")
+
+
+@pytest.mark.parametrize("which", ["one-variable", "full-cover"])
+def test_seed_on_an_lp_the_heuristic_never_runs_on_exits_1(tmp_path, capsys,
+                                                           which):
+    # the seed is read only by the root heuristic, which neither an
+    # instance that is no encoding nor a full-cover encoding runs
+    if which == "one-variable":
+        text = ONE_VARIABLE_LP
+    else:
+        system = preprocess.expand_rules(dsl.parse_system(TOY_RULES))
+        text = lpio.write_lp(encoder.rebuild(
+            (system, encoder.EncodeConfig(nu=4, budget_k=1), True)))
+    lp = tmp_path / f"{which}.lp"
+    lp.write_text(text)
+    instance = lpio.read_lp(text)
+    assert instance.encoding is None or instance.encoding[2]
+    assert cli.main(["solve", str(lp)]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", str(lp), "--seed", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dedmin: --seed ")
+    assert len(err.splitlines()) == 1, err
+    # an encoding without the row runs the heuristic, so it takes a seed
+    toy = tmp_path / "toy.lp"
+    toy.write_text(TOY_LP)
+    assert cli.main(["solve", str(toy), "--seed", "5"]) == 0
+
+
 def test_minimize_sense_encodes_the_budget_it_reads_back(toy):
     # under --sense min the encoding has no budget row, so the budget the
     # command line builds with is the 0 that reading the .lp text gives

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,3 +585,71 @@ def test_decode_rejects_a_lone_full_cover_row_and_an_empty_row(toy):
                                 (empty,) + instance.constraints[1:],
                                 instance.objective, instance.sense)
     assert encoder.decode(emptied) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_an_unrolled_instance_is_what_decode_accepts(seed):
+    # an instance built from its triple holds its step block; the variables
+    # and rows it unrolls on first read are those decode accepts in a copy
+    # built by hand, whose block is the same
+    rng = random.Random(seed)
+    system = preprocess.expand_rules(random_system(rng))
+    for mode, sense in product((encoder.PLAIN, encoder.COMPACT),
+                               (encoder.MAX_COVERAGE, encoder.MIN_GUESSES)):
+        budget = rng.randint(0, system.n) if sense == encoder.MAX_COVERAGE else 0
+        cfg = encoder.EncodeConfig(rng.randint(1, system.n + 1), budget, mode,
+                                   sense)
+        for full_cover in ((False, True) if sense == encoder.MAX_COVERAGE
+                           else (False,)):
+            built = encoder.rebuild((system, cfg, full_cover))
+            n, nu, stride, per_step = encoder.step_layout(built)
+            variables, rows = built.variables, built.constraints
+            assert len(variables) == n + nu * stride
+            assert len(rows) == nu * per_step + len(built.block.closing)
+            assert built.names == tuple(v.name for v in variables)
+            assert list(map(encoder.variable_from_name, built.names)) == \
+                list(variables)
+            copy = milp.MilpInstance(variables, rows, built.objective,
+                                     built.sense)
+            assert copy.encoding is not None
+            assert copy.encoding[1].nu == nu
+            assert copy.encoding[2] == full_cover
+            assert copy.block == built.block
+            assert fields(encoder.rebuild(copy.encoding)) == fields(built)
+
+
+def _perfbench_workloads():
+    """The benchmark's ``workloads`` module, from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_solve_op_never_builds_the_full_rows(monkeypatch):
+    # both routes of the benchmark's SNOW k=9 and Enocoro k=18 ops, at its
+    # default seed and node budgets: encode or read_lp, solve and the trace
+    # read the step block alone
+    workloads = _perfbench_workloads()
+    layers, done = workloads.Layers(), []
+
+    def no_unroll(instance):
+        raise AssertionError("an op built the full rows")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(encoder, "unroll", no_unroll)
+        for name in ("snow-k9", "enocoro-k18"):
+            workload = workloads.WORKLOADS[name]
+            ops = workload.plan(1, 1.0)
+            assert sorted(op.route for op in ops) == sorted(
+                [workloads.LP, workloads.RULES])
+            for op in ops:
+                result = workloads.run_op(layers, op)
+                assert result.instance.block is not None
+                assert result.solution.assignment is not None
+                done.append((workload, op, result))
+    for workload, op, result in done:
+        assert workload.check(op.case, result) is None

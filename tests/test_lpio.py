@@ -305,17 +305,18 @@ def link_row_steps(tau):
 
 def per_term_text(instance):
     """:func:`lpio.write_lp` of ``instance`` with every row written term by
-    term, as an instance that is no encoding is written."""
-    variables = instance.variables
+    term, as an instance that is no encoding is written, with the names of
+    its unrolled variables."""
+    names = [v.name for v in instance.variables]
     sense = "Maximize" if instance.sense == milp.MAXIMIZE else "Minimize"
     return "".join([
         f"{sense}\n", lpio._line("obj", milp.term_tokens(instance.objective,
-                                                          variables)),
+                                                          names)),
         "Subject To\n",
-        *(lpio._line(f"c{ci}", milp.term_tokens(c.terms, variables),
+        *(lpio._line(f"c{ci}", milp.term_tokens(c.terms, names),
                      f"{c.rel} {c.rhs}")
           for ci, c in enumerate(instance.constraints)),
-        "Binary\n", *(f" {v.name}\n" for v in variables), "End\n"])
+        "Binary\n", *(f" {name}\n" for name in names), "End\n"])
 
 
 def test_the_step_block_writer_writes_what_the_per_term_writer_does():

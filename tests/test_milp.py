@@ -777,6 +777,50 @@ def test_row_search_rejects_a_leaf_that_breaks_a_row(monkeypatch):
         solve(instance)
 
 
+def test_the_step_window_check_flags_what_the_full_check_flags():
+    # solve and evaluate check an encoding by step 0's rows on each step's
+    # window of the values, then the closing rows: the rows flagged, with
+    # their left sides, are those every unrolled row flags
+    rng = random.Random(27)
+    instances = [encoder.encode(system, cfg)
+                 for system, cfg in encoding_cases()] + refutation_cases()
+    for instance in instances:
+        rows = instance.constraints
+        system, cfg, full_cover = instance.encoding
+        n, nu, stride, per_step = encoder.step_layout(instance)
+        for _ in range(3):
+            values = [rng.randint(0, 1) for _ in instance.names]
+            assert milp._violated(instance, values) == \
+                milp._broken_rows(rows, values)
+        options = oracle.option_masks(system)
+        # the values of a guess set, and then one path variable of the last
+        # step flipped: only rows of the last step break on top
+        good = encoder.step_values(instance, encoder.step_layout(instance),
+                                   system, options, rng.getrandbits(n))
+        broken = milp._violated(instance, good)
+        assert broken == milp._broken_rows(rows, good)
+        if stride > n:
+            bad = list(good)
+            bad[n + (nu - 1) * stride] ^= 1
+            flagged = milp._violated(instance, bad)
+            assert flagged == milp._broken_rows(rows, bad)
+            more = {ci for ci, _ in flagged} - {ci for ci, _ in broken}
+            assert more
+            assert all((nu - 1) * per_step <= ci < nu * per_step
+                       for ci in more)
+        # a broken closing row: every guess over a budget below n, or no
+        # guess at all where every proposition must be covered
+        maximize = cfg.sense == encoder.MAX_COVERAGE and not full_cover
+        guesses = (1 << n) - 1 if maximize else 0
+        values = encoder.step_values(instance, encoder.step_layout(instance),
+                                     system, options, guesses)
+        flagged = milp._violated(instance, values)
+        assert flagged == milp._broken_rows(rows, values)
+        closing = {ci for ci, _ in flagged if ci >= nu * per_step}
+        if not maximize or cfg.budget_k < n:
+            assert closing
+
+
 def test_guess_layer_counts_are_the_occurrence_counts(monkeypatch):
     # the search ranks the guess layer by counts over step 0's and the
     # closing rows only, which are the counts over all rows

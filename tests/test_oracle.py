@@ -255,3 +255,29 @@ def test_render_trace_table(toy):
     assert lines[0].startswith("| No. |")
     assert len(lines) == 2 + 3
     assert "| 1 | p2 | r1 | p1 |" in text
+
+
+def test_a_system_builds_its_option_masks_once(monkeypatch):
+    # the masks live in the system, so a solve and its trace, the two
+    # readers of a .rules solve op, share one build
+    from dedmin import ciphers
+
+    built = []
+    options = oracle.deduction_options
+
+    def counted(system):
+        built.append(system)
+        return options(system)
+
+    monkeypatch.setattr(oracle, "deduction_options", counted)
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    cfg = encoder.EncodeConfig(nu=12, budget_k=9)
+    solution = milp.solve(encoder.encode(system, cfg),
+                          milp.SolveLimits(node_budget=1000))
+    assert len(oracle.extract_trace(system, solution, cfg).known) == system.n
+    assert len(built) == 1 and built[0] is system
+    assert oracle.option_masks(system) is oracle.option_masks(system)
+    assert len(built) == 1
+    # a system stays read-only to its callers
+    with pytest.raises(AttributeError):
+        system._option_masks = None
