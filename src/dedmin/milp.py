@@ -19,8 +19,9 @@ alone:
   On the bottom level of the tree, where every take child is a leaf, a
   node and its skip children are expanded as one walk: one bit-sliced
   batch scores all its leaves, and bisection finds where it ends.
-  A seeded local search over guess sets of a fixed size, climbing their
-  coverage, gives it its first incumbent.  With the full-cover row the
+  A seeded local search over guess sets of a fixed size, held as
+  bitmasks and climbing their coverage, gives it its first incumbent; it
+  scores each climb pass in batches of 1, 2, 4, ... removed guesses.  With the full-cover row the
   instance asks whether ``budget_k`` guesses cover everything: a
   size-limited search for one cover, with no root heuristic;
 * any other instance is searched over its rows: integer bounds
@@ -621,18 +622,27 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
     many propositions ``nu`` sweeps of the system's rules know.  Both
     senses climb coverage over guess sets of one fixed size: maximize at
     the axiom budget, minimize at one guess fewer than its best full
-    cover, until a size finds none.  Every evaluation offers its guess
-    mask to ``incumbent``: its coverage when maximizing, its size when
-    it covers everything and the search minimizes.
+    cover, until a size finds none.  A guess set is held as its bitmask,
+    and every evaluation offers it to ``incumbent``: its coverage when
+    maximizing, its size when it covers everything and the search
+    minimizes.
 
     Nearly every evaluation adds one guess to a set the search holds
-    still: the climb tries ``(sel - {out}) | {inn}`` for every ``inn``
-    under one ``out``, and the greedy start ``sel | {v}`` for every ``v``.
-    Each such list is scored in one batch
-    (:func:`~dedmin.oracle.coverages`), and :func:`coverage` replays the
-    counts in order, so the evaluations, their budget and every incumbent
-    are those of scoring the candidates one by one.  The deadline is
-    checked once per batch and once per single evaluation.
+    still: the climb tries ``sel ^ 1 << out | 1 << inn`` for every
+    ``inn`` under each ``out``, and the greedy start ``sel | 1 << v`` for
+    every ``v``.  These are scored in batches
+    (:func:`~dedmin.oracle.coverages`): the greedy start's additions in
+    one, and a climb pass's outs, in sorted order, in chunks of 1, 2, 4,
+    ... outs, one batch each.  A pass that stops after ``t`` outs has
+    scored fewer than ``2t`` outs' worth of swaps, and one that runs to
+    the end of its ``k`` outs makes ``ceil(log2(k + 1))`` batches, not
+    ``k``.  :func:`coverage` replays the counts in order, so the
+    evaluations, their budget and every incumbent are those of scoring
+    the candidates one by one.  The deadline is checked once per batch
+    and once per single evaluation.  A chunk holds at most one out more
+    than all chunks before it in its pass, so the scoring past a deadline
+    is at most what its pass had scored plus one out: the waste is
+    bounded by twice the work.
     """
     from .oracle import coverages, mask_of, sweeps
 
@@ -651,8 +661,8 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
     maximize = incumbent.maximize
     evals = 0
 
-    def coverage(selection: set[int], covered: int | None = None) -> int:
-        """Propositions ``nu`` sweeps from ``selection`` know.
+    def coverage(selection: int, covered: int | None = None) -> int:
+        """Propositions ``nu`` sweeps from the guesses ``selection`` know.
 
         ``covered`` is that count when a batch already scored it, or None
         to sweep ``selection`` here.
@@ -663,32 +673,40 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
         if covered is None:
             if time.monotonic() > deadline:
                 raise _HeuristicStop
-            covered = sweeps(options, mask_of(selection),
-                             cfg.nu)[-1].bit_count()
+            covered = sweeps(options, selection, cfg.nu)[-1].bit_count()
         evals += 1
-        objective = covered if maximize else len(selection)
+        objective = covered if maximize else selection.bit_count()
         if (maximize or covered == n) and incumbent.beats(objective):
-            incumbent.offer(objective, mask_of(selection))
+            incumbent.offer(objective, selection)
         return covered
 
-    def batch(kept: set[int], ins: list[int]) -> list[int]:
-        """The coverage of each ``kept | {inn}``, scored in one pass."""
+    def batch(bases: list[int], ins: list[int]) -> list[int]:
+        """The coverage of each ``base | 1 << inn``, scored in one pass."""
         if evals >= eval_budget or time.monotonic() > deadline:
             raise _HeuristicStop
-        return coverages(options, mask_of(kept), ins, cfg.nu)
+        return coverages(options, bases, ins, cfg.nu)
 
-    def swaps(sel: set[int], ins: list[int]):
-        """Each ``(sel - {out}) | {inn}`` with its coverage."""
-        for out in sorted(sel):
-            kept = sel - {out}
-            for inn, covered in zip(ins, batch(kept, ins)):
-                yield kept | {inn}, covered
+    def members(sel: int) -> list[int]:
+        """The guesses of ``sel``, in ascending order."""
+        return [v for v in inputs if sel >> v & 1]
 
-    def climb(sel: set[int]) -> tuple[set[int], int]:
+    def swaps(sel: int, ins: list[int]):
+        """Each ``sel ^ 1 << out | 1 << inn`` with its coverage."""
+        outs, size, width = members(sel), 1, len(ins)
+        while outs:
+            bases = [sel ^ 1 << out for out in outs[:size]]
+            scored = batch(bases, ins)
+            for t, kept in enumerate(bases):
+                row = scored[t * width:(t + 1) * width]
+                for inn, covered in zip(ins, row):
+                    yield kept | 1 << inn, covered
+            outs, size = outs[size:], 2 * size
+
+    def climb(sel: int) -> tuple[int, int]:
         """First-improvement swap ascent of coverage at fixed size."""
         current = coverage(sel)
         while current < n:
-            ins = [v for v in by_score if v not in sel]
+            ins = [v for v in by_score if not sel >> v & 1]
             rng.shuffle(ins)
             for cand, covered in swaps(sel, ins):
                 value = coverage(cand, covered)
@@ -699,21 +717,22 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
                 break
         return sel, current
 
-    def search_size(k: int, starts: list[set[int]]) -> int:
+    def search_size(k: int, starts: list[int]) -> int:
         """Iterated local search over size-k subsets; the best coverage."""
-        top, top_covered = climb(set(starts[0]))
+        top, top_covered = climb(starts[0])
         pool = starts[1:]
         stall = 0
         while (pool or stall < 8) and top_covered < n:
             if pool:
-                cand = set(pool.pop(0))
+                cand = pool.pop(0)
             elif top and rng.random() < 0.7:
-                cand = set(top)
+                cand = top
                 for _ in range(2):
-                    cand.discard(rng.choice(sorted(cand)))
-                    cand.add(rng.choice([v for v in inputs if v not in cand]))
+                    cand ^= 1 << rng.choice(members(cand))
+                    cand |= 1 << rng.choice(
+                        [v for v in inputs if not cand >> v & 1])
             else:
-                cand = set(rng.sample(inputs, k))
+                cand = mask_of(rng.sample(inputs, k))
             cand, covered = climb(cand)
             if covered > top_covered:
                 top, top_covered = cand, covered
@@ -726,29 +745,29 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
         if maximize:
             k = cfg.budget_k  # at most n, which EncodeConfig.check ensures
             if k >= n:
-                coverage(set(inputs))
+                coverage((1 << n) - 1)
             else:
                 # greedy constructive start plus the raw occurrence ranking
-                sel: set[int] = set()
-                while len(sel) < k:
-                    ins = [v for v in by_score if v not in sel]
-                    scored = dict(zip(ins, batch(sel, ins)))
-                    sel.add(max(ins, key=lambda v: coverage(sel | {v},
-                                                            scored[v])))
-                search_size(k, [set(by_score[:k]), sel])
+                sel = 0
+                for _ in range(k):
+                    ins = [v for v in by_score if not sel >> v & 1]
+                    scored = dict(zip(ins, batch([sel], ins)))
+                    sel |= 1 << max(ins, key=lambda v: coverage(
+                        sel | 1 << v, scored[v]))
+                search_size(k, [mask_of(by_score[:k]), sel])
         else:
-            sel = set(inputs)
+            sel = (1 << n) - 1
             coverage(sel)  # guessing everything covers everything
             # greedy drop pass, cheapest-looking variables first
             for v in sorted(inputs, key=lambda v: (score[v], v)):
-                if len(sel) > 1 and coverage(sel - {v}) == n:
-                    sel.remove(v)
+                if sel.bit_count() > 1 and coverage(sel ^ 1 << v) == n:
+                    sel ^= 1 << v
             # now push below the best full cover one size at a time
             while incumbent.objective > 1:
-                best = {v for v in inputs if incumbent.answer >> v & 1}
-                cheapest = sorted(best, key=lambda v: (score[v], v))[:3]
-                starts = [best - {v} for v in cheapest]
-                if search_size(len(best) - 1, starts) < n:
+                best = incumbent.answer
+                cheapest = sorted(members(best), key=lambda v: (score[v], v))
+                starts = [best ^ 1 << v for v in cheapest[:3]]
+                if search_size(best.bit_count() - 1, starts) < n:
                     break
     except _HeuristicStop:
         pass
@@ -950,7 +969,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
         if maximize:
             # the best leaf so far, so every leaf is scored first; the skip
             # child at m - 1 is itself a leaf
-            leaves = coverages(options, ones, order[i:], nu)
+            leaves = coverages(options, [ones], order[i:], nu)
             bars = list(accumulate(leaves, max, initial=(
                 -1 if incumbent.objective is None
                 else incumbent.objective)))[1:]
@@ -970,7 +989,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
         if not maximize:
             # score only the leaves the walk can reach; a cover among them
             # ends it there
-            leaves = coverages(options, ones, order[i:lo + 1], nu)
+            leaves = coverages(options, [ones], order[i:lo + 1], nu)
             lo = next((j for j in range(i, lo) if leaves[j - i] == n), lo)
         for j in range(i, lo + 1):
             if _out_of_budget(limits, stats, start):

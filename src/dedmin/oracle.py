@@ -21,11 +21,14 @@ listed under the propositions the previous sweep learned
 (:class:`OptionMasks`).
 
 :func:`coverages` scores many guess sets at once: every candidate added
-to one known set.  It runs the same sweeps bit-sliced, with one bitset
-over the candidates per proposition, so a sweep's cost is paid once for
-the whole batch instead of once per candidate.  The solver's root
-heuristic scores its swaps and additions with it, and its guess-set
-search every leaf of a walk along the bottom level of the tree.
+to each of several known sets.  It runs the same sweeps bit-sliced, with
+one bitset over the (set, candidate) pairs per proposition, so a sweep's
+cost is paid once for the whole batch instead of once per pair.  The
+solver's root heuristic scores its greedy additions with it, one known
+set per batch, and its swaps, one known set per removed guess and a
+doubling chunk of removed guesses per batch; its guess-set search scores
+every leaf of a walk along the bottom level of the tree, one known set
+per batch.
 """
 
 from __future__ import annotations
@@ -152,35 +155,44 @@ def sweeps(options: OptionMasks, known: int,
     return rounds
 
 
-def coverages(options: OptionMasks, known: int, candidates: list[int],
+def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
               limit: int | None = None) -> list[int]:
-    """The coverage of ``known`` plus each candidate, in one pass.
+    """The coverage of each base plus each candidate, in one pass.
 
-    Entry ``j`` equals ``sweeps(options, known | 1 << candidates[j],
-    limit)[-1].bit_count()``.  The sweeps run bit-sliced: ``knows[p]`` has
-    bit ``j`` set when candidate ``j`` knows ``p``.  Each sweep finds every
-    firing from the ``knows`` of its start before it applies any, and
-    tests, after the first, only the options listed under a proposition
-    some candidate learned in the previous sweep, as :func:`sweeps` does
-    for one set.  A count is what the candidate started with plus what it
+    Entry ``t * len(candidates) + j`` equals ``sweeps(options, bases[t] |
+    1 << candidates[j], limit)[-1].bit_count()``.  The sweeps run
+    bit-sliced: ``knows[p]`` has bit ``t * len(candidates) + j`` set when
+    candidate ``j`` added to base ``t`` knows ``p``.  Each sweep finds
+    every firing from the ``knows`` of its start before it applies any,
+    and tests, after the first, only the options listed under a
+    proposition some set learned in the previous sweep, as :func:`sweeps`
+    does for one set.  A count is what the set started with plus what it
     learned; a vertical bit-plane counter sums the learned words (bit
-    ``j`` of ``planes[i]`` is bit ``i`` of what candidate ``j`` learned),
-    and each set bit of a plane adds its weight to its candidate's count.
+    ``b`` of ``planes[i]`` is bit ``i`` of what set ``b`` learned), and
+    each set bit of a plane adds its weight to its set's count.
+
+    Several bases cost one rule scan per sweep between them, where one
+    call per base pays a scan each; one base costs what it did alone.
     """
     m = len(candidates)
-    if not m:
+    if not m or not bases:
         return []
-    full = (1 << m) - 1
+    block = (1 << m) - 1
+    full = (1 << m * len(bases)) - 1
     knows = [0] * len(options.rules_by_premise)
-    rest = known
-    while rest:
-        low = rest & -rest
-        knows[low.bit_length() - 1] = full
-        rest ^= low
-    alone = known.bit_count()
-    counts = [alone + (known >> c & 1 ^ 1) for c in candidates]
+    counts: list[int] = []
+    for t, known in enumerate(bases):
+        ones = block << t * m
+        rest = known
+        while rest:
+            low = rest & -rest
+            knows[low.bit_length() - 1] |= ones
+            rest ^= low
+        alone = known.bit_count()
+        counts += [alone + (known >> c & 1 ^ 1) for c in candidates]
+    column = full // block  # bit t * m set for every base t
     for j, c in enumerate(candidates):
-        knows[c] |= 1 << j
+        knows[c] |= column << j
     start = knows[:]
     scan = options.rules
     done = 0

@@ -3,7 +3,9 @@ wrappers and the reference kernels."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from dedmin.milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL,
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
 
 DATA = Path(__file__).parent / "data"
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 
 PAPER_SNOW_GUESS = [f"R_{i}" for i in range(4, 13)]
 PAPER_ENOCORO_GUESS = ("a_3 a_5 b_2 b_5 b_6 c_2 c_3 c_8 c_9 c_10 "
@@ -369,3 +372,15 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
     assignment = assignment_of(instance, system,
                                (v for v in range(n) if best >> v & 1))
     return status, [assignment[v.name] for v in instance.variables], best_obj
+
+
+def perfbench_workloads():
+    """The benchmark's ``workloads`` module, from this checkout."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, BENCHMARK / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look themselves up
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -1,17 +1,15 @@
 import hashlib
-import importlib.util
 import random
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedmin import ciphers, encoder, lpio, milp, preprocess
 from dedmin.core import DeductionSystem, DirectedRule
-from helpers import (encoding_cases, fields, random_system,
-                     refutation_cases, with_full_cover, without_heuristic)
+from helpers import (encoding_cases, fields, perfbench_workloads,
+                     random_system, refutation_cases, with_full_cover,
+                     without_heuristic)
 
 
 def single_state_system(premise_counts):
@@ -619,21 +617,11 @@ def test_an_unrolled_instance_is_what_decode_accepts(seed):
             assert fields(encoder.rebuild(copy.encoding)) == fields(built)
 
 
-def _perfbench_workloads():
-    """The benchmark's ``workloads`` module, from this checkout."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look themselves up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_a_solve_op_never_builds_the_full_rows(monkeypatch):
     # both routes of the benchmark's SNOW k=9 and Enocoro k=18 ops, at its
     # default seed and node budgets: encode or read_lp, solve and the trace
     # read the step block alone
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     layers, done = workloads.Layers(), []
 
     def no_unroll(instance):

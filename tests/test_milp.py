@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from dedmin import ciphers, encoder, milp, oracle, preprocess
 from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
-from helpers import (ReferenceEngine, encoding_cases, random_system,
-                     reference_solve_encoding, reference_sweeps,
-                     refutation_cases, with_full_cover, without_heuristic)
+from helpers import (ReferenceEngine, encoding_cases, perfbench_workloads,
+                     random_system, reference_solve_encoding,
+                     reference_sweeps, refutation_cases, with_full_cover,
+                     without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -465,17 +466,18 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
 # --- the closure sweep against its reference --------------------------------
 
 def use_reference_sweeps(patched):
-    # the reference scores each batched candidate by its own sweeps from
-    # scratch, so every batch score is compared with them: the heuristic's
-    # swaps and additions, and the leaves of the search's bottom-level walks
+    # the reference scores each batched (base, candidate) pair by its own
+    # sweeps from scratch, so every batch score is compared with them: the
+    # heuristic's greedy additions and its swaps, scored a chunk of outs per
+    # batch, and the leaves of the search's bottom-level walks
     patched.setattr(oracle, "sweeps",
                     lambda options, known, limit=None:
                     reference_sweeps(options.masks, known, limit))
     patched.setattr(oracle, "coverages",
-                    lambda options, known, candidates, limit=None: [
+                    lambda options, bases, candidates, limit=None: [
                         reference_sweeps(options.masks, known | 1 << c,
                                          limit)[-1].bit_count()
-                        for c in candidates])
+                        for known in bases for c in candidates])
 
 
 def solve_with_both_sweeps(instance, limits, monkeypatch):
@@ -517,13 +519,43 @@ def test_snow_solve_agrees_with_reference_sweeps(seed, monkeypatch):
 
 
 def test_enocoro_heuristic_agrees_with_reference_sweeps(monkeypatch):
-    # the largest batches: 90 swaps under each removed guess
+    # the largest batches: 90 swaps under each removed guess, and chunks of
+    # 1, 2, 4, ... removed guesses per batch, which take at most 55 batches
+    # where one batch per removed guess took 92 for the same evaluations
     system = preprocess.expand_rules(ciphers.build_enocoro(16))
     instance = encoder.encode(system, encoder.EncodeConfig(
         nu=18, budget_k=18, mode=encoder.COMPACT))
+    coverages, calls = oracle.coverages, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return coverages(*args)
+
+    monkeypatch.setattr(oracle, "coverages", counted)
     got = solve_with_both_sweeps(instance, SolveLimits(
         time_budget=1e9, node_budget=0, seed=0), monkeypatch)
     assert (got.stats.heuristic_evals, got.objective) == (7716, 92)
+    assert calls <= 55  # counts the kernel's solve alone
+
+
+def test_benchmark_ops_keep_their_work():
+    # the first pair of the benchmark's SNOW k=9 and Enocoro k=18 runs at
+    # its default seed: how climb passes are batched must change no
+    # evaluation, node or answer of either route
+    workloads = perfbench_workloads()
+    layers, got = workloads.Layers(), {}
+    for name in ("snow-k9", "enocoro-k18"):
+        for op in workloads.WORKLOADS[name].plan(1, 1.0):
+            solution = workloads.run_op(layers, op).solution
+            got[name, op.route] = (solution.status, solution.objective,
+                                   solution.stats.nodes,
+                                   solution.stats.heuristic_evals)
+    assert got == {
+        ("snow-k9", workloads.RULES): (milp.OPTIMAL, 42, 0, 489),
+        ("snow-k9", workloads.LP): (milp.OPTIMAL, 42, 0, 829),
+        ("enocoro-k18", workloads.RULES): (milp.TIME_LIMIT, 92, 200, 7716),
+        ("enocoro-k18", workloads.LP): (milp.TIME_LIMIT, 92, 200, 7716)}
 
 
 # --- the guess-set search of encodings --------------------------------------

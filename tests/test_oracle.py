@@ -128,24 +128,37 @@ def test_sweeps_agree_with_reference(seed, expand, data):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
 def test_coverages_agree_with_reference(seed, expand, data):
-    # one bit-sliced pass over every candidate must give each the count of
-    # sweeping its own known set from scratch, whether the candidate is
-    # new, already known or listed twice
+    # one bit-sliced pass over several bases and every candidate must give
+    # each (base, candidate) pair the count of sweeping its own known set
+    # from scratch, whether the candidate is new, already in its base or
+    # listed twice, and whether or not the other bases hold what it lacks
     system = random_system(random.Random(seed), max_n=12, max_m=20)
     if expand:
         system = preprocess.expand_rules(system)
     n = system.n
     options = oracle.option_masks(system)
     known = oracle.mask_of(data.draw(st.sets(st.integers(0, n - 1))))
-    candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
-    limit = data.draw(st.sampled_from([None, *range(n + 2)]))
-    assert oracle.coverages(options, known, candidates, limit) == [
-        reference_sweeps(options.masks, known | 1 << c, limit)[-1].bit_count()
-        for c in candidates]
-    assert oracle.coverages(options, known, [], limit) == []
     inside = [p for p in range(n) if known >> p & 1]
+    # the swaps of a climb: the known set less one of its members each
+    dropped = data.draw(st.lists(st.sampled_from(inside), max_size=3)
+                        if inside else st.just([]))
+    others = data.draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=2))
+    bases = [known, *(known ^ 1 << p for p in dropped),
+             *map(oracle.mask_of, others)]
+    candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    candidates += inside[:1] + candidates[:1]  # one in its base, a duplicate
+    limit = data.draw(st.sampled_from([None, *range(n + 2)]))
+
+    def reference(base, c):
+        return reference_sweeps(options.masks, base | 1 << c,
+                                limit)[-1].bit_count()
+
+    assert oracle.coverages(options, bases, candidates, limit) == [
+        reference(base, c) for base in bases for c in candidates]
+    assert oracle.coverages(options, bases, [], limit) == []
+    assert oracle.coverages(options, [], candidates, limit) == []
     alone = reference_sweeps(options.masks, known, limit)[-1].bit_count()
-    assert oracle.coverages(options, known, inside, limit) == \
+    assert oracle.coverages(options, [known], inside, limit) == \
         [alone] * len(inside)
 
 
