@@ -22,13 +22,21 @@ listed under the propositions the previous sweep learned
 
 :func:`coverages` scores many guess sets at once: every candidate added
 to each of several known sets.  It runs the same sweeps bit-sliced, with
-one bitset over the (set, candidate) pairs per proposition, so a sweep's
-cost is paid once for the whole batch instead of once per pair.  The
-solver's root heuristic scores its greedy additions with it, one known
-set per batch, and its swaps, one known set per removed guess and a
-doubling chunk of removed guesses per batch; its guess-set search scores
-every leaf of a walk along the bottom level of the tree, one known set
-per batch.
+one word over the (set, candidate) pairs per proposition, so a sweep's
+cost is paid once for the whole batch instead of once per pair.  Beside
+the word of the pairs that know a proposition it keeps the word of those
+that do not, so a rule test ANDs positive words and never builds a
+negative int.  A bit-plane counter sums what each pair knows.  A batch of
+at most ``_NARROW`` pairs reads it bit by bit; a wider one reads it in byte
+lanes, with a fixed number of C-level passes per plane, so its cost per
+pair stays flat as the batch widens.  The batch's width picks the
+read-out; no setting does.
+
+The solver's root heuristic scores its greedy additions with
+:func:`coverages`, one known set per batch, and its swaps, one known set
+per removed guess and a doubling chunk of removed guesses per batch; its
+guess-set search scores every leaf of a walk along the bottom level of
+the tree, one known set per batch.
 """
 
 from __future__ import annotations
@@ -86,13 +94,18 @@ class OptionMasks:
     ``masks`` lists them in id order; ``by_premise[p]`` lists, in id order,
     the same pairs for the options that have ``p`` among their premises.
     ``rules`` and ``rules_by_premise`` list the same options the same ways
-    as ``(premises, conclusion)`` index pairs, for :func:`coverages`.
+    packed for :func:`coverages` as ``(conclusion, first, second, rest)``
+    proposition indexes: ``first`` and ``second`` are the first two
+    premises and ``rest`` holds the others.  An option of one premise
+    names it twice, which tests the same words, since a word ANDed with
+    itself is unchanged.
     """
 
     masks: tuple[tuple[int, int], ...]
     by_premise: tuple[tuple[tuple[int, int], ...], ...]
-    rules: tuple[tuple[tuple[int, ...], int], ...]
-    rules_by_premise: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    rules: tuple[tuple[int, int, int, tuple[int, ...]], ...]
+    rules_by_premise: tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...],
+                            ...]
 
 
 def option_masks(system: DeductionSystem) -> OptionMasks:
@@ -104,15 +117,17 @@ def option_masks(system: DeductionSystem) -> OptionMasks:
     """
     if system._option_masks is not None:
         return system._option_masks
-    rules = deduction_options(system)
     masks = []
+    rules = []
     by_premise: list[list[tuple[int, int]]] = [[] for _ in range(system.n)]
-    rules_by_premise: list[list[tuple[tuple[int, ...], int]]] = [
+    rules_by_premise: list[list[tuple[int, int, int, tuple[int, ...]]]] = [
         [] for _ in range(system.n)]
-    for rule in rules:
-        premises, conclusion = rule
+    for premises, conclusion in deduction_options(system):
         option = (mask_of(premises), 1 << conclusion)
+        # a lone premise stands twice
+        rule = (conclusion, *(premises * 2)[:2], premises[2:])
         masks.append(option)
+        rules.append(rule)
         for p in premises:
             by_premise[p].append(option)
             rules_by_premise[p].append(rule)
@@ -155,6 +170,13 @@ def sweeps(options: OptionMasks, known: int,
     return rounds
 
 
+# a binary digit as a byte lane: "0" -> 0, "1" -> 1
+_LANE = bytes.maketrans(b"01", b"\0\1")
+# the widest batch whose counts are read bit by bit: past 8 to 16 sets
+# the byte lanes' fixed passes cost less than visiting every set bit
+_NARROW = 16
+
+
 def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
               limit: int | None = None) -> list[int]:
     """The coverage of each base plus each candidate, in one pass.
@@ -162,14 +184,24 @@ def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
     Entry ``t * len(candidates) + j`` equals ``sweeps(options, bases[t] |
     1 << candidates[j], limit)[-1].bit_count()``.  The sweeps run
     bit-sliced: ``knows[p]`` has bit ``t * len(candidates) + j`` set when
-    candidate ``j`` added to base ``t`` knows ``p``.  Each sweep finds
+    candidate ``j`` added to base ``t`` knows ``p``, and ``unknown[p]``
+    is its complement within the batch, so a rule test is ``unknown[q] &
+    knows[first] & knows[second] ...`` on positive words and
+    ``unknown[q] == 0`` means every set knows ``q``.  Each sweep finds
     every firing from the ``knows`` of its start before it applies any,
     and tests, after the first, only the options listed under a
     proposition some set learned in the previous sweep, as :func:`sweeps`
-    does for one set.  A count is what the set started with plus what it
-    learned; a vertical bit-plane counter sums the learned words (bit
-    ``b`` of ``planes[i]`` is bit ``i`` of what set ``b`` learned), and
-    each set bit of a plane adds its weight to its set's count.
+    does for one set.
+
+    A vertical bit-plane counter sums the final ``knows`` words: bit ``b``
+    of ``planes[i]`` is bit ``i`` of how many propositions set ``b``
+    knows.  A batch of at most ``_NARROW`` sets reads it bit by bit, each
+    set bit of a plane adding its weight to its set's count.  A wider
+    batch reads it in C-level passes: each plane's binary digits become
+    one byte lane per set, eight planes are added into one int whose
+    bytes are the counts, and any further eight planes add their bytes
+    shifted by eight bits, so no count is cut at 255.  The batch's width,
+    a property of its input, picks between the two.
 
     Several bases cost one rule scan per sweep between them, where one
     call per base pays a scan each; one base costs what it did alone.
@@ -177,46 +209,44 @@ def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
     m = len(candidates)
     if not m or not bases:
         return []
+    width = m * len(bases)
     block = (1 << m) - 1
-    full = (1 << m * len(bases)) - 1
+    full = (1 << width) - 1
     knows = [0] * len(options.rules_by_premise)
-    counts: list[int] = []
     for t, known in enumerate(bases):
         ones = block << t * m
-        rest = known
-        while rest:
-            low = rest & -rest
+        while known:
+            low = known & -known
             knows[low.bit_length() - 1] |= ones
-            rest ^= low
-        alone = known.bit_count()
-        counts += [alone + (known >> c & 1 ^ 1) for c in candidates]
+            known ^= low
     column = full // block  # bit t * m set for every base t
     for j, c in enumerate(candidates):
         knows[c] |= column << j
-    start = knows[:]
+    unknown = [full ^ word for word in knows]
     scan = options.rules
     done = 0
     while limit is None or done < limit:
-        gain: dict[int, int] = {}
-        for premises, q in scan:
-            fire = knows[q]
-            if fire == full:
-                continue
-            fire = ~fire
-            for p in premises:
-                fire &= knows[p]
+        # a firing leaves unknown[q] at once, so a later rule for q tests
+        # only what is still unknown; knows[q] waits for the sweep's end
+        learned: dict[int, None] = {}
+        for q, first, second, rest in scan:
+            fire = unknown[q]
             if fire:
-                gain[q] = gain.get(q, 0) | fire
-        if not gain:
+                fire &= knows[first] & knows[second]
+                for p in rest:
+                    fire &= knows[p]
+                if fire:
+                    unknown[q] ^= fire
+                    learned[q] = None
+        if not learned:
             break
         scan = []
-        for q, fire in gain.items():
-            knows[q] |= fire
+        for q in learned:
+            knows[q] = full ^ unknown[q]
             scan += options.rules_by_premise[q]
         done += 1
     planes: list[int] = []
-    for word, before in zip(knows, start):
-        word ^= before
+    for word in knows:
         i = 0
         while word:
             if i == len(planes):
@@ -224,11 +254,22 @@ def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
                 break
             planes[i], word = planes[i] ^ word, planes[i] & word
             i += 1
-    for i, plane in enumerate(planes):
-        while plane:
-            low = plane & -plane
-            counts[low.bit_length() - 1] += 1 << i
-            plane ^= low
+    counts = [0] * width
+    if width <= _NARROW:
+        for i, plane in enumerate(planes):
+            while plane:
+                low = plane & -plane
+                counts[low.bit_length() - 1] += 1 << i
+                plane ^= low
+        return counts
+    for shift in range(0, len(planes), 8):
+        lanes = 0
+        for i, plane in enumerate(planes[shift:shift + 8]):
+            lanes += int.from_bytes(
+                format(plane, "b").encode().translate(_LANE), "big") << i
+        digits = lanes.to_bytes(width, "little")
+        counts = ([c + (b << shift) for c, b in zip(counts, digits)] if shift
+                  else list(digits))
     return counts
 
 
@@ -271,7 +312,9 @@ def _traced(system: DeductionSystem, options: OptionMasks,
         for rid, (pmask, cbit) in enumerate(options.masks):
             if new & cbit and frontier & pmask == pmask:
                 new &= ~cbit
-                premises, deduced = options.rules[rid]
+                deduced, first, second, rest = options.rules[rid]
+                premises = (first,) if first == second else \
+                    (first, second, *rest)
                 trace.append(TraceStep(premises, rid, deduced))
     known = frozenset(v for v in range(system.n) if rounds[-1] >> v & 1)
     return ClosureResult(known, tuple(trace), len(rounds) - 1)

@@ -116,9 +116,13 @@ def test_sweeps_agree_with_reference(seed, expand, data):
     for p, listed in enumerate(options.by_premise):
         assert listed == tuple(m for m in options.masks if m[0] >> p & 1)
         assert options.rules_by_premise[p] == tuple(
-            r for r in options.rules if p in r[0])
-    assert options.masks == tuple((oracle.mask_of(premises), 1 << q)
-                                  for premises, q in options.rules)
+            r for r, (pmask, _) in zip(options.rules, options.masks)
+            if pmask >> p & 1)
+    # a packed rule names its premises as first, second and rest, a lone
+    # premise twice
+    assert options.masks == tuple(
+        (oracle.mask_of((first, second, *rest)), 1 << q)
+        for q, first, second, rest in options.rules)
     known = oracle.mask_of(data.draw(st.sets(st.integers(0, n - 1))))
     limit = data.draw(st.sampled_from([None, *range(n + 2)]))
     assert oracle.sweeps(options, known, limit) == \
@@ -160,6 +164,43 @@ def test_coverages_agree_with_reference(seed, expand, data):
     alone = reference_sweeps(options.masks, known, limit)[-1].bit_count()
     assert oracle.coverages(options, [known], inside, limit) == \
         [alone] * len(inside)
+
+
+def test_coverages_read_out_narrow_and_wide_batches():
+    # a batch of at most oracle._NARROW sets reads its counts bit by bit and
+    # a wider one in byte lanes; each must give every (base, candidate)
+    # pair its own sweeps' count, on both sides of that width, over
+    # thousands of pairs, and where a count passes 255
+    def check(options, bases, candidates, limit):
+        assert oracle.coverages(options, bases, candidates, limit) == [
+            reference_sweeps(options.masks, base | 1 << c,
+                             limit)[-1].bit_count()
+            for base in bases for c in candidates]
+
+    rng = random.Random(31)
+    system = preprocess.expand_rules(random_system(random.Random(116), 12, 20))
+    assert (system.n, len(system.directed_rules)) == (12, 30)
+    options = oracle.option_masks(system)
+    for width in (oracle._NARROW, oracle._NARROW + 1):
+        check(options, [rng.getrandbits(12) for _ in range(width)],
+              [rng.randrange(12)], None)
+    bases = [rng.getrandbits(12) for _ in range(214)]  # 2,568 pairs
+    for limit in (None, 2):
+        check(options, bases, list(range(12)), limit)
+
+    # v0 concludes every other proposition, so one sweep takes any set
+    # holding v0 to all 300; v1 starts a short chain
+    n = 300
+    hub = DeductionSystem.from_names(
+        [f"v{i}" for i in range(n)], [],
+        [DirectedRule((0,), p) for p in range(1, n)]
+        + [DirectedRule((p,), p + 1) for p in range(1, 9)]
+        + [DirectedRule((5, 250), 251)])
+    options = oracle.option_masks(hub)
+    candidates = [0, *range(1, n, 13)]
+    for limit in (None, 1):
+        check(options, [0, 1 << 1, 1 << 5 | 1 << 250], candidates, limit)
+        check(options, [0], candidates[:oracle._NARROW], limit)
 
 
 def test_closure_rounds_bound(toy):
