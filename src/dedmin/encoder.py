@@ -45,7 +45,9 @@ The initial layer is budgeted (``sum(x at copy 0) <= k``) and the objective
 maximizes the final layer; the alternative sense minimizes the initial
 layer subject to full final coverage.  An encoding is therefore its *step
 block* (:class:`StepBlock`): the guess layer, step 0's variables and rows,
-and the closing rows.  :func:`_emit` writes that block, the one place the
+the closing rows, and its layout, ``n`` and ``nu``, from which the block
+gives ``stride`` and ``size``, the instance's variable count, so no reader
+derives them again.  :func:`_emit` writes that block, the one place the
 layout is written, and :func:`rebuild` is the one builder of an instance
 from a ``(system, cfg, full_cover)`` triple: the instance records the
 triple and holds its block, closed by a row demanding full final coverage
@@ -53,8 +55,7 @@ after a max-sense encoding when ``full_cover`` is set, and builds its full
 variables and rows (:func:`unroll`, which shifts the block one step at a
 time, :func:`_steps`) only when something reads them.  :func:`encode` is
 :func:`rebuild` without that row.  Every pass over an encoding that can
-read the block does: :func:`step_layout` gives ``n``, ``nu``, ``stride``
-and the rows per step from the triple and the block, and the LP writer,
+read the block does, and takes the layout from its fields: the LP writer,
 the solver's ranking of the guess layer and its answer check, and
 :func:`step_values`, the solver's build of its final assignment, read the
 block one step at a time; :func:`step_names` gives the names of every
@@ -82,7 +83,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .core import DeductionSystem, DirectedRule
 from .milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL, MAXIMIZE,
                    MINIMIZE, MilpInstance, OTHER, PATH, STATE, Variable)
-from .oracle import OptionMasks, mask_of, option_masks, sweeps
+from .oracle import mask_of, option_masks, sweeps
 
 PLAIN = "plain"
 COMPACT = "compact"
@@ -316,12 +317,26 @@ Encoding = tuple[DeductionSystem, EncodeConfig, bool]
 
 class StepBlock(NamedTuple):
     """What an encoding's instance holds: its guess layer, step 0 and the
-    closing rows.  Step ``s`` is step 0 with every copy number raised by
-    ``s`` and every variable id by ``s * stride`` (:func:`_steps`)."""
+    closing rows, and its layout.  Step ``s`` is step 0 with every copy
+    number raised by ``s`` and every variable id by ``s * stride``
+    (:func:`_steps`); the instance's rows are ``nu`` blocks of
+    ``len(rows)`` followed by the closing rows."""
 
     variables: tuple[Variable, ...]  # the guess layer and step 0's
     rows: tuple[Constraint, ...]  # step 0's rows
     closing: tuple[Constraint, ...]  # the rows after the last step
+    n: int  # propositions: the guess layer is variables 0 .. n-1
+    nu: int  # unrolling steps
+
+    @property
+    def stride(self) -> int:
+        """Variables per step: its path variables, then ``n`` states."""
+        return len(self.variables) - self.n
+
+    @property
+    def size(self) -> int:
+        """The instance's variables: the guess layer and ``nu`` steps."""
+        return self.n + self.nu * self.stride
 
 
 def _block(encoding: Encoding) -> StepBlock:
@@ -329,26 +344,26 @@ def _block(encoding: Encoding) -> StepBlock:
     by the full-cover row when ``full_cover`` is set."""
     system, cfg, full_cover = encoding
     variables, rows, closing = _emit(system, cfg)
-    closing = [*map(Constraint._make, closing)]
+    block = StepBlock(tuple(map(Variable._make, variables)),
+                      tuple(map(Constraint._make, rows)),
+                      tuple(map(Constraint._make, closing)), system.n, cfg.nu)
     if full_cover:
-        n = system.n
-        closing.append(_full_cover_row(n, n + cfg.nu * (len(variables) - n)))
-    return StepBlock(tuple(map(Variable._make, variables)),
-                     tuple(map(Constraint._make, rows)), tuple(closing))
+        return block._replace(closing=(
+            *block.closing, _full_cover_row(block.n, block.size)))
+    return block
 
 
-def _steps(block: StepBlock, n: int, nu: int, names: Sequence[str]
+def _steps(block: StepBlock, names: Sequence[str]
            ) -> Iterator[tuple[list[tuple], list[_Row]]]:
-    """The variables and rows of each of ``nu`` unrolling steps, in order,
-    as plain tuples: step 0's from ``block``, whose guess layer is its
-    first ``n`` variables, with every copy number raised by the step and
-    every id by ``step * stride``, and each variable named as in
+    """The variables and rows of each unrolling step, in order, as plain
+    tuples: step 0's from ``block`` with every copy number raised by the
+    step and every id by ``step * stride``, and each variable named as in
     ``names``, the names :func:`step_names` gives every variable."""
-    stride = len(block.variables) - n
+    n, stride = block.n, block.stride
     first = block.variables[n:]
     # one int object per variable id, shared by every row that names it
-    ids = list(range(n + nu * stride))
-    for step in range(nu):
+    ids = list(range(block.size))
+    for step in range(block.nu):
         at = step * stride
         # the rows name step 0's ids; shifted[var] is var + at
         shifted = ids[at:at + stride + n]
@@ -357,30 +372,6 @@ def _steps(block: StepBlock, n: int, nu: int, names: Sequence[str]
                         names[at + n:at + n + stride], first)],
                [(tuple([(shifted[var], a) for var, a in terms]), rel, rhs)
                 for terms, rel, rhs in block.rows])
-
-
-class StepLayout(NamedTuple):
-    """The step blocks of an encoding's instance."""
-
-    n: int  # propositions: the guess layer is variables 0 .. n-1
-    nu: int  # unrolling steps
-    stride: int  # variables per step: its path variables, then n states
-    rows: int  # rows per step; step s's are rows s * rows .. (s+1) * rows - 1
-
-
-def step_layout(instance: MilpInstance) -> StepLayout:
-    """The layout of ``instance``, an encoding of its ``encoding``, read
-    from the triple and the step block the instance holds.
-
-    Its variables are the guess layer and ``nu`` blocks of ``stride``, and
-    its rows ``nu`` blocks of ``rows`` followed by the closing rows: the
-    budget row or the ``n`` coverage rows, then the full-cover row when
-    ``full_cover`` is set.
-    """
-    system, cfg, _ = instance.encoding
-    block = instance.block
-    return StepLayout(system.n, cfg.nu, len(block.variables) - system.n,
-                      len(block.rows))
 
 
 # the placeholders of copy numbers 0 and 1: characters no name has, which
@@ -401,14 +392,13 @@ def filled(text: str, step: int) -> str:
     return text.replace("\0", str(step)).replace("\1", str(step + 1))
 
 
-def step_names(block: StepBlock, n: int, nu: int) -> tuple[str, ...]:
-    """The names, in id order, of the variables of the encoding of ``n``
-    propositions and ``nu`` steps whose step block is ``block``: the guess
-    layer's, then each step's, step 0's with the copy numbers filled in by
-    string operations that run in C."""
-    variables = block.variables
+def step_names(block: StepBlock) -> tuple[str, ...]:
+    """The names, in id order, of the variables of the encoding whose step
+    block is ``block``: the guess layer's, then each step's, step 0's with
+    the copy numbers filled in by string operations that run in C."""
+    variables, n = block.variables, block.n
     opened = "\n".join(opened_names(variables[n:]))
-    steps = "\n".join([filled(opened, step) for step in range(nu)])
+    steps = "\n".join([filled(opened, step) for step in range(block.nu)])
     return (*[v.name for v in variables[:n]], *steps.split("\n"))
 
 
@@ -433,13 +423,11 @@ def rebuild(encoding: Encoding) -> MilpInstance:
     propositions has no encoding: its instance, whose rows no encoding
     has, is built whole and records None.
     """
-    system, cfg, _ = encoding
+    sense = encoding[1].sense
     block = _block(encoding)
-    n = system.n
-    if not n:  # no variables, and every step has no rows
-        return MilpInstance((), block.closing, (), cfg.sense)
-    nvars = n + cfg.nu * (len(block.variables) - n)
-    return MilpInstance((), (), _objective(n, nvars, cfg.sense), cfg.sense,
+    if not block.n:  # no variables, and every step has no rows
+        return MilpInstance((), block.closing, (), sense)
+    return MilpInstance((), (), _objective(block.n, block.size, sense), sense,
                         encoding, block)
 
 
@@ -448,12 +436,10 @@ def unroll(instance: MilpInstance
     """The full variables and rows of ``instance``, which holds its
     encoding's step block: the guess layer, every step as :func:`_steps`
     unrolls it, and the closing rows."""
-    system, cfg, _ = instance.encoding
     block = instance.block
     # step 0 is the block's own variables and rows
     variables, constraints = list(block.variables), list(block.rows)
-    for batch, rows in islice(_steps(block, system.n, cfg.nu,
-                                     instance.names), 1, None):
+    for batch, rows in islice(_steps(block, instance.names), 1, None):
         variables += map(Variable._make, batch)
         constraints += map(Constraint._make, rows)
     return tuple(variables), (*constraints, *block.closing)
@@ -574,12 +560,10 @@ def _decode(instance: MilpInstance) -> tuple[Encoding, StepBlock] | None:
                                len(constraints), constraints[-2:])
     if encoding is None:
         return None
-    system, cfg, _ = encoding
     block = _block(encoding)
-    n = system.n
     # read_first_step has matched the guess layer, variables[:n]
-    nvars, nrows = n, 0
-    for batch, rows in _steps(block, n, cfg.nu, step_names(block, n, cfg.nu)):
+    nvars, nrows = block.n, 0
+    for batch, rows in _steps(block, step_names(block)):
         # a named tuple equals the plain tuple of its fields
         if (variables[nvars:nvars + len(batch)] != tuple(batch)
                 or constraints[nrows:nrows + len(rows)] != tuple(rows)):
@@ -587,12 +571,13 @@ def _decode(instance: MilpInstance) -> tuple[Encoding, StepBlock] | None:
         nvars += len(batch)
         nrows += len(rows)
     if (nvars != len(variables) or constraints[nrows:] != block.closing
-            or instance.objective != _objective(n, nvars, cfg.sense)):
+            or instance.objective != _objective(block.n, nvars,
+                                                instance.sense)):
         return None
     # the instance's own objects, equal to the block's
-    return encoding, StepBlock(variables[:len(block.variables)],
-                               constraints[:len(block.rows)],
-                               constraints[nrows:])
+    return encoding, block._replace(variables=variables[:len(block.variables)],
+                                    rows=constraints[:len(block.rows)],
+                                    closing=constraints[nrows:])
 
 
 def assignment_of(instance: MilpInstance, system: DeductionSystem,
@@ -623,34 +608,32 @@ def assignment_of(instance: MilpInstance, system: DeductionSystem,
     return values
 
 
-def step_values(instance: MilpInstance, layout: StepLayout,
-                system: DeductionSystem, options: OptionMasks,
-                guesses: int) -> list[int]:
+def step_values(instance: MilpInstance, guesses: int) -> list[int]:
     """The values, by variable id, of the assignment :func:`assignment_of`
     gives ``instance`` for the guess layer ``guesses``, a bitmask.
 
-    ``instance`` is an encoding of ``system`` laid out as ``layout``, and
-    ``options`` are the system's option masks.  Only the instance's step
-    block is read, and the values are built one step block at a time:
-    step ``s``'s path variables from the premise masks of step 0's and the
-    set ``s`` closure sweeps know, its states from the set one sweep
-    later.  From the sweeps' fixpoint on, every
-    block is the last one again.
+    Only the instance's step block and its system's option masks are read,
+    and the values are built one step block at a time: step ``s``'s path
+    variables from the premise masks of step 0's and the set ``s`` closure
+    sweeps know, its states from the set one sweep later.  From the sweeps'
+    fixpoint on, every block is the last one again.
     """
-    n, nu, stride, _ = layout
+    system = instance.encoding[0]
+    block = instance.block
+    n, nu = block.n, block.nu
     table = enumerate_paths(system)
     masks = [mask_of(table[v.prop][v.path - 1])
-             for v in instance.block.variables[n:stride]]
-    rounds = sweeps(options, guesses, nu)
+             for v in block.variables[n:block.stride]]
+    rounds = sweeps(option_masks(system), guesses, nu)
     last = len(rounds) - 1
     values = [guesses >> v & 1 for v in range(n)]
     for step in range(nu):
         if step <= last:
             known, after = rounds[step], rounds[min(step + 1, last)]
             # a path fires when every premise is known: known & m is m
-            block = [(known & m) // m for m in masks]
-            block += [after >> v & 1 for v in range(n)]
-        values += block
+            at_step = [(known & m) // m for m in masks]
+            at_step += [after >> v & 1 for v in range(n)]
+        values += at_step
     return values
 
 

@@ -15,11 +15,11 @@ section lines, and each name line (one space, then the name), are read
 only as written.  Any other text is an :class:`LpParseError`.
 
 :func:`write_lp` writes an encoding, however it was built, from its step
-block (``MilpInstance.block``), one unrolling step at a time: every row of
-step ``s`` is a row of step 0 with its ids raised by ``s * stride``
-(:func:`~dedmin.encoder.step_layout`), so step 0's rows are rendered once,
-with the copy numbers and row labels left open, and each step fills them
-in with string operations that run in C.  A step row that could pass 240
+block (``MilpInstance.block``), one of its ``nu`` unrolling steps at a
+time: every row of step ``s`` is a row of step 0 with its ids raised by
+``s * stride``, the block's own fields, so step 0's rows are rendered
+once, with the copy numbers and row labels left open, and each step fills
+them in with string operations that run in C.  A step row that could pass 240
 characters at the last step is written by itself at every step, from its
 tokens filled in.  The closing rows are written term by term, and every
 name comes from ``MilpInstance.names``, so no unrolled row or variable of
@@ -53,9 +53,8 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-from .encoder import (StepBlock, StepLayout, filled, opened_names,
-                      read_first_step, rebuild, step_layout,
-                      variable_from_name)
+from .encoder import (StepBlock, filled, opened_names, read_first_step,
+                      rebuild, variable_from_name)
 from .milp import (Constraint, EQUAL, FEASIBLE, GREATER_EQUAL, LESS_EQUAL,
                    MAXIMIZE, MINIMIZE, MilpInstance, Solution, SolveStats,
                    Variable, evaluate, term_tokens)
@@ -119,9 +118,9 @@ def _lines(instance: MilpInstance) -> Iterator[str]:
     if instance.block is None:
         first, rows = 0, instance.constraints  # written term by term
     else:
-        layout = step_layout(instance)
-        yield from _step_rows(instance.block, layout)
-        first, rows = layout.nu * layout.rows, instance.block.closing
+        block = instance.block
+        yield from _step_rows(block)
+        first, rows = block.nu * len(block.rows), block.closing
     for ci, c in enumerate(rows, first):
         yield _line(f"c{ci}", term_tokens(c.terms, names), f"{c.rel} {c.rhs}")
     yield "Binary\n"
@@ -129,7 +128,7 @@ def _lines(instance: MilpInstance) -> Iterator[str]:
     yield "End\n"
 
 
-def _step_rows(block: StepBlock, layout: StepLayout) -> Iterator[str]:
+def _step_rows(block: StepBlock) -> Iterator[str]:
     """The rows of each unrolling step of an encoding, as one piece per
     step, from its step block.
 
@@ -141,7 +140,7 @@ def _step_rows(block: StepBlock, layout: StepLayout) -> Iterator[str]:
     step, where the numbers have the most digits, is left open whole, and
     :func:`_line` writes it at every step from its tokens, filled in.
     """
-    _, nu, _, per_step = layout
+    nu, per_step = block.nu, len(block.rows)
     opened = opened_names(block.variables)
     pieces, wide = [], {}
     for r, c in enumerate(block.rows):

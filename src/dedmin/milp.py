@@ -154,10 +154,7 @@ class MilpInstance:
                 ("_names", names), ("_index_by_name", index)):
             object.__setattr__(self, slot, value)
         if block is not None:
-            from .encoder import step_layout  # encoder imports milp
-
-            n, nu, stride, _ = step_layout(self)
-            self._check_refs(block.rows + block.closing, n + nu * stride)
+            self._check_refs(block.rows + block.closing, block.size)
             return
         if len(index) != len(variables):
             raise MalformedInstance("duplicate variable name")
@@ -225,9 +222,7 @@ class MilpInstance:
         if self._names is None:
             from .encoder import step_names
 
-            system, cfg, _ = self.encoding
-            object.__setattr__(self, "_names",
-                               step_names(self.block, system.n, cfg.nu))
+            object.__setattr__(self, "_names", step_names(self.block))
         return self._names
 
     def _index(self) -> dict[str, int]:
@@ -256,8 +251,16 @@ class MilpInstance:
                          c.rel, str(c.rhs)])
 
     def __repr__(self) -> str:
-        return (f"MilpInstance(vars={len(self.variables)}, "
-                f"constraints={len(self.constraints)}, sense={self.sense})")
+        # an encoding's counts are its step block's: printing it unrolls
+        # nothing
+        block = self.block
+        if block is None:
+            size, rows = len(self._variables), len(self._constraints)
+        else:
+            size = block.size
+            rows = block.nu * len(block.rows) + len(block.closing)
+        return (f"MilpInstance(vars={size}, constraints={rows}, "
+                f"sense={self.sense})")
 
 
 def term_tokens(terms: Sequence[tuple[int, int]],
@@ -419,9 +422,7 @@ def _violated(instance: MilpInstance,
     block = instance.block
     if block is None:
         return _broken_rows(instance.constraints, values)
-    from .encoder import step_layout  # encoder imports milp
-
-    n, nu, stride, per_step = step_layout(instance)
+    n, nu, stride, per_step = block.n, block.nu, block.stride, len(block.rows)
     broken = []
     for step in range(nu):
         at = step * stride
@@ -744,8 +745,8 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
     try:
         if maximize:
             k = cfg.budget_k  # at most n, which EncodeConfig.check ensures
-            if k >= n:
-                coverage((1 << n) - 1)
+            if not 0 < k < n:  # one set of size k: none, or every guess
+                coverage(mask_of(by_score[:k]))
             else:
                 # greedy constructive start plus the raw occurrence ranking
                 sel = 0
@@ -851,7 +852,7 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     stats = SolveStats()
     if instance.encoding is not None:
         status, values, objective = _solve_encoding(
-            instance, *instance.encoding, limits, start, stats)
+            instance, limits, start, stats)
     else:
         status, values, objective = _solve_rows(instance, limits, start, stats)
     assignment = None
@@ -872,8 +873,9 @@ def solve(instance: MilpInstance, limits: SolveLimits | None = None) -> Solution
     return Solution(status, assignment, objective, stats)
 
 
-def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
-    """Branch-and-bound over the guess layer of ``encode(system, cfg)``.
+def _solve_encoding(instance, limits, start, stats):
+    """Branch-and-bound over the guess layer of ``encode(system, cfg)``,
+    where ``(system, cfg, full_cover)`` is the instance's ``encoding``.
 
     The guess layer fixes every other variable to its closure value
     (:func:`~dedmin.encoder.assignment_of`), so a node is a set of guesses
@@ -927,14 +929,14 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     The best guess set's values are built one step block at a time
     (:func:`~dedmin.encoder.step_values`).
     """
-    from .encoder import step_layout, step_values
+    from .encoder import step_values
     from .oracle import coverages, option_masks, sweeps
 
-    n, nu = system.n, cfg.nu
+    system, cfg, full_cover = instance.encoding
+    block = instance.block
+    n, nu = block.n, block.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover
-    layout = step_layout(instance)
-    block = instance.block
     score = _occurrences(chain(block.rows, block.closing), n)
 
     # full cover: a size limit, not an answer; any cover within it beats it
@@ -1061,7 +1063,7 @@ def _solve_encoding(instance, system, cfg, full_cover, limits, start, stats):
     best = incumbent.answer
     if best is None:  # stopped before the first leaf, or no cover exists
         return status, None, None
-    return (status, step_values(instance, layout, system, options, best),
+    return (status, step_values(instance, best),
             n if full_cover else incumbent.objective)
 
 

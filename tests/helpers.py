@@ -277,8 +277,7 @@ class ReferenceEngine:
 # checks and names), as the reference ``milp._solve_encoding`` must agree
 # with, node for node (tests/test_milp.py).  Its names are imported when
 # it runs, so that a test's patches of ``milp`` and ``oracle`` reach it.
-def reference_solve_encoding(instance, system, cfg, full_cover, limits,
-                             start, stats):
+def reference_solve_encoding(instance, limits, start, stats):
     """The per-node reference of the guess-set search.
 
     Every node's checks are swept on their own: no child inherits a check
@@ -292,6 +291,7 @@ def reference_solve_encoding(instance, system, cfg, full_cover, limits,
                              _out_of_budget)
     from dedmin.oracle import option_masks, sweeps
 
+    system, cfg, full_cover = instance.encoding
     n, nu = system.n, cfg.nu
     options = option_masks(system)
     maximize = instance.sense == MAXIMIZE and not full_cover

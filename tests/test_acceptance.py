@@ -211,7 +211,8 @@ def test_criterion_4_snow_k8_refutation(snow):
         pytest.skip(f"refutation incomplete within {STRETCH_BUDGET:.0f}s "
                     f"({solution.stats.nodes} nodes searched)")
     assert solution.status == milp.INFEASIBLE
-    report(4, f"8-guess cover refuted in {solution.stats.wall_time:.1f} s")
+    report(4, f"8-guess cover refuted in {solution.stats.wall_time:.1f} s "
+              f"({solution.stats.nodes} nodes)")
 
 
 # -- criterion 5: Enocoro-128v2 reproduction ----------------------------------
@@ -251,7 +252,8 @@ def test_criterion_5_enocoro_reproduction(enocoro_declared, enocoro_extended):
     assert solution.objective >= 92  # the README's Enocoro incumbent
     report(5, f"paths+course exact, declared closure 92/108 in "
               f"{fast_part * 1000:.0f} ms; incumbent {solution.objective}/108 "
-              f"with {guesses} guesses ({solution.status})")
+              f"with {guesses} guesses ({solution.status}, "
+              f"{solution.stats.nodes} nodes)")
 
 
 # -- criteria 6..8 share one randomized population ----------------------------

@@ -601,17 +601,19 @@ def test_an_unrolled_instance_is_what_decode_accepts(seed):
         for full_cover in ((False, True) if sense == encoder.MAX_COVERAGE
                            else (False,)):
             built = encoder.rebuild((system, cfg, full_cover))
-            n, nu, stride, per_step = encoder.step_layout(built)
+            block = built.block
             variables, rows = built.variables, built.constraints
-            assert len(variables) == n + nu * stride
-            assert len(rows) == nu * per_step + len(built.block.closing)
+            assert (block.n, block.nu) == (system.n, cfg.nu)
+            assert len(variables) == block.size == \
+                block.n + block.nu * block.stride
+            assert len(rows) == block.nu * len(block.rows) + len(block.closing)
             assert built.names == tuple(v.name for v in variables)
             assert list(map(encoder.variable_from_name, built.names)) == \
                 list(variables)
             copy = milp.MilpInstance(variables, rows, built.objective,
                                      built.sense)
             assert copy.encoding is not None
-            assert copy.encoding[1].nu == nu
+            assert copy.encoding[1].nu == block.nu
             assert copy.encoding[2] == full_cover
             assert copy.block == built.block
             assert fields(encoder.rebuild(copy.encoding)) == fields(built)

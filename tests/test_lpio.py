@@ -292,14 +292,14 @@ def link_row_steps(tau):
         directed_rules=[DirectedRule.of([i], 0) for i in range(1, tau + 1)])
     instance = encoder.encode(system, encoder.EncodeConfig(11, 1,
                                                            encoder.PLAIN))
-    layout = encoder.step_layout(instance)
+    per_step = len(instance.block.rows)
     lines = lpio.write_lp(instance).splitlines()
     wrapped = set()
     for i, line in enumerate(lines):
         if line.startswith(" c") and lines[i + 1].startswith("   "):
             row = int(line.split(":")[0][2:])
-            if row < layout.nu * layout.rows:
-                wrapped.add(row // layout.rows)
+            if row < instance.block.nu * per_step:
+                wrapped.add(row // per_step)
     return instance, wrapped
 
 

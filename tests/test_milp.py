@@ -313,6 +313,17 @@ def test_enocoro_heuristic_keeps_its_best_selection():
     assert solution.objective == 92  # the README's Enocoro incumbent
 
 
+@pytest.mark.parametrize("k", [0, 42])
+def test_a_budget_with_one_guess_set_scores_it_once(k):
+    # no guess, or every one of SNOW's 42: one set has size k, so the
+    # heuristic scores it once and the search decides nothing
+    system = preprocess.expand_rules(ciphers.build_snow2(13))
+    instance = encoder.encode(system, encoder.EncodeConfig(nu=12, budget_k=k))
+    solution = solve(instance, SolveLimits(time_budget=1e9))
+    assert (solution.status, solution.objective, solution.stats.nodes,
+            solution.stats.heuristic_evals) == (milp.OPTIMAL, k, 0, 1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_snow_minimize_climb_reaches_nine_guesses(seed):
     # the heuristic alone: the climb descends size by size to a 9-guess cover
@@ -589,7 +600,6 @@ def test_guess_layer_forces_the_closure_assignment():
         if cfg.sense == encoder.MAX_COVERAGE:
             variants.append((with_full_cover(instance, n, cfg.nu), True, True))
         for variant, budgeted, covering in variants:
-            layout = encoder.step_layout(variant)
             names = [v.name for v in variant.variables]
             for mask in range(1 << n):
                 guesses = [v for v in range(n) if mask >> v & 1]
@@ -603,7 +613,7 @@ def test_guess_layer_forces_the_closure_assignment():
                 assignment = encoder.assignment_of(variant, system, guesses)
                 # the search's own build of the same values, step by step
                 assert dict(zip(names, encoder.step_values(
-                    variant, layout, system, options, mask))) == assignment
+                    variant, mask))) == assignment
                 if not broken:
                     assert {**layer, **result.fixed} == assignment
 
@@ -809,6 +819,26 @@ def test_row_search_rejects_a_leaf_that_breaks_a_row(monkeypatch):
         solve(instance)
 
 
+def test_repr_of_an_encoding_reads_its_step_block(monkeypatch):
+    # printing an instance gives the counts of its unrolled variables and
+    # rows, and printing an encoding builds none of them
+    instances = [encoder.rebuild((system, cfg, full_cover))
+                 for system, cfg in encoding_cases()
+                 for full_cover in (False, True)
+                 if not full_cover or cfg.sense == encoder.MAX_COVERAGE]
+    instances += refutation_cases() + [without_heuristic(instances[0])]
+
+    def no_unroll(instance):
+        raise AssertionError("repr built the full rows")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(encoder, "unroll", no_unroll)
+        texts = [repr(instance) for instance in instances]
+    assert texts == [f"MilpInstance(vars={len(instance.variables)}, "
+                     f"constraints={len(instance.constraints)}, "
+                     f"sense={instance.sense})" for instance in instances]
+
+
 def test_the_step_window_check_flags_what_the_full_check_flags():
     # solve and evaluate check an encoding by step 0's rows on each step's
     # window of the values, then the closing rows: the rows flagged, with
@@ -818,17 +848,17 @@ def test_the_step_window_check_flags_what_the_full_check_flags():
                  for system, cfg in encoding_cases()] + refutation_cases()
     for instance in instances:
         rows = instance.constraints
-        system, cfg, full_cover = instance.encoding
-        n, nu, stride, per_step = encoder.step_layout(instance)
+        _, cfg, full_cover = instance.encoding
+        block = instance.block
+        n, nu, stride, per_step = (block.n, block.nu, block.stride,
+                                   len(block.rows))
         for _ in range(3):
             values = [rng.randint(0, 1) for _ in instance.names]
             assert milp._violated(instance, values) == \
                 milp._broken_rows(rows, values)
-        options = oracle.option_masks(system)
         # the values of a guess set, and then one path variable of the last
         # step flipped: only rows of the last step break on top
-        good = encoder.step_values(instance, encoder.step_layout(instance),
-                                   system, options, rng.getrandbits(n))
+        good = encoder.step_values(instance, rng.getrandbits(n))
         broken = milp._violated(instance, good)
         assert broken == milp._broken_rows(rows, good)
         if stride > n:
@@ -844,8 +874,7 @@ def test_the_step_window_check_flags_what_the_full_check_flags():
         # guess at all where every proposition must be covered
         maximize = cfg.sense == encoder.MAX_COVERAGE and not full_cover
         guesses = (1 << n) - 1 if maximize else 0
-        values = encoder.step_values(instance, encoder.step_layout(instance),
-                                     system, options, guesses)
+        values = encoder.step_values(instance, guesses)
         flagged = milp._violated(instance, values)
         assert flagged == milp._broken_rows(rows, values)
         closing = {ci for ci, _ in flagged if ci >= nu * per_step}
