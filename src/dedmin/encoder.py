@@ -76,7 +76,7 @@ module owns the variable naming contract.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -337,6 +337,11 @@ class StepBlock(NamedTuple):
     def size(self) -> int:
         """The instance's variables: the guess layer and ``nu`` steps."""
         return self.n + self.nu * self.stride
+
+    @property
+    def row_count(self) -> int:
+        """The instance's rows: ``nu`` steps and the closing rows."""
+        return self.nu * len(self.rows) + len(self.closing)
 
 
 def _block(encoding: Encoding) -> StepBlock:
@@ -656,8 +661,8 @@ class ReductionReport:
 
 
 def count_reduction(system: DeductionSystem, cfg: EncodeConfig) -> ReductionReport:
-    """Build both modes and report how much the folding saves."""
-    plain = encode(system, EncodeConfig(cfg.nu, cfg.budget_k, PLAIN, cfg.sense))
-    compact = encode(system, EncodeConfig(cfg.nu, cfg.budget_k, COMPACT, cfg.sense))
-    return ReductionReport(len(plain.variables), len(compact.variables),
-                           len(plain.constraints), len(compact.constraints))
+    """How much the folding saves, read from both modes' step blocks."""
+    plain, compact = (_block((system, replace(cfg, mode=mode), False))
+                      for mode in (PLAIN, COMPACT))
+    return ReductionReport(plain.size, compact.size, plain.row_count,
+                           compact.row_count)

@@ -18,7 +18,8 @@ alone:
   rules on bitmasks, pruning with the coverage of every guess still open.
   On the bottom level of the tree, where every take child is a leaf, a
   node and its skip children are expanded as one walk: one bit-sliced
-  batch scores all its leaves, and bisection finds where it ends.
+  batch scores all its leaves and skip checks, and the first check that
+  fails ends it.
   A seeded local search over guess sets of a fixed size, held as
   bitmasks and climbing their coverage, gives it its first incumbent; it
   scores each climb pass in batches of 1, 2, 4, ... removed guesses.  With the full-cover row the
@@ -257,8 +258,7 @@ class MilpInstance:
         if block is None:
             size, rows = len(self._variables), len(self._constraints)
         else:
-            size = block.size
-            rows = block.nu * len(block.rows) + len(block.closing)
+            size, rows = block.size, block.row_count
         return (f"MilpInstance(vars={size}, constraints={rows}, "
                 f"sense={self.sense})")
 
@@ -920,17 +920,16 @@ def _solve_encoding(instance, limits, start, stats):
     holds ``budget_k - 1`` guesses (maximize), or two fewer than the
     incumbent or the size limit (minimize, full cover).  It and its chain
     of skip children are expanded as one walk: one
-    :func:`~dedmin.oracle.coverages` batch scores every take leaf.  Along
-    the chain the set ``ones | rest`` a skip check sweeps only shrinks and
-    the bar it must clear only rises, so bisection finds the first check
-    to fail, where the walk ends.  Nodes, budget checks, incumbents and
-    answers are those of checking every node in full, one at a time.
+    :func:`~dedmin.oracle.word_coverages` batch scores every take leaf
+    and every skip check of the chain, and the walk ends at the first
+    check that fails.  Nodes, budget checks, incumbents and answers are
+    those of checking every node in full, one at a time.
 
     The best guess set's values are built one step block at a time
     (:func:`~dedmin.encoder.step_values`).
     """
     from .encoder import step_values
-    from .oracle import coverages, option_masks, sweeps
+    from .oracle import option_masks, sweeps, word_coverages
 
     system, cfg, full_cover = instance.encoding
     block = instance.block
@@ -966,33 +965,31 @@ def _solve_encoding(instance, limits, start, stats):
         as one walk, replayed decision by decision; True when the search
         ends.  Take child ``j`` is the leaf ``ones | 1 << order[j]``."""
         nonlocal status
-        # the skip check after leaf j fails when ones | rest[j + 1] covers
-        # at most bars[j - i]; the walk ends at the first failure, or at hi
+        # set j - i of the batch is leaf j and set m - i + j - i the skip
+        # check after it, ones | rest[j + 1]: a guess taken is in every
+        # set, and order[t] in leaf t and in the checks before it
+        width = m - i
+        full = (1 << 2 * width) - 1
+        knows = [full if ones >> p & 1 else 0 for p in range(n)]
+        for t, p in enumerate(order[i:]):
+            knows[p] = 1 << t | ((1 << t) - 1) << width
+        scores = word_coverages(options, knows, 2 * width, nu)
+        leaves, checks = scores[:width], scores[width:]
+        # the walk ends at the first node whose skip check fails, or at hi
         if maximize:
-            # the best leaf so far, so every leaf is scored first; the skip
-            # child at m - 1 is itself a leaf
-            leaves = coverages(options, [ones], order[i:], nu)
-            bars = list(accumulate(leaves, max, initial=(
-                -1 if incumbent.objective is None
-                else incumbent.objective)))[1:]
+            # a check fails when it is no better than the best leaf so far;
+            # the skip child at m - 1 is itself a leaf
+            best = -1 if incumbent.objective is None else incumbent.objective
+            fails = (check <= max(best, bar)
+                     for check, bar in zip(checks, accumulate(leaves, max)))
             hi = m - 2
         else:
-            # anything short of a cover, whatever the leaves; the check at
-            # m - 1, of ones alone, ends the walk too
-            bars = [n - 1] * (m - i)
+            # a check fails short of a cover (the last, of ones alone,
+            # always does), and a cover among the leaves ends the walk too
+            fails = (leaf == n or check < n
+                     for leaf, check in zip(leaves, checks))
             hi = m - 1
-        lo = i
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if coverage(ones | rest[mid + 1]) <= bars[mid - i]:
-                hi = mid
-            else:
-                lo = mid + 1
-        if not maximize:
-            # score only the leaves the walk can reach; a cover among them
-            # ends it there
-            leaves = coverages(options, [ones], order[i:lo + 1], nu)
-            lo = next((j for j in range(i, lo) if leaves[j - i] == n), lo)
+        lo = next((j for j, fail in zip(range(i, hi), fails) if fail), hi)
         for j in range(i, lo + 1):
             if _out_of_budget(limits, stats, start):
                 status = TIME_LIMIT

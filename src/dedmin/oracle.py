@@ -20,23 +20,22 @@ the first sweep tests every rule, and each later sweep tests only the rules
 listed under the propositions the previous sweep learned
 (:class:`OptionMasks`).
 
-:func:`coverages` scores many guess sets at once: every candidate added
-to each of several known sets.  It runs the same sweeps bit-sliced, with
-one word over the (set, candidate) pairs per proposition, so a sweep's
-cost is paid once for the whole batch instead of once per pair.  Beside
-the word of the pairs that know a proposition it keeps the word of those
-that do not, so a rule test ANDs positive words and never builds a
-negative int.  A bit-plane counter sums what each pair knows.  A batch of
-at most ``_NARROW`` pairs reads it bit by bit; a wider one reads it in byte
+:func:`word_coverages` scores many guess sets at once, one bit of every
+proposition's word per set.  It runs the same sweeps bit-sliced, so a
+sweep's cost is paid once for the whole batch instead of once per set.
+Beside the word of the sets that know a proposition it keeps the word of
+those that do not, so a rule test ANDs positive words and never builds a
+negative int.  A bit-plane counter sums what each set knows.  A batch of
+at most ``_NARROW`` sets reads it bit by bit; a wider one reads it in byte
 lanes, with a fixed number of C-level passes per plane, so its cost per
-pair stays flat as the batch widens.  The batch's width picks the
+set stays flat as the batch widens.  The batch's width picks the
 read-out; no setting does.
 
-The solver's root heuristic scores its greedy additions with
-:func:`coverages`, one known set per batch, and its swaps, one known set
-per removed guess and a doubling chunk of removed guesses per batch; its
-guess-set search scores every leaf of a walk along the bottom level of
-the tree, one known set per batch.
+The solver's root heuristic scores every candidate added to a known set
+with :func:`coverages`: its greedy additions, one known set per batch, and
+its swaps, one known set per removed guess and a doubling chunk of
+removed guesses per batch.  Its guess-set search builds its own words for
+the leaves and skip checks of a walk along the bottom level of the tree.
 """
 
 from __future__ import annotations
@@ -181,17 +180,45 @@ def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
               limit: int | None = None) -> list[int]:
     """The coverage of each base plus each candidate, in one pass.
 
-    Entry ``t * len(candidates) + j`` equals ``sweeps(options, bases[t] |
-    1 << candidates[j], limit)[-1].bit_count()``.  The sweeps run
-    bit-sliced: ``knows[p]`` has bit ``t * len(candidates) + j`` set when
-    candidate ``j`` added to base ``t`` knows ``p``, and ``unknown[p]``
-    is its complement within the batch, so a rule test is ``unknown[q] &
-    knows[first] & knows[second] ...`` on positive words and
-    ``unknown[q] == 0`` means every set knows ``q``.  Each sweep finds
-    every firing from the ``knows`` of its start before it applies any,
-    and tests, after the first, only the options listed under a
-    proposition some set learned in the previous sweep, as :func:`sweeps`
-    does for one set.
+    Entry ``t * len(candidates) + j``, set ``t * len(candidates) + j`` of
+    the words :func:`word_coverages` sweeps, equals ``sweeps(options,
+    bases[t] | 1 << candidates[j], limit)[-1].bit_count()``.
+
+    Several bases cost one rule scan per sweep between them, where one
+    call per base pays a scan each; one base costs what it did alone.
+    """
+    m = len(candidates)
+    if not m or not bases:
+        return []
+    width = m * len(bases)
+    block = (1 << m) - 1
+    knows = [0] * len(options.rules_by_premise)
+    for t, known in enumerate(bases):
+        ones = block << t * m
+        while known:
+            low = known & -known
+            knows[low.bit_length() - 1] |= ones
+            known ^= low
+    column = ((1 << width) - 1) // block  # bit t * m set for every base t
+    for j, c in enumerate(candidates):
+        knows[c] |= column << j
+    return word_coverages(options, knows, width, limit)
+
+
+def word_coverages(options: OptionMasks, knows: list[int], width: int,
+                   limit: int | None = None) -> list[int]:
+    """The coverage of each of ``width`` sets given as words, in one pass.
+
+    Set ``b`` holds proposition ``p`` when bit ``b`` of ``knows[p]`` is
+    set, and entry ``b`` equals ``sweeps(options, set b, limit)[-1]
+    .bit_count()``.  The sweeps run bit-sliced on a copy of the words:
+    ``unknown[p]`` is the complement of ``knows[p]`` within the batch, so
+    a rule test is ``unknown[q] & knows[first] & knows[second] ...`` on
+    positive words and ``unknown[q] == 0`` means every set knows ``q``.
+    Each sweep finds every firing from the ``knows`` of its start before
+    it applies any, and tests, after the first, only the options listed
+    under a proposition some set learned in the previous sweep, as
+    :func:`sweeps` does for one set.
 
     A vertical bit-plane counter sums the final ``knows`` words: bit ``b``
     of ``planes[i]`` is bit ``i`` of how many propositions set ``b``
@@ -202,26 +229,9 @@ def coverages(options: OptionMasks, bases: list[int], candidates: list[int],
     bytes are the counts, and any further eight planes add their bytes
     shifted by eight bits, so no count is cut at 255.  The batch's width,
     a property of its input, picks between the two.
-
-    Several bases cost one rule scan per sweep between them, where one
-    call per base pays a scan each; one base costs what it did alone.
     """
-    m = len(candidates)
-    if not m or not bases:
-        return []
-    width = m * len(bases)
-    block = (1 << m) - 1
     full = (1 << width) - 1
-    knows = [0] * len(options.rules_by_premise)
-    for t, known in enumerate(bases):
-        ones = block << t * m
-        while known:
-            low = known & -known
-            knows[low.bit_length() - 1] |= ones
-            known ^= low
-    column = full // block  # bit t * m set for every base t
-    for j, c in enumerate(candidates):
-        knows[c] |= column << j
+    knows = list(knows)
     unknown = [full ^ word for word in knows]
     scan = options.rules
     done = 0

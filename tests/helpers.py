@@ -170,6 +170,28 @@ def reference_sweeps(masks, known: int, limit: int | None = None) -> list[int]:
     return rounds
 
 
+def reference_word_coverages(masks, knows: list[int], width: int,
+                              limit: int | None = None) -> list[int]:
+    """What ``oracle.word_coverages`` must give: set ``b`` holds every
+    proposition ``p`` with bit ``b`` of ``knows[p]`` set, and its count is
+    that of :func:`reference_sweeps` from it."""
+    return [reference_sweeps(masks, sum(1 << p for p, word in enumerate(knows)
+                                        if word >> b & 1),
+                             limit)[-1].bit_count()
+            for b in range(width)]
+
+
+def prefix_words(n: int, ones: int, order: list[int]) -> list[int]:
+    """The words of a bottom-level walk's batch over ``order`` from ``ones``:
+    set ``t`` is ``ones`` plus ``order[t]`` and set ``len(order) + t`` is
+    ``ones`` plus ``order[t + 1:]``."""
+    width = len(order)
+    knows = [(1 << 2 * width) - 1 if ones >> p & 1 else 0 for p in range(n)]
+    for t, p in enumerate(order):
+        knows[p] = 1 << t | ((1 << t) - 1) << width
+    return knows
+
+
 # The propagation engine as it was before its rows were sorted by weight and
 # gated by slack, kept verbatim as the reference the current engine must agree
 # with (tests/test_milp.py).

@@ -312,6 +312,33 @@ def test_enocoro_reduction_counts():
     assert report.constraints_removed == (21 * 16 - 12) * nu
 
 
+def test_reduction_counts_unroll_nothing(monkeypatch):
+    # the report reads both modes' step blocks: it gives the counts of the
+    # unrolled encodings, in both senses, and unrolls neither
+    cases = [(system, cfg) for system, cfg in encoding_cases()
+             if cfg.mode == encoder.COMPACT]
+    assert {cfg.sense for _, cfg in cases} == {encoder.MAX_COVERAGE,
+                                               encoder.MIN_GUESSES}
+
+    def unrolled(system, cfg):
+        plain, compact = (encoder.encode(system, encoder.EncodeConfig(
+            cfg.nu, cfg.budget_k, mode, cfg.sense))
+            for mode in (encoder.PLAIN, encoder.COMPACT))
+        return encoder.ReductionReport(
+            len(plain.variables), len(compact.variables),
+            len(plain.constraints), len(compact.constraints))
+
+    want = [unrolled(system, cfg) for system, cfg in cases]
+
+    def no_unroll(instance):
+        raise AssertionError("count_reduction unrolled an encoding")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(encoder, "unroll", no_unroll)
+        got = [encoder.count_reduction(system, cfg) for system, cfg in cases]
+    assert got == want
+
+
 # --- properties -------------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)

@@ -9,8 +9,8 @@ from dedmin.milp import (Constraint, MilpInstance, SolveLimits, Variable,
                          evaluate, propagate, solve)
 from helpers import (ReferenceEngine, encoding_cases, perfbench_workloads,
                      random_system, reference_solve_encoding,
-                     reference_sweeps, refutation_cases, with_full_cover,
-                     without_heuristic)
+                     reference_sweeps, reference_word_coverages,
+                     refutation_cases, with_full_cover, without_heuristic)
 
 
 def simple_instance(constraints, names=("x",), objective=((0, 1),),
@@ -477,10 +477,11 @@ def test_refutation_search_agrees_with_reference_engine(monkeypatch):
 # --- the closure sweep against its reference --------------------------------
 
 def use_reference_sweeps(patched):
-    # the reference scores each batched (base, candidate) pair by its own
-    # sweeps from scratch, so every batch score is compared with them: the
-    # heuristic's greedy additions and its swaps, scored a chunk of outs per
-    # batch, and the leaves of the search's bottom-level walks
+    # the reference scores each batched (base, candidate) pair, and each
+    # set a batch's words describe, by its own sweeps from scratch, so
+    # every batch score is compared with them: the heuristic's greedy
+    # additions and its swaps, scored a chunk of outs per batch, and the
+    # leaves and skip checks of the search's bottom-level walks
     patched.setattr(oracle, "sweeps",
                     lambda options, known, limit=None:
                     reference_sweeps(options.masks, known, limit))
@@ -489,6 +490,10 @@ def use_reference_sweeps(patched):
                         reference_sweeps(options.masks, known | 1 << c,
                                          limit)[-1].bit_count()
                         for known in bases for c in candidates])
+    patched.setattr(oracle, "word_coverages",
+                    lambda options, knows, width, limit=None:
+                    reference_word_coverages(options.masks, knows, width,
+                                             limit))
 
 
 def solve_with_both_sweeps(instance, limits, monkeypatch):
@@ -745,26 +750,60 @@ def test_cipher_walks_agree_with_reference(monkeypatch):
 def test_bottom_level_walks_sweep_less_than_once_per_decision(full_cover,
                                                               monkeypatch):
     # a search that fell back to checking its bottom level node by node
-    # would sweep about twice per decision; the reference kernels score
-    # the walks' batches one candidate at a time
+    # would sweep about twice per decision; a walk sweeps no set alone but
+    # scores its leaves and skip checks in one batch of the sweep core, and
+    # the reference kernels score the walks' batches one set at a time
     system, cfg, instance = snow(8)
-    budget = 2000
+    budget, most = 2000, 135
     if full_cover:
         instance = with_full_cover(instance, system.n, cfg.nu)
-        budget = 1000
+        budget, most = 1000, 127
     limits = SolveLimits(time_budget=1e9, node_budget=budget)
-    sweeps = oracle.sweeps
-    calls = 0
+    sweeps, coverages = oracle.sweeps, oracle.coverages
+    word_coverages = oracle.word_coverages
+    calls, batches, in_heuristic = 0, [], False
 
     def counted(options, known, limit=None):
         nonlocal calls
         calls += 1
         return sweeps(options, known, limit)
 
+    def heuristic_batch(*args):
+        nonlocal in_heuristic
+        in_heuristic = True
+        try:
+            return coverages(*args)
+        finally:
+            in_heuristic = False
+
+    def walk_batch(options, knows, width, limit=None):
+        if not in_heuristic:
+            batches.append((list(knows), width))
+        return word_coverages(options, knows, width, limit)
+
     with monkeypatch.context() as patched:
         patched.setattr(oracle, "sweeps", counted)
+        patched.setattr(oracle, "coverages", heuristic_batch)
+        patched.setattr(oracle, "word_coverages", walk_batch)
         got = solve(instance, limits)
-    assert got.stats.nodes == budget and calls < budget
+    assert got.stats.nodes == budget and calls < budget and calls <= most
+    # each batch holds every leaf and skip check of its walk's chain: set
+    # t is ones plus leaf t's guess, set w + t ones plus the guesses of the
+    # leaves after t, and set 2w - 1 ones alone
+    walks = set()
+    for knows, width in batches:
+        w = width // 2
+        sets = [frozenset(p for p, word in enumerate(knows) if word >> b & 1)
+                for b in range(width)]
+        ones = sets[-1]
+        guesses = [leaf - ones for leaf in sets[:w]]
+        assert width == 2 * w and all(len(g) == 1 for g in guesses)
+        assert sets[w:] == [ones.union(*guesses[t + 1:]) for t in range(w)]
+        walks.add(ones)
+    # the nodes of one guess set form one chain of skip children, which
+    # one walk expands: a walk that scored its chain in two batches would
+    # repeat its guess set
+    assert batches and len(walks) == len(batches)
     with monkeypatch.context() as patched:
         use_reference_sweeps(patched)
         want = solve(instance, limits)

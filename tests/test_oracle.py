@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import encoder, milp, oracle, preprocess
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
-from helpers import random_system, reference_sweeps
+from helpers import (prefix_words, random_system, reference_sweeps,
+                     reference_word_coverages)
 
 
 def test_toy_closure_from_p2(toy):
@@ -165,17 +166,34 @@ def test_coverages_agree_with_reference(seed, expand, data):
     assert oracle.coverages(options, [known], inside, limit) == \
         [alone] * len(inside)
 
+    # the sweep core alone: a bottom-level walk's prefix layout from the
+    # known set over the other propositions, and random words, each at
+    # widths on both sides of oracle._NARROW
+    order = data.draw(st.permutations(
+        [p for p in range(n) if not known >> p & 1]))
+    bits = data.draw(st.integers(0, 2 * oracle._NARROW + 2))
+    for knows, width in ((prefix_words(n, known, order), 2 * len(order)),
+                         ([data.draw(st.integers(0, (1 << bits) - 1))
+                           for _ in range(n)], bits)):
+        assert oracle.word_coverages(options, knows, width, limit) == \
+            reference_word_coverages(options.masks, knows, width, limit)
+
 
 def test_coverages_read_out_narrow_and_wide_batches():
     # a batch of at most oracle._NARROW sets reads its counts bit by bit and
     # a wider one in byte lanes; each must give every (base, candidate)
-    # pair its own sweeps' count, on both sides of that width, over
-    # thousands of pairs, and where a count passes 255
+    # pair, and every set the sweep core's words describe, its own sweeps'
+    # count, on both sides of that width, over thousands of sets, and where
+    # a count passes 255
     def check(options, bases, candidates, limit):
         assert oracle.coverages(options, bases, candidates, limit) == [
             reference_sweeps(options.masks, base | 1 << c,
                              limit)[-1].bit_count()
             for base in bases for c in candidates]
+
+    def check_words(options, knows, width, limit):
+        assert oracle.word_coverages(options, knows, width, limit) == \
+            reference_word_coverages(options.masks, knows, width, limit)
 
     rng = random.Random(31)
     system = preprocess.expand_rules(random_system(random.Random(116), 12, 20))
@@ -184,6 +202,12 @@ def test_coverages_read_out_narrow_and_wide_batches():
     for width in (oracle._NARROW, oracle._NARROW + 1):
         check(options, [rng.getrandbits(12) for _ in range(width)],
               [rng.randrange(12)], None)
+        check_words(options, [rng.getrandbits(width) for _ in range(12)],
+                    width, None)
+    for half in (oracle._NARROW // 2, oracle._NARROW // 2 + 1):
+        order = list(range(12 - half, 12))
+        check_words(options, prefix_words(12, 1 << 1, order), 2 * half, 3)
+    check_words(options, [rng.getrandbits(2568) for _ in range(12)], 2568, 2)
     bases = [rng.getrandbits(12) for _ in range(214)]  # 2,568 pairs
     for limit in (None, 2):
         check(options, bases, list(range(12)), limit)
@@ -201,6 +225,11 @@ def test_coverages_read_out_narrow_and_wide_batches():
     for limit in (None, 1):
         check(options, [0, 1 << 1, 1 << 5 | 1 << 250], candidates, limit)
         check(options, [0], candidates[:oracle._NARROW], limit)
+        for ones in (1 << 1, 1 << 5 | 1 << 250):
+            outside = [c for c in candidates if not ones >> c & 1]
+            for order in (outside[:oracle._NARROW // 2], outside):
+                check_words(options, prefix_words(n, ones, order),
+                            2 * len(order), limit)
 
 
 def test_closure_rounds_bound(toy):
