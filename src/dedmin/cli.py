@@ -347,9 +347,12 @@ def _cmd_minimize(args) -> int:
                    "witness": witness, "stats": solution.stats.to_json()}
         _write_output(args, json.dumps(payload, indent=2) + "\n")
     else:
+        # an answer may guess nothing; "(none)" is a run that ended without one
+        shown = ", ".join(witness) or (
+            "(none)" if solution.assignment is None else "(empty)")
         _write_output(args, f"status: {solution.status}\n"
                             f"k_min: {solution.objective}\n"
-                            f"witness: {', '.join(witness) or '(none)'}\n")
+                            f"witness: {shown}\n")
     return _solution_exit(solution)
 
 

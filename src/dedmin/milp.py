@@ -22,7 +22,8 @@ alone:
   fails ends it.
   A seeded local search over guess sets of a fixed size, held as
   bitmasks and climbing their coverage, gives it its first incumbent; it
-  scores each climb pass in batches of 1, 2, 4, ... removed guesses.  With the full-cover row the
+  scores each climb pass in batches of 1, 2, 4, ... removed guesses, and
+  no guess set twice in one run.  With the full-cover row the
   instance asks whether ``budget_k`` guesses cover everything: a
   size-limited search for one cover, with no root heuristic;
 * any other instance is searched over its rows: integer bounds
@@ -418,16 +419,22 @@ def _violated(instance: MilpInstance,
     closing rows run on ``values``.  Each row is evaluated on exactly the
     values its unrolled form reads, so the rows flagged, and their left
     sides, are those of checking every unrolled row, without building one.
+    A window equal to the previous step's breaks the same rows with the
+    same left sides, so their list is reused, renumbered, and not checked
+    again; from the closure's fixpoint on, every window of an answer is
+    equal.
     """
     block = instance.block
     if block is None:
         return _broken_rows(instance.constraints, values)
     n, nu, stride, per_step = block.n, block.nu, block.stride, len(block.rows)
-    broken = []
+    broken, window, rows = [], None, []
     for step in range(nu):
         at = step * stride
-        broken += _broken_rows(block.rows, values[at:at + stride + n],
-                               step * per_step)
+        seen, window = window, values[at:at + stride + n]
+        if window != seen:
+            rows = _broken_rows(block.rows, window)
+        broken += [(ci + step * per_step, lhs) for ci, lhs in rows]
     return broken + _broken_rows(block.closing, values, nu * per_step)
 
 
@@ -639,11 +646,17 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
     the end of its ``k`` outs makes ``ceil(log2(k + 1))`` batches, not
     ``k``.  :func:`coverage` replays the counts in order, so the
     evaluations, their budget and every incumbent are those of scoring
-    the candidates one by one.  The deadline is checked once per batch
-    and once per single evaluation.  A chunk holds at most one out more
-    than all chunks before it in its pass, so the scoring past a deadline
-    is at most what its pass had scored plus one out: the waste is
-    bounded by twice the work.
+    the candidates one by one.
+
+    Climbs revisit guess sets, so a run keeps one table from each set it
+    scored to its coverage, about 100 bytes a set and never more sets
+    than the run scores.  A single evaluation sweeps only a set the table
+    lacks, and a batch none of whose sets is new is answered from the
+    table; any other batch is scored whole and stored.  The deadline is
+    checked once per batch and once per single sweep.  A chunk holds at
+    most one out more than all chunks before it in its pass, so the
+    scoring past a deadline is at most what its pass had scored plus one
+    out: the waste is bounded by twice the work.
     """
     from .oracle import coverages, mask_of, sweeps
 
@@ -661,20 +674,25 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
 
     maximize = incumbent.maximize
     evals = 0
+    table: dict[int, int] = {}  # the coverage of every guess set scored
 
     def coverage(selection: int, covered: int | None = None) -> int:
         """Propositions ``nu`` sweeps from the guesses ``selection`` know.
 
         ``covered`` is that count when a batch already scored it, or None
-        to sweep ``selection`` here.
+        to read it from the table, or sweep ``selection`` here when the
+        table lacks it.
         """
         nonlocal evals
         if evals >= eval_budget:
             raise _HeuristicStop
         if covered is None:
+            covered = table.get(selection)
+        if covered is None:
             if time.monotonic() > deadline:
                 raise _HeuristicStop
             covered = sweeps(options, selection, cfg.nu)[-1].bit_count()
+            table[selection] = covered
         evals += 1
         objective = covered if maximize else selection.bit_count()
         if (maximize or covered == n) and incumbent.beats(objective):
@@ -682,10 +700,17 @@ def _heuristic_incumbent(options, n, cfg, incumbent, limits, stats, deadline,
         return covered
 
     def batch(bases: list[int], ins: list[int]) -> list[int]:
-        """The coverage of each ``base | 1 << inn``, scored in one pass."""
+        """The coverage of each ``base | 1 << inn``: from the table when it
+        holds them all, else scored in one pass and stored."""
         if evals >= eval_budget or time.monotonic() > deadline:
             raise _HeuristicStop
-        return coverages(options, bases, ins, cfg.nu)
+        bits = [1 << inn for inn in ins]
+        sets = [base | bit for base in bases for bit in bits]
+        if all(map(table.__contains__, sets)):
+            return list(map(table.__getitem__, sets))
+        scored = coverages(options, bases, ins, cfg.nu)
+        table.update(zip(sets, scored))
+        return scored
 
     def members(sel: int) -> list[int]:
         """The guesses of ``sel``, in ascending order."""

@@ -5,7 +5,9 @@ Everything here works by plain forward chaining over the rules:
 * :func:`closure` - least fixpoint of the known set under all rules,
   with an auditable step-by-step trace.
 * :func:`brute_force_min` - exhaustive search for the smallest guess set,
-  used as the oracle against which the solver route is verified.
+  used as the oracle against which the solver route is verified.  It
+  tries only the sets that guess every proposition no rule concludes,
+  since every cover does.
 * :func:`extract_trace` - turn a solver assignment back into a deduction
   course and cross-check it against the closure semantics.
 
@@ -34,8 +36,9 @@ read-out; no setting does.
 The solver's root heuristic scores every candidate added to a known set
 with :func:`coverages`: its greedy additions, one known set per batch, and
 its swaps, one known set per removed guess and a doubling chunk of
-removed guesses per batch.  Its guess-set search builds its own words for
-the leaves and skip checks of a walk along the bottom level of the tree.
+removed guesses per batch; it keeps what it scored, so no set is scored
+twice in one run.  Its guess-set search builds its own words for the
+leaves and skip checks of a walk along the bottom level of the tree.
 """
 
 from __future__ import annotations
@@ -350,6 +353,13 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
     returns the first that works; intended for systems of up to ~20
     propositions.  ``max_k`` defaults to ``n`` (where a solution always
     exists: guess everything).
+
+    Every cover guesses each proposition no option concludes, so only the
+    sets that hold all of these ``forced`` ones are tried: ``forced``
+    plus each subset of the concluded propositions, from as many guesses
+    as are forced up.  Two sets of one size that both hold ``forced`` differ
+    only in their subsets, so they fall in the order of their subsets and
+    the first cover found is the one the full enumeration finds.
     """
     n = system.n
     if max_k is None:
@@ -359,10 +369,17 @@ def brute_force_min(system: DeductionSystem, max_k: int | None = None) -> BruteF
     target = (1 << n) - 1
     if n == 0:
         return BruteForceMin(0, (), max_k)
-    for size in range(max_k + 1):
-        for subset in combinations(range(n), size):
-            if sweeps(masks, mask_of(subset))[-1] == target:
-                return BruteForceMin(size, subset, max_k)
+    forced = target
+    for _, cbit in masks.masks:
+        forced &= ~cbit
+    concluded = [p for p in range(n) if not forced >> p & 1]
+    least = forced.bit_count()
+    for size in range(least, max_k + 1):
+        for subset in combinations(concluded, size - least):
+            guess = forced | mask_of(subset)
+            if sweeps(masks, guess)[-1] == target:
+                return BruteForceMin(size, tuple(
+                    p for p in range(n) if guess >> p & 1), max_k)
     return BruteForceMin(None, None, max_k)
 
 

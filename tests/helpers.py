@@ -7,9 +7,10 @@ import importlib.util
 import random
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
-from dedmin import ciphers, encoder, preprocess
+from dedmin import ciphers, encoder, oracle, preprocess
 from dedmin.milp import (Constraint, EQUAL, GREATER_EQUAL, LESS_EQUAL,
                          MilpInstance)
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
@@ -168,6 +169,22 @@ def reference_sweeps(masks, known: int, limit: int | None = None) -> list[int]:
         known |= new
         rounds.append(known)
     return rounds
+
+
+def reference_brute_force_min(system: DeductionSystem,
+                              max_k: int | None = None) -> tuple:
+    """What ``oracle.brute_force_min`` must give, as ``(k_min, witness,
+    max_k)``: every subset of the propositions in increasing size,
+    lexicographically within a size, the first whose closure covers."""
+    n = system.n
+    max_k = n if max_k is None else min(max_k, n)
+    masks = oracle.option_masks(system).masks
+    for size in range(max_k + 1):
+        for subset in combinations(range(n), size):
+            known = sum(1 << p for p in subset)
+            if reference_sweeps(masks, known)[-1] == (1 << n) - 1:
+                return size, subset, max_k
+    return None, None, max_k
 
 
 def reference_word_coverages(masks, knows: list[int], width: int,

@@ -275,6 +275,23 @@ def test_minimize_checks_the_solver_answer_with_the_oracle(monkeypatch,
                    "cannot derive it yet\n")
 
 
+def test_minimize_prints_an_empty_minimum_as_empty(tmp_path, monkeypatch,
+                                                   capsys):
+    # an empty system's minimum guesses nothing, and both routes say so;
+    # "(none)" is left for a run that ended without an answer
+    empty = tmp_path / "empty.rules"
+    empty.write_text("")
+    for route in ((), ("--brute",)):
+        assert cli.main(["minimize", str(empty), *route]) == 0
+        assert capsys.readouterr().out.endswith(
+            "k_min: 0\nwitness: (empty)\n")
+    unanswered = milp.Solution(milp.TIME_LIMIT, None, None)
+    monkeypatch.setattr(milp, "solve", lambda *args: unanswered)
+    assert cli.main(["minimize", str(TOY)]) == cli.EXIT_TIME_LIMIT
+    assert capsys.readouterr().out == (
+        "status: time_limit\nk_min: None\nwitness: (none)\n")
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-parent",
                                     "missing-report-parent"])
 def test_failed_write_exits_1(tmp_path, capsys, target):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -555,6 +556,65 @@ def test_enocoro_heuristic_agrees_with_reference_sweeps(monkeypatch):
     assert calls <= 55  # counts the kernel's solve alone
 
 
+def heuristic_scores(instance, limits, monkeypatch):
+    """Each batch and single sweep the root heuristic scores, in order, as
+    ``("batch", sets)`` or ``("sweep", set)``."""
+    heuristic, coverages, sweeps = (milp._heuristic_incumbent,
+                                    oracle.coverages, oracle.sweeps)
+    scored = []
+
+    def batch(options, bases, candidates, limit=None):
+        scored.append(("batch", [known | 1 << c for known in bases
+                                 for c in candidates]))
+        return coverages(options, bases, candidates, limit)
+
+    def sweep(options, known, limit=None):
+        scored.append(("sweep", known))
+        return sweeps(options, known, limit)
+
+    def recorded(*args):
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "coverages", batch)
+            patched.setattr(oracle, "sweeps", sweep)
+            heuristic(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(milp, "_heuristic_incumbent", recorded)
+        solve(instance, limits)
+    return scored
+
+
+def test_heuristic_scores_no_set_twice(monkeypatch):
+    # the heuristic keeps the coverage of every set it scored: a batch runs
+    # only when it holds a new set, and a set is swept alone only once
+    rng = random.Random(59)
+    instances = []
+    for _ in range(12):
+        system = preprocess.expand_rules(random_system(rng, max_n=9,
+                                                       max_m=14))
+        instances.append(encoder.encode(system, encoder.EncodeConfig(
+            encoder.default_nu(system), 0, encoder.COMPACT,
+            encoder.MIN_GUESSES)))
+    instances.append(encoder.encode(
+        preprocess.expand_rules(ciphers.build_snow2(13)),
+        encoder.EncodeConfig(nu=12, budget_k=9, mode=encoder.COMPACT)))
+    batches = 0
+    for instance in instances:
+        limits = SolveLimits(time_budget=1e9, node_budget=0,
+                             seed=rng.randrange(100))
+        seen = set()
+        for kind, scored in heuristic_scores(instance, limits, monkeypatch):
+            if kind == "batch":
+                assert not seen.issuperset(scored)
+                seen.update(scored)
+                batches += 1
+            else:
+                assert scored not in seen
+                seen.add(scored)
+        solve_with_both_sweeps(instance, limits, monkeypatch)
+    assert batches
+
+
 def test_benchmark_ops_keep_their_work():
     # the first pair of the benchmark's SNOW k=9 and Enocoro k=18 runs at
     # its default seed: how climb passes are batched must change no
@@ -572,6 +632,22 @@ def test_benchmark_ops_keep_their_work():
         ("snow-k9", workloads.LP): (milp.OPTIMAL, 42, 0, 829),
         ("enocoro-k18", workloads.RULES): (milp.TIME_LIMIT, 92, 200, 7716),
         ("enocoro-k18", workloads.LP): (milp.TIME_LIMIT, 92, 200, 7716)}
+    # and the population run: every op's route, status, objective, nodes
+    # and evaluations, and the brute-force witness of each .rules op's
+    # parsed system, hashed; skipping what is settled in advance or scored
+    # before must change none of them
+    ops = workloads.WORKLOADS["population"].plan(1, 1.0)
+    digest = hashlib.sha256()
+    for op in ops:
+        result = workloads.run_op(layers, op)
+        solution = result.solution
+        digest.update(repr((
+            op.route, solution.status, solution.objective,
+            solution.stats.nodes, solution.stats.heuristic_evals,
+            result.brute and result.brute.witness)).encode())
+    assert len(ops) == 252
+    assert digest.hexdigest() == (
+        "b8f743112f223b5a6fcf5f8d79dd86349de01317f1c9da2d55fd85cbd4793034")
 
 
 # --- the guess-set search of encodings --------------------------------------
@@ -885,6 +961,7 @@ def test_the_step_window_check_flags_what_the_full_check_flags():
     rng = random.Random(27)
     instances = [encoder.encode(system, cfg)
                  for system, cfg in encoding_cases()] + refutation_cases()
+    reused = 0
     for instance in instances:
         rows = instance.constraints
         _, cfg, full_cover = instance.encoding
@@ -909,6 +986,21 @@ def test_the_step_window_check_flags_what_the_full_check_flags():
             assert more
             assert all((nu - 1) * per_step <= ci < nu * per_step
                        for ci in more)
+        # a guess set at its fixpoint before step nu - 1 has equal windows
+        # from there on: one value flipped in a middle one of them makes it
+        # differ from its neighbours, whose rows are then checked afresh
+        system = instance.encoding[0]
+        for guesses in (rng.getrandbits(n), (1 << n) - 1):
+            fixpoint = len(oracle.sweeps(oracle.option_masks(system),
+                                         guesses)) - 1
+            if nu - fixpoint >= 3:
+                middle = (fixpoint + nu - 1) // 2
+                bad = encoder.step_values(instance, guesses)
+                bad[middle * stride + rng.randrange(n, stride + n)] ^= 1
+                assert milp._violated(instance, bad) == \
+                    milp._broken_rows(rows, bad)
+                reused += 1
+                break
         # a broken closing row: every guess over a budget below n, or no
         # guess at all where every proposition must be covered
         maximize = cfg.sense == encoder.MAX_COVERAGE and not full_cover
@@ -919,6 +1011,7 @@ def test_the_step_window_check_flags_what_the_full_check_flags():
         closing = {ci for ci, _ in flagged if ci >= nu * per_step}
         if not maximize or cfg.budget_k < n:
             assert closing
+    assert reused > len(instances) // 2
 
 
 def test_guess_layer_counts_are_the_occurrence_counts(monkeypatch):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from dedmin import encoder, milp, oracle, preprocess
 from dedmin.core import DeductionSystem, DirectedRule, SymmetricRule
-from helpers import (prefix_words, random_system, reference_sweeps,
-                     reference_word_coverages)
+from helpers import (prefix_words, random_system, reference_brute_force_min,
+                     reference_sweeps, reference_word_coverages)
 
 
 def test_toy_closure_from_p2(toy):
@@ -67,6 +67,44 @@ def test_brute_force_respects_max_k(toy):
     found = oracle.brute_force_min(toy, 0)
     assert not found.found
     assert found.max_k == 0
+
+
+def brute_force_agrees(system, max_k=None):
+    found = oracle.brute_force_min(system, max_k)
+    assert (found.k_min, found.witness, found.max_k) == \
+        reference_brute_force_min(system, max_k)
+
+
+def test_brute_force_agrees_with_all_subsets():
+    # brute force tries only the sets that guess every proposition no rule
+    # concludes; the plain enumeration of all subsets must find the same
+    # first cover at every size limit
+    for seed in range(300):
+        system = random_system(random.Random(seed))
+        for max_k in range(system.n + 1):
+            brute_force_agrees(system, max_k)
+
+
+def test_brute_force_agrees_when_nothing_or_everything_is_forced():
+    rng = random.Random(43)
+    for _ in range(40):
+        # a ring concludes every proposition, so none is forced
+        n = rng.randint(2, 9)
+        ring = [DirectedRule.of([p], (p + 1) % n) for p in range(n)]
+        extra = random_system(rng, max_n=n, max_m=8)
+        system = DeductionSystem.from_names(
+            [f"v{i}" for i in range(n)], extra.symmetric_rules,
+            ring + list(extra.directed_rules))
+        concluded = {cbit for _, cbit in oracle.option_masks(system).masks}
+        assert concluded == {1 << p for p in range(n)}
+        for max_k in (None, 0, 1, n // 2):
+            brute_force_agrees(system, max_k)
+    for n in range(6):
+        # no rules: every proposition is forced, and no set below n covers
+        system = DeductionSystem.from_names([f"v{i}" for i in range(n)])
+        for max_k in range(n + 1):
+            brute_force_agrees(system, max_k)
+            assert oracle.brute_force_min(system, max_k).found == (max_k == n)
 
 
 @settings(max_examples=60, deadline=None)
